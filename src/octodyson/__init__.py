@@ -47,9 +47,11 @@ from .calculus import (
 from .errors import (
     Error,
     InsufficientData,
+    InvalidConfig,
     NearSingularShift,
     NoAdmissibleRoot,
     NotSymmCompatible,
+    NotSymmetric,
     SingularBase,
     SingularCore,
     VerificationFailure,

@@ -17,7 +17,6 @@ only checks on real-coefficient elements use floating point.
 from __future__ import annotations
 
 import itertools
-import time
 
 import numpy as np
 
@@ -202,30 +201,22 @@ def check_table_structure(table: np.ndarray | None = None) -> IdentityReport:
     identity; off-diagonal, off-identity cells are antisymmetric.
     """
     t = SIGN_TABLE if table is None else table
-    start = time.perf_counter()
-    cases = 0
-    failures = 0
-    for b in range(8):
-        cases += 2
-        failures += t[0, b] != 1
-        failures += t[b, 0] != 1
-    cases += 1
-    failures += t[0, 0] != 1
-    for a in range(1, 8):
-        cases += 1
-        failures += t[a, a] != -1
-    for a in range(1, 8):
-        for b in range(1, 8):
-            if a != b:
-                cases += 1
-                failures += t[a, b] != -t[b, a]
-    # literal match against the canonical-order rows
-    for row, a in enumerate(CANONICAL_LABELS):
-        for col, b in enumerate(CANONICAL_LABELS):
-            cases += 1
-            failures += int(t[a, b]) != _TABLE_ROWS[row][col]
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return IdentityReport("table-structure", cases, int(failures), 0.0, 0, elapsed)
+    with IdentityReport("table-structure").timed() as report:
+        for b in range(8):
+            report.check(t[0, b] == 1)
+            report.check(t[b, 0] == 1)
+        report.check(t[0, 0] == 1)
+        for a in range(1, 8):
+            report.check(t[a, a] == -1)
+        for a in range(1, 8):
+            for b in range(1, 8):
+                if a != b:
+                    report.check(t[a, b] == -t[b, a])
+        # literal match against the canonical-order rows
+        for row, a in enumerate(CANONICAL_LABELS):
+            for col, b in enumerate(CANONICAL_LABELS):
+                report.check(int(t[a, b]) == _TABLE_ROWS[row][col])
+    return report
 
 
 def check_sign_identities(extended: bool = True, table: np.ndarray | None = None) -> IdentityReport:
@@ -244,29 +235,21 @@ def check_sign_identities(extended: bool = True, table: np.ndarray | None = None
     is additionally checked against 392.
     """
     t = SIGN_TABLE if table is None else table
-    start = time.perf_counter()
-    cases = 0
-    failures = 0
-    for a, b in itertools.product(range(8), repeat=2):
-        cases += 1
-        failures += t[a ^ b, b] != t[a, b] * t[b, b]
-        cases += 1
-        failures += t[a ^ b, a] * t[a ^ b, b] != t[a ^ b, a ^ b]
-    for a, b, c in itertools.product(range(8), repeat=3):
-        if a ^ b:
-            cases += 1
-            failures += t[a ^ c, a] * t[b ^ c, b] != -t[a ^ c, b] * t[b ^ c, a]
-    for a, b, c, d in itertools.product(range(8), repeat=4):
-        if a ^ b ^ c ^ d == 0:
-            cases += 1
-            lhs = t[b ^ c, c] * t[c ^ d, d] * t[d ^ a, a] * t[a ^ b, b]
-            failures += lhs != t[b ^ d, b ^ d]
-    if extended:
-        cases += 1
-        total, _ = cyclic_sign_sum(t)
-        failures += total != 392  # 2^3 * 7^2
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return IdentityReport("sign-identities", cases, int(failures), 0.0, 0, elapsed)
+    with IdentityReport("sign-identities").timed() as report:
+        for a, b in itertools.product(range(8), repeat=2):
+            report.check(t[a ^ b, b] == t[a, b] * t[b, b])
+            report.check(t[a ^ b, a] * t[a ^ b, b] == t[a ^ b, a ^ b])
+        for a, b, c in itertools.product(range(8), repeat=3):
+            if a ^ b:
+                report.check(t[a ^ c, a] * t[b ^ c, b] == -t[a ^ c, b] * t[b ^ c, a])
+        for a, b, c, d in itertools.product(range(8), repeat=4):
+            if a ^ b ^ c ^ d == 0:
+                lhs = t[b ^ c, c] * t[c ^ d, d] * t[d ^ a, a] * t[a ^ b, b]
+                report.check(lhs == t[b ^ d, b ^ d])
+        if extended:
+            total, _ = cyclic_sign_sum(t)
+            report.check(total == 392)  # 2^3 * 7^2
+    return report
 
 
 _WEAK_ASSOC_FORMS = (
@@ -278,20 +261,21 @@ _WEAK_ASSOC_FORMS = (
 )
 
 
-def _moufang_basis_case(a: int, b: int, c: int, table: np.ndarray) -> int:
-    """Number of Moufang identities failing on the basis triple (a, b, c)."""
+def _moufang_basis_case(a: int, b: int, c: int, table: np.ndarray) -> tuple[bool, ...]:
+    """Whether each of the four Moufang identities holds on the basis triple
+    (a, b, c)."""
     x, y, z = (1, a), (1, b), (1, c)
 
     def m(p, q):
         return basis_mul(p[0], p[1], q[0], q[1], table)
 
-    fails = 0
-    fails += m(z, m(x, m(z, y))) != m(m(m(z, x), z), y)
-    fails += m(m(m(x, z), y), z) != m(x, m(m(z, y), z))
     lhs = m(m(z, x), m(y, z))
-    fails += lhs != m(m(z, m(x, y)), z)
-    fails += lhs != m(z, m(m(x, y), z))
-    return fails
+    return (
+        m(z, m(x, m(z, y))) == m(m(m(z, x), z), y),
+        m(m(m(x, z), y), z) == m(x, m(m(z, y), z)),
+        lhs == m(m(z, m(x, y)), z),
+        lhs == m(z, m(m(x, y), z)),
+    )
 
 
 def check_moufang(trials: int = 10_000, seed: int = 0, tol: float = 1e-12,
@@ -303,97 +287,81 @@ def check_moufang(trials: int = 10_000, seed: int = 0, tol: float = 1e-12,
     elements in floating point with absolute tolerance ``tol``.
     """
     t = SIGN_TABLE if table is None else table
-    start = time.perf_counter()
-    cases = 0
-    failures = 0
-    for a, b, c in itertools.product(range(8), repeat=3):
-        cases += 4
-        failures += _moufang_basis_case(a, b, c, t)
-    for a, b in itertools.product(range(8), repeat=2):
-        x, y = (1, a), (1, b)
 
-        def m(p, q):
-            return basis_mul(p[0], p[1], q[0], q[1], t)
+    def m(p, q):
+        return basis_mul(p[0], p[1], q[0], q[1], t)
 
-        cases += 2
-        failures += m(m(x, x), y) != m(x, m(x, y))
-        failures += m(m(y, x), x) != m(y, m(x, x))
+    with IdentityReport("moufang-alternativity", seed=seed).timed() as report:
+        for a, b, c in itertools.product(range(8), repeat=3):
+            for ok in _moufang_basis_case(a, b, c, t):
+                report.check(ok)
+        for a, b in itertools.product(range(8), repeat=2):
+            x, y = (1, a), (1, b)
+            report.check(m(m(x, x), y) == m(x, m(x, y)))
+            report.check(m(m(y, x), x) == m(y, m(x, x)))
 
-    max_residual = 0.0
-    if trials > 0:
-        tensor = _MUL_TENSOR_F if table is None else _structure_tensor(t).astype(np.float64)
+        if trials > 0:
+            tensor = _MUL_TENSOR_F if table is None else _structure_tensor(t).astype(np.float64)
 
-        def fmul(u, v):
-            return np.einsum("...a,...b,abk->...k", u, v, tensor)
+            def fmul(u, v):
+                return np.einsum("...a,...b,abk->...k", u, v, tensor)
 
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((trials, 8))
-        y = rng.standard_normal((trials, 8))
-        z = rng.standard_normal((trials, 8))
-        pairs = [
-            (fmul(z, fmul(x, fmul(z, y))), fmul(fmul(fmul(z, x), z), y)),
-            (fmul(fmul(fmul(x, z), y), z), fmul(x, fmul(fmul(z, y), z))),
-            (fmul(fmul(z, x), fmul(y, z)), fmul(fmul(z, fmul(x, y)), z)),
-            (fmul(fmul(z, x), fmul(y, z)), fmul(z, fmul(fmul(x, y), z))),
-            (fmul(fmul(x, x), y), fmul(x, fmul(x, y))),
-            (fmul(fmul(y, x), x), fmul(y, fmul(x, x))),
-        ]
-        for lhs, rhs in pairs:
-            res = np.max(np.abs(lhs - rhs), axis=-1)
-            cases += trials
-            failures += int(np.count_nonzero(res > tol))
-            max_residual = max(max_residual, float(res.max()))
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return IdentityReport("moufang-alternativity", cases, int(failures), max_residual, seed, elapsed)
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((trials, 8))
+            y = rng.standard_normal((trials, 8))
+            z = rng.standard_normal((trials, 8))
+            pairs = [
+                (fmul(z, fmul(x, fmul(z, y))), fmul(fmul(fmul(z, x), z), y)),
+                (fmul(fmul(fmul(x, z), y), z), fmul(x, fmul(fmul(z, y), z))),
+                (fmul(fmul(z, x), fmul(y, z)), fmul(fmul(z, fmul(x, y)), z)),
+                (fmul(fmul(z, x), fmul(y, z)), fmul(z, fmul(fmul(x, y), z))),
+                (fmul(fmul(x, x), y), fmul(x, fmul(x, y))),
+                (fmul(fmul(y, x), x), fmul(y, fmul(x, x))),
+            ]
+            for lhs, rhs in pairs:
+                report.record_all(np.max(np.abs(lhs - rhs), axis=-1), tol)
+    return report
 
 
 def check_norm_multiplicativity(pairs: int = 100_000, seed: int = 1, tol: float = 1e-12,
                                 table: np.ndarray | None = None) -> IdentityReport:
     """|xy| == |x||y| on random pairs, relative tolerance ``tol``."""
-    start = time.perf_counter()
-    tensor = _MUL_TENSOR_F if table is None else _structure_tensor(table).astype(np.float64)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((pairs, 8))
-    y = rng.standard_normal((pairs, 8))
-    xy = np.einsum("na,nb,abk->nk", x, y, tensor)
-    prod = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
-    rel = np.abs(np.linalg.norm(xy, axis=1) - prod) / prod
-    failures = int(np.count_nonzero(rel > tol))
-    max_residual = float(rel.max()) if pairs else 0.0
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return IdentityReport("norm-multiplicativity", pairs, failures, max_residual, seed, elapsed)
+    with IdentityReport("norm-multiplicativity", seed=seed).timed() as report:
+        tensor = _MUL_TENSOR_F if table is None else _structure_tensor(table).astype(np.float64)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((pairs, 8))
+        y = rng.standard_normal((pairs, 8))
+        xy = np.einsum("na,nb,abk->nk", x, y, tensor)
+        prod = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+        report.record_all(np.abs(np.linalg.norm(xy, axis=1) - prod) / prod, tol)
+    return report
 
 
 def check_orthogonal_translates(trials: int = 1_000, seed: int = 2, tol: float = 1e-12,
                                 table: np.ndarray | None = None) -> IdentityReport:
     """<x w_a, x w_b> == 0 for a != b, on random unit elements x."""
-    start = time.perf_counter()
-    tensor = _MUL_TENSOR_F if table is None else _structure_tensor(table).astype(np.float64)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((trials, 8))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    # xt[n, c] = x_n * w_c over all 8 right-translates at once
-    xt = np.einsum("na,ack->nck", x, tensor)  # (trials, 8, 8)
-    gram = np.einsum("nck,ndk->ncd", xt, xt)
-    iu = np.triu_indices(8, 1)
-    res = np.abs(gram[:, iu[0], iu[1]])
-    failures = int(np.count_nonzero(res > tol))
-    cases = trials * len(iu[0])
-    max_residual = float(res.max()) if cases else 0.0
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return IdentityReport("orthogonal-translates", cases, failures, max_residual, seed, elapsed)
+    with IdentityReport("orthogonal-translates", seed=seed).timed() as report:
+        tensor = _MUL_TENSOR_F if table is None else _structure_tensor(table).astype(np.float64)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((trials, 8))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        # xt[n, c] = x_n * w_c over all 8 right-translates at once
+        xt = np.einsum("na,ack->nck", x, tensor)  # (trials, 8, 8)
+        gram = np.einsum("nck,ndk->ncd", xt, xt)
+        iu = np.triu_indices(8, 1)
+        report.record_all(np.abs(gram[:, iu[0], iu[1]]), tol)
+    return report
 
 
 def check_imaginary_sum_square(table: np.ndarray | None = None) -> IdentityReport:
     """Exact check that the sum of the seven imaginary units squares to -7."""
     t = SIGN_TABLE if table is None else table
-    start = time.perf_counter()
-    tensor = _structure_tensor(t)  # integer tensor: exact arithmetic
-    e = np.ones(8, dtype=np.int64)
-    e[0] = 0
-    square = np.einsum("a,b,abk->k", e, e, tensor)
-    expected = np.zeros(8, dtype=np.int64)
-    expected[0] = -7
-    failures = int(not np.array_equal(square, expected))
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return IdentityReport("imaginary-sum-square", 1, failures, 0.0, 0, elapsed)
+    with IdentityReport("imaginary-sum-square").timed() as report:
+        tensor = _structure_tensor(t)  # integer tensor: exact arithmetic
+        e = np.ones(8, dtype=np.int64)
+        e[0] = 0
+        square = np.einsum("a,b,abk->k", e, e, tensor)
+        expected = np.zeros(8, dtype=np.int64)
+        expected[0] = -7
+        report.check(np.array_equal(square, expected))
+    return report

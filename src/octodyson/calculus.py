@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import SIGN_TABLE
-from .errors import NoAdmissibleRoot, NotSymmCompatible, VerificationFailure
+from .errors import InvalidConfig, NoAdmissibleRoot, NotSymmCompatible, VerificationFailure
 from .matrices import CharPolyEval, OctonionicMatrix, off_spectrum_points, resolvent
 
 #: Shared-Gamma coefficient of the antisymmetric component in model "b".
@@ -53,6 +53,10 @@ class DiffusionModel:
     antisymmetric Brownian matrix) or ``"b"`` (one antisymmetric Brownian
     matrix shared by all seven nonscalar components, any dimension).  Drift
     is zero for both.
+
+    Raises
+    ------
+    InvalidConfig
     """
 
     kind: str
@@ -60,11 +64,11 @@ class DiffusionModel:
 
     def __post_init__(self):
         if self.kind not in ("a", "b"):
-            raise ValueError(f"kind must be 'a' or 'b', got {self.kind!r}")
+            raise InvalidConfig(f"kind must be 'a' or 'b', got {self.kind!r}")
         if self.kind == "a" and self.n != 2:
-            raise ValueError("model 'a' is defined for n = 2 only")
+            raise InvalidConfig("model 'a' is defined for n = 2 only")
         if self.n < 2:
-            raise ValueError("n must be at least 2")
+            raise InvalidConfig("n must be at least 2")
 
     def gamma_coefficients(self, f: int, g: int) -> tuple[float, float]:
         """(c1, c2) with Gamma(M^f_ij, M^g_kl) = c1 d_ik d_jl + c2 d_il d_jk."""
@@ -77,10 +81,6 @@ class DiffusionModel:
         if f != 0 and g != 0:
             return MODEL_B_ANTISYM_RATE, -MODEL_B_ANTISYM_RATE
         return 0.0, 0.0
-
-    def drift(self, f: int, i: int, j: int) -> float:
-        """L of a single component entry; identically zero for both models."""
-        return 0.0
 
 
 def model_a() -> DiffusionModel:
@@ -224,7 +224,7 @@ def measure_coefficients(model: DiffusionModel, matrix: OctonionicMatrix,
     shifts by solving the 2x2 linear system
     L(p)/p = a1 p''/p + a2 (p'/p)^2.
     """
-    eigs = np.linalg.eigvalsh(matrix.real_form())
+    eigs = matrix.eigenvalues
     x1, y1, x2, y2 = off_spectrum_points(eigs, rng, 4)
     while abs(x1 - y1) < 0.5:
         x1, y1 = off_spectrum_points(eigs, rng, 2)
@@ -317,8 +317,10 @@ def solve_multiplicity(p: ExponentProblem) -> MultiplicityResult:
     disc = b * b - 4.0 * lead * p.alpha3
     if disc < 0.0:
         raise NoAdmissibleRoot("multiplicity quadratic has complex roots")
-    sq = math.sqrt(disc)
-    roots = tuple(sorted(((-b - sq) / (2 * lead), (-b + sq) / (2 * lead))))
+    # q is -b/2 plus the root term of the same sign, so neither root is a
+    # difference of close numbers; q == 0 only when both roots are zero
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    roots = tuple(sorted((q / lead, p.alpha3 / q if q else 0.0)))
     positive = [r for r in roots if r > 0.0 and math.isfinite(r)]
     if not positive:
         raise NoAdmissibleRoot(f"no finite positive root among {roots}")

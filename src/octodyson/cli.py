@@ -20,13 +20,17 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__, algebra
 from .calculus import ExponentProblem, invariant_exponent, model_a, model_b, solve_multiplicity
-from .errors import InsufficientData, NoAdmissibleRoot
+from .errors import InsufficientData, InvalidConfig, NoAdmissibleRoot
 from .matrices import check_dim2_identities, check_logdet_derivatives, dim3_counterexample
-from .reporting import RunManifest, fmt17, write_spectrum_csv, write_stats_json
+from .reporting import (
+    RunManifest,
+    spectrum_csv_header,
+    spectrum_csv_row,
+    write_spectrum_csv,
+    write_stats_json,
+)
 from .simulate import SimulationConfig, euler_path, gap_statistics, sample_spectra
 from .verify import check_closed_forms, check_inverse_roundtrip, check_trace_identities
 
@@ -74,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample_spectrum)
 
     p = sub.add_parser("simulate-path", help="Euler trajectories with per-step spectra")
-    _add_common(p, out=True, threads=True)
+    _add_common(p, out=True)
     p.add_argument("--model", choices=("a", "b"), required=True)
     p.add_argument("--n", type=int, default=None, help="matrix dimension (default 2)")
     p.add_argument("--steps", type=int, default=100)
@@ -224,8 +228,7 @@ def cmd_sample_spectrum(args) -> int:
 def cmd_simulate_path(args) -> int:
     n = _model_dimension(args)
     cfg = SimulationConfig(kind=args.model, n=n, t=args.t, samples=args.paths,
-                           seed=args.seed, mode="euler", steps=args.steps,
-                           cluster_tol=args.cluster_tol)
+                           seed=args.seed, steps=args.steps, cluster_tol=args.cluster_tol)
     crossings = 0
     broken = 0
     min_gap = float("inf")
@@ -238,13 +241,7 @@ def cmd_simulate_path(args) -> int:
             if len(s.distinct) != n or any(m != 8 for m in s.multiplicities):
                 broken += 1
             if args.out:
-                xs = list(s.distinct)[:n] + [float("nan")] * max(0, n - len(s.distinct))
-                ms = list(s.multiplicities)[:n] + [0] * max(0, n - len(s.multiplicities))
-                rows.append(
-                    f"{path},{step},{args.model},{n},{fmt17(args.t)},"
-                    + ",".join(fmt17(x) for x in xs) + ","
-                    + ",".join(str(int(m)) for m in ms) + f",{fmt17(s.spread)}"
-                )
+                rows.append(spectrum_csv_row((path, step), args.model, n, args.t, s))
     summary = {
         "paths": cfg.samples, "steps": cfg.steps, "crossings": crossings,
         "steps_with_broken_clusters": broken, "min_gap": min_gap,
@@ -255,10 +252,8 @@ def cmd_simulate_path(args) -> int:
         for key, value in summary.items():
             print(f"{key}: {value}")
     if args.out:
-        xs = ",".join(f"x{i + 1}" for i in range(n))
-        ms = ",".join(f"mult{i + 1}" for i in range(n))
         with open(args.out, "w", newline="\n") as fh:
-            fh.write(f"path_id,step,model,n,t,{xs},{ms},spread\n")
+            fh.write(spectrum_csv_header(("path_id", "step"), n) + "\n")
             for row in rows:
                 fh.write(row + "\n")
         manifest = _manifest(args)
@@ -314,7 +309,10 @@ def main(argv=None) -> int:
         parser.error("--seed must be a nonnegative integer")
     if getattr(args, "model", None) == "a" and getattr(args, "n", None) not in (None, 2):
         parser.error("model 'a' requires n = 2")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidConfig as exc:
+        parser.error(str(exc))
 
 
 def entry() -> None:

@@ -9,6 +9,11 @@ class SingularBase(Error):
     """The scalar-part component is singular; the structured inverse is undefined."""
 
 
+class NotSymmetric(Error):
+    """The scalar component is not symmetric or another component is not
+    antisymmetric, so the real form is not symmetric."""
+
+
 class NotSymmCompatible(Error):
     """The pairwise component compatibility condition fails beyond tolerance."""
 
@@ -31,3 +36,7 @@ class InsufficientData(Error):
 
 class VerificationFailure(Error):
     """A numeric self-check did not reproduce the expected constants."""
+
+
+class InvalidConfig(Error, ValueError):
+    """A model or sampling configuration is outside its valid range."""

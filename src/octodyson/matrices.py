@@ -19,14 +19,13 @@ with components given in closed form by :func:`oct_inverse`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import algebra
-from .algebra import CANONICAL_LABELS, SIGN_TABLE
-from .errors import NearSingularShift, NotSymmCompatible, SingularBase, SingularCore
+from .algebra import CANONICAL_LABELS, CONJUGATION_SIGNS, SIGN_TABLE
+from .errors import NearSingularShift, NotSymmCompatible, NotSymmetric, SingularBase, SingularCore
 from .reporting import IdentityReport
 
 #: The 2x2 antisymmetric unit; every 2x2 antisymmetric matrix is a multiple.
@@ -75,12 +74,26 @@ class OctonionicMatrix:
     def is_symmetric(self, tol: float = 0.0) -> bool:
         """True iff the scalar component is symmetric and the rest antisymmetric."""
         comps = self.components
-        if np.max(np.abs(comps[0] - comps[0].T)) > tol:
-            return False
-        for a in range(1, 8):
-            if np.max(np.abs(comps[a] + comps[a].T)) > tol:
-                return False
-        return True
+        mirrored = CONJUGATION_SIGNS[:, None, None] * comps.transpose(0, 2, 1)
+        return not np.max(np.abs(comps - mirrored)) > tol
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the real form (read-only), solved once
+        per matrix.
+
+        Raises
+        ------
+        NotSymmetric
+            If the real form is not symmetric; a symmetric eigensolver
+            would silently read one triangle of it.
+        """
+        if not self.is_symmetric():
+            raise NotSymmetric("the scalar component must be symmetric and the "
+                               "others antisymmetric")
+        eigs = np.linalg.eigvalsh(self.real_form())
+        eigs.setflags(write=False)
+        return eigs
 
     def shifted(self, x: float) -> "OctonionicMatrix":
         """Subtract ``x`` times the identity (acts on the scalar component)."""
@@ -240,14 +253,13 @@ def resolvent(m: OctonionicMatrix, x: float, guard_scale: float = 0.5,
 
     Raises
     ------
-    NearSingularShift
+    NearSingularShift, NotSymmetric
     """
-    rf = m.real_form()
-    dim = rf.shape[0]
-    eigs = np.linalg.eigvalsh(rf)
+    eigs = m.eigenvalues
     if np.min(np.abs(eigs - x)) <= shift_guard(eigs, m.n, guard_scale):
         raise NearSingularShift(f"shift {x} is within the guard distance of the spectrum")
-    dense = np.linalg.inv(rf - x * np.eye(dim))
+    rf = m.real_form()
+    dense = np.linalg.inv(rf - x * np.eye(rf.shape[0]))
 
     components = None
     oct_res = None
@@ -320,8 +332,8 @@ def charpoly_probe(m: OctonionicMatrix, x: float) -> CharPolyEval:
     The value is a direct determinant evaluation; the derivatives come from
     the eigenvalue list (the real form must be symmetric).
     """
+    eigs = m.eigenvalues
     rf = m.real_form()
-    eigs = np.linalg.eigvalsh(rf)
     p = float(np.linalg.det(rf - x * np.eye(rf.shape[0])))
     return CharPolyEval.from_eigenvalues(eigs, x, p=p)
 
@@ -347,8 +359,6 @@ def trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) -> dict[st
     * ``sq``: tr U(x)^2 == (p'/p)^2 - p''/p;
     * ``cross``: tr[U(x)U(y)] == (p'/p(x) - p'/p(y)) / (y - x).
     """
-    rf = m.real_form()
-    eigs = np.linalg.eigvalsh(rf)
     ux = resolvent(m, x)
     uy = resolvent(m, y)
     if ux.components is None or uy.components is None:
@@ -371,8 +381,8 @@ def trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) -> dict[st
     )
     res["product-trace"] = _rel(cross_trace, comp_sum)
 
-    px = CharPolyEval.from_eigenvalues(eigs, x)
-    py = CharPolyEval.from_eigenvalues(eigs, y)
+    px = CharPolyEval.from_eigenvalues(m.eigenvalues, x)
+    py = CharPolyEval.from_eigenvalues(m.eigenvalues, y)
     res["dlog"] = _rel(ux.trace, -px.dlog)
     res["sq"] = _rel(float(np.trace(ux.dense @ ux.dense)), px.curvature)
     res["cross"] = _rel(cross_trace, (px.dlog - py.dlog) / (y - x))
@@ -436,47 +446,28 @@ def check_logdet_derivatives(count: int = 100, n: int = 5, seed: int = 3,
     Draws well-conditioned random matrices (redrawing above ``cond_limit``)
     and compares the full gradient and Hessian in relative Frobenius norm.
     """
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    cases = 0
-    failures = 0
-    worst = 0.0
-    for _ in range(count):
-        matrix = rng.standard_normal((n, n))
-        tries = 0
-        while np.linalg.cond(matrix) > cond_limit:
+    with IdentityReport("logdet-derivatives", seed=seed).timed() as report:
+        for _ in range(count):
             matrix = rng.standard_normal((n, n))
-            tries += 1
-            if tries > 100:
-                raise RuntimeError("could not draw a well-conditioned matrix")
-        g_an = logdet_gradient(matrix)
-        g_fd = fd_logdet_gradient(matrix, h)
-        rel_g = float(np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an))
-        h_an = logdet_hessian(matrix)
-        h_fd = fd_logdet_hessian(matrix, h)
-        rel_h = float(np.linalg.norm((h_fd - h_an).ravel()) / np.linalg.norm(h_an.ravel()))
-        cases += 2
-        failures += int(rel_g > tol) + int(rel_h > tol)
-        worst = max(worst, rel_g, rel_h)
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return IdentityReport("logdet-derivatives", cases, failures, worst, seed, elapsed)
+            tries = 0
+            while np.linalg.cond(matrix) > cond_limit:
+                matrix = rng.standard_normal((n, n))
+                tries += 1
+                if tries > 100:
+                    raise RuntimeError("could not draw a well-conditioned matrix")
+            g_an = logdet_gradient(matrix)
+            g_fd = fd_logdet_gradient(matrix, h)
+            report.record(float(np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an)), tol)
+            h_an = logdet_hessian(matrix)
+            h_fd = fd_logdet_hessian(matrix, h)
+            report.record(float(np.linalg.norm((h_fd - h_an).ravel())
+                                / np.linalg.norm(h_an.ravel())), tol)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # dimension-2 trace identities and their higher-dimension obstruction
-
-
-def random_planar_matrix(rng: np.random.Generator, t: float = 1.0) -> OctonionicMatrix:
-    """Random 2x2 symmetric octonionic matrix (scalar part symmetric, the
-    seven others multiples of the antisymmetric unit)."""
-    comps = np.zeros((8, 2, 2))
-    m0 = np.zeros((2, 2))
-    m0[0, 0], m0[1, 1] = rng.standard_normal(2) * np.sqrt(t)
-    m0[0, 1] = m0[1, 0] = rng.standard_normal() * np.sqrt(t / 2)
-    comps[0] = m0
-    for a in range(1, 8):
-        comps[a] = rng.standard_normal() * np.sqrt(t / 2) * ANTISYM_UNIT_2
-    return OctonionicMatrix(comps)
 
 
 def check_dim2_identities(trials: int = 1_000, seed: int = 4,
@@ -490,46 +481,36 @@ def check_dim2_identities(trials: int = 1_000, seed: int = 4,
     * tr(U(x)^C A0 U(x)^C A0)     == -tr((U(x)^C)^2),
     * tr(U^0 A0 U^0 A0)           == tr((U^0)^2) - (tr U^0)^2,
 
-    plus the scalar 2x2 identity tr(M^2) - (tr M)^2 == -2 det(M).
+    plus the scalar 2x2 identity tr(M^2) - (tr M)^2 == -2 det(M).  Draws
+    follow the model-a law at t = 1.
     """
-    start = time.perf_counter()
+    from .simulate import _draw_increment
+
     rng = np.random.default_rng(seed)
     a0 = ANTISYM_UNIT_2
-    cases = 0
-    failures = 0
-    worst = 0.0
-
-    def record(lhs: float, rhs: float):
-        nonlocal cases, failures, worst
-        r = _rel(lhs, rhs)
-        cases += 1
-        failures += int(r > tol)
-        worst = max(worst, r)
-
-    for _ in range(trials):
-        m = random_planar_matrix(rng)
-        eigs = np.linalg.eigvalsh(m.real_form())
-        x, y = off_spectrum_points(eigs, rng, 2)
-        ux = resolvent(m, float(x)).components
-        uy = resolvent(m, float(y)).components
-        for c in range(1, 8):
-            record(
-                float(np.trace(ux[c] @ a0)) * float(np.trace(uy[c] @ a0)),
-                -2.0 * float(np.trace(ux[c] @ uy[c])),
-            )
-            record(
-                float(np.trace(ux[c] @ a0 @ ux[c] @ a0)),
-                -float(np.trace(ux[c] @ ux[c])),
-            )
-        record(
-            float(np.trace(ux[0] @ a0 @ ux[0] @ a0)),
-            float(np.trace(ux[0] @ ux[0])) - float(np.trace(ux[0])) ** 2,
-        )
-        mm = rng.standard_normal((2, 2))
-        record(float(np.trace(mm @ mm)) - float(np.trace(mm)) ** 2,
-               -2.0 * float(np.linalg.det(mm)))
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return IdentityReport("dim2-trace-identities", cases, failures, worst, seed, elapsed)
+    with IdentityReport("dim2-trace-identities", seed=seed).timed() as report:
+        for _ in range(trials):
+            m = OctonionicMatrix(_draw_increment(rng, "a", 2, 1.0))
+            x, y = off_spectrum_points(m.eigenvalues, rng, 2)
+            ux = resolvent(m, float(x)).components
+            uy = resolvent(m, float(y)).components
+            for c in range(1, 8):
+                report.record(_rel(
+                    float(np.trace(ux[c] @ a0)) * float(np.trace(uy[c] @ a0)),
+                    -2.0 * float(np.trace(ux[c] @ uy[c])),
+                ), tol)
+                report.record(_rel(
+                    float(np.trace(ux[c] @ a0 @ ux[c] @ a0)),
+                    -float(np.trace(ux[c] @ ux[c])),
+                ), tol)
+            report.record(_rel(
+                float(np.trace(ux[0] @ a0 @ ux[0] @ a0)),
+                float(np.trace(ux[0] @ ux[0])) - float(np.trace(ux[0])) ** 2,
+            ), tol)
+            mm = rng.standard_normal((2, 2))
+            report.record(_rel(float(np.trace(mm @ mm)) - float(np.trace(mm)) ** 2,
+                               -2.0 * float(np.linalg.det(mm))), tol)
+    return report
 
 
 def dim3_counterexample(m0: np.ndarray | None = None,

@@ -6,9 +6,13 @@ the file reproduces the exact double.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 def fmt17(value: float) -> str:
@@ -18,10 +22,12 @@ def fmt17(value: float) -> str:
 
 @dataclass
 class IdentityReport:
-    """Outcome of one verification suite.
+    """Outcome of one verification suite, and the tally that builds it.
 
     ``failures == 0`` means the suite passed; ``max_residual`` is the largest
-    numeric residual seen (0.0 for exact integer suites).
+    numeric residual seen (0.0 for exact integer suites).  A suite runs inside
+    :meth:`timed` and adds each case with :meth:`record`, :meth:`record_all`
+    or :meth:`check`; a residual fails when it exceeds its tolerance.
     """
 
     suite: str
@@ -34,6 +40,31 @@ class IdentityReport:
     @property
     def passed(self) -> bool:
         return self.failures == 0
+
+    @contextlib.contextmanager
+    def timed(self):
+        """Yields this report and sets ``elapsed_ms`` when the block ends."""
+        start = time.perf_counter()
+        yield self
+        self.elapsed_ms = int((time.perf_counter() - start) * 1000)
+
+    def record(self, residual: float, tol: float) -> None:
+        """One numeric case."""
+        self.cases += 1
+        self.failures += int(residual > tol)
+        self.max_residual = max(self.max_residual, residual)
+
+    def record_all(self, residuals: np.ndarray, tol: float) -> None:
+        """One numeric case per entry of ``residuals``."""
+        self.cases += residuals.size
+        self.failures += int(np.count_nonzero(residuals > tol))
+        if residuals.size:
+            self.max_residual = max(self.max_residual, float(residuals.max()))
+
+    def check(self, ok: bool) -> None:
+        """One exact case; it leaves ``max_residual`` unchanged."""
+        self.cases += 1
+        self.failures += int(not ok)
 
     def to_dict(self) -> dict:
         return {
@@ -91,19 +122,21 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
-def spectrum_csv_header(n: int) -> str:
-    xs = ",".join(f"x{i + 1}" for i in range(n))
-    ms = ",".join(f"mult{i + 1}" for i in range(n))
-    return f"sample_id,model,n,t,{xs},{ms},spread"
+def spectrum_csv_header(id_names, n: int) -> str:
+    """Header of a spectrum CSV whose rows start with the ``id_names`` columns."""
+    xs = [f"x{i + 1}" for i in range(n)]
+    ms = [f"mult{i + 1}" for i in range(n)]
+    return ",".join([*id_names, "model", "n", "t", *xs, *ms, "spread"])
 
 
-def spectrum_csv_row(sample_id: int, kind: str, n: int, t: float, sample) -> str:
-    """One CSV row; draws with an unexpected cluster count are NaN-padded."""
+def spectrum_csv_row(ids, kind: str, n: int, t: float, sample) -> str:
+    """One CSV row: the integer ``ids``, then the draw; draws with an
+    unexpected cluster count are NaN-padded."""
     xs = list(sample.distinct)
     ms = list(sample.multiplicities)
     xs = xs[:n] + [float("nan")] * max(0, n - len(xs))
     ms = ms[:n] + [0] * max(0, n - len(ms))
-    cells = [str(sample_id), kind, str(n), fmt17(t)]
+    cells = [str(i) for i in ids] + [kind, str(n), fmt17(t)]
     cells += [fmt17(x) for x in xs]
     cells += [str(int(m)) for m in ms]
     cells.append(fmt17(sample.spread))
@@ -113,9 +146,9 @@ def spectrum_csv_row(sample_id: int, kind: str, n: int, t: float, sample) -> str
 def write_spectrum_csv(path: str, samples, kind: str, n: int, t: float) -> None:
     """Write per-sample spectra; byte-deterministic for a fixed sample list."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(spectrum_csv_header(n) + "\n")
+        fh.write(spectrum_csv_header(("sample_id",), n) + "\n")
         for i, s in enumerate(samples):
-            fh.write(spectrum_csv_row(i, kind, n, t, s) + "\n")
+            fh.write(spectrum_csv_row((i,), kind, n, t, s) + "\n")
 
 
 def write_stats_json(path: str, payload: dict) -> None:

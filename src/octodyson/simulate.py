@@ -2,8 +2,8 @@
 
 Entries of both models are driftless Brownian motions, so the time-t law is
 exactly Gaussian with variances ``t`` times the carre-du-champ coefficients;
-exact Gaussian sampling is the default and carries no discretization error.
-An Euler path mode exists for trajectory-level checks only.
+exact Gaussian sampling carries no discretization error.  Euler paths of
+``steps`` Gaussian increments serve trajectory-level checks only.
 
 Randomness is counter-based: sample ``index`` under seed ``s`` draws from a
 Philox stream whose counter starts at ``index * 2**128``, so the stream is a
@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calculus import MODEL_B_ANTISYM_RATE
-from .errors import InsufficientData
-from .matrices import ANTISYM_UNIT_2, OctonionicMatrix, real_form
+from .errors import InsufficientData, InvalidConfig
+from .matrices import OctonionicMatrix, real_form
 
 #: Fixed seed of the bootstrap resampler (kept independent of the sampling
 #: seed so identical sample sets always yield identical standard errors).
@@ -33,10 +33,14 @@ class SimulationConfig:
     """Configuration of one sampling run.
 
     ``kind`` selects the model ("a" forces ``n == 2``); ``t`` is the time
-    horizon of the Brownian entries; ``mode`` is "gaussian" (exact time-t
-    law) or "euler" (discrete path of ``steps`` increments).
+    horizon of the Brownian entries; ``steps`` is the number of increments
+    of an Euler path (:func:`euler_path`; the exact sampler ignores it).
     ``cluster_tol`` is the relative gap threshold separating eigenvalue
     clusters.
+
+    Raises
+    ------
+    InvalidConfig
     """
 
     kind: str
@@ -44,25 +48,22 @@ class SimulationConfig:
     t: float = 1.0
     samples: int = 1
     seed: int = 0
-    mode: str = "gaussian"
     steps: int = 1
     cluster_tol: float = 1e-6
 
     def __post_init__(self):
         if self.kind not in ("a", "b"):
-            raise ValueError(f"kind must be 'a' or 'b', got {self.kind!r}")
+            raise InvalidConfig(f"kind must be 'a' or 'b', got {self.kind!r}")
         if self.kind == "a" and self.n != 2:
-            raise ValueError("model 'a' requires n = 2")
+            raise InvalidConfig("model 'a' requires n = 2")
         if self.n < 2:
-            raise ValueError("n must be at least 2")
+            raise InvalidConfig("n must be at least 2")
         if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise InvalidConfig("samples must be >= 1")
         if not self.t > 0:
-            raise ValueError("t must be positive")
-        if self.mode not in ("gaussian", "euler"):
-            raise ValueError(f"mode must be 'gaussian' or 'euler', got {self.mode!r}")
+            raise InvalidConfig("t must be positive")
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise InvalidConfig("steps must be >= 1")
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -163,8 +164,13 @@ def cluster_eigenvalues(eigenvalues: np.ndarray, cluster_tol: float) -> Spectral
 
 
 def spectrum(m: OctonionicMatrix, cluster_tol: float = 1e-6) -> SpectralSample:
-    """Clustered spectrum of the real form (requires a symmetric draw)."""
-    return cluster_eigenvalues(np.linalg.eigvalsh(m.real_form()), cluster_tol)
+    """Clustered spectrum of the real form.
+
+    Raises
+    ------
+    NotSymmetric
+    """
+    return cluster_eigenvalues(m.eigenvalues, cluster_tol)
 
 
 def sample_spectra(cfg: SimulationConfig, threads: int = 1,
@@ -211,8 +217,7 @@ def hermitian_reduction_residual(m: OctonionicMatrix) -> float:
             raise ValueError("requires all nonscalar components equal (shared structure)")
     h = comps[0] + 1j * math.sqrt(7.0) * comps[1]
     herm = np.linalg.eigvalsh(h)
-    full = np.linalg.eigvalsh(m.real_form())
-    return float(np.max(np.abs(full - np.repeat(herm, 8))))
+    return float(np.max(np.abs(m.eigenvalues - np.repeat(herm, 8))))
 
 
 def implied_beta(ratio: float) -> float:
@@ -303,9 +308,7 @@ def euler_path(cfg: SimulationConfig, index: int = 0) -> EulerPath:
     min_gap = float("inf")
     for _ in range(cfg.steps):
         comps = comps + _draw_increment(rng, cfg.kind, cfg.n, dt)
-        sample = cluster_eigenvalues(
-            np.linalg.eigvalsh(real_form(comps)), cfg.cluster_tol
-        )
+        sample = cluster_eigenvalues(OctonionicMatrix(comps).eigenvalues, cfg.cluster_tol)
         out.append(sample)
         if len(sample.distinct) < cfg.n:
             crossing = True

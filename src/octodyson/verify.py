@@ -7,8 +7,6 @@ the command-line verification commands and the acceptance tests.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .calculus import (
@@ -30,6 +28,14 @@ def _draw(kind: str, n: int, seed: int, index: int):
     return sample_matrix(cfg, index)
 
 
+def _separated_shifts(eigs: np.ndarray, rng: np.random.Generator):
+    """Two off-spectrum shifts at least 0.5 apart."""
+    x, y = off_spectrum_points(eigs, rng, 2)
+    while abs(x - y) < 0.5:
+        x, y = off_spectrum_points(eigs, rng, 2)
+    return x, y
+
+
 def check_closed_forms(model: DiffusionModel, trials: int = 100, seed: int = 0,
                        tol: float = 1e-8) -> IdentityReport:
     """Quadruple-sum evaluations vs the model closed forms.
@@ -40,66 +46,42 @@ def check_closed_forms(model: DiffusionModel, trials: int = 100, seed: int = 0,
     relative to the closed-form magnitude (term-wise, so a cancellation in
     the closed form cannot inflate the measure).
     """
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    cases = 0
-    failures = 0
-    worst = 0.0
-    for i in range(trials):
-        m = _draw(model.kind, model.n, seed, i)
-        eigs = np.linalg.eigvalsh(m.real_form())
-        x, y = off_spectrum_points(eigs, rng, 2)
-        while abs(x - y) < 0.5:
-            x, y = off_spectrum_points(eigs, rng, 2)
-        px = CharPolyEval.from_eigenvalues(eigs, x)
-        py = CharPolyEval.from_eigenvalues(eigs, y)
+    suite = f"closed-forms-model-{model.kind}-n{model.n}"
+    with IdentityReport(suite, seed=seed).timed() as report:
+        for i in range(trials):
+            m = _draw(model.kind, model.n, seed, i)
+            x, y = _separated_shifts(m.eigenvalues, rng)
+            px = CharPolyEval.from_eigenvalues(m.eigenvalues, x)
+            py = CharPolyEval.from_eigenvalues(m.eigenvalues, y)
 
-        gam = gamma_log_charpoly(m, x, y, model)
-        closed = gamma_closed_form(px, py)
-        rel = abs(gam - closed) / abs(closed)
-        gam_sym = gamma_log_charpoly(m, y, x, model)
-        rel_sym = abs(gam - gam_sym) / (1.0 + abs(gam))
+            gam = gamma_log_charpoly(m, x, y, model)
+            closed = gamma_closed_form(px, py)
+            report.record(abs(gam - closed) / abs(closed), tol)
+            gam_sym = gamma_log_charpoly(m, y, x, model)
+            report.record(abs(gam - gam_sym) / (1.0 + abs(gam)), tol)
 
-        gen = generator_log_charpoly(m, x, model)
-        closed_gen = generator_closed_form(px, model)
-        if model.kind == "a":
-            scale = 3.0 * abs(px.curvature) + 0.5 * px.dlog ** 2
-        else:
-            scale = abs(closed_gen)
-        rel_gen = abs(gen - closed_gen) / max(abs(closed_gen), 1e-3 * scale)
-
-        for r in (rel, rel_sym, rel_gen):
-            cases += 1
-            failures += int(r > tol)
-            worst = max(worst, r)
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return IdentityReport(
-        f"closed-forms-model-{model.kind}-n{model.n}", cases, failures, worst, seed, elapsed
-    )
+            gen = generator_log_charpoly(m, x, model)
+            closed_gen = generator_closed_form(px, model)
+            if model.kind == "a":
+                scale = 3.0 * abs(px.curvature) + 0.5 * px.dlog ** 2
+            else:
+                scale = abs(closed_gen)
+            report.record(abs(gen - closed_gen) / max(abs(closed_gen), 1e-3 * scale), tol)
+    return report
 
 
 def check_trace_identities(kind: str, n: int, trials: int = 50, seed: int = 0,
                            tol: float = 1e-9) -> IdentityReport:
     """Component-trace and charpoly-trace identities on random draws."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    cases = 0
-    failures = 0
-    worst = 0.0
-    for i in range(trials):
-        m = _draw(kind, n, seed, i)
-        eigs = np.linalg.eigvalsh(m.real_form())
-        x, y = off_spectrum_points(eigs, rng, 2)
-        while abs(x - y) < 0.5:
-            x, y = off_spectrum_points(eigs, rng, 2)
-        for r in trace_identity_residuals(m, float(x), float(y)).values():
-            cases += 1
-            failures += int(r > tol)
-            worst = max(worst, r)
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return IdentityReport(
-        f"trace-identities-model-{kind}-n{n}", cases, failures, worst, seed, elapsed
-    )
+    with IdentityReport(f"trace-identities-model-{kind}-n{n}", seed=seed).timed() as report:
+        for i in range(trials):
+            m = _draw(kind, n, seed, i)
+            x, y = _separated_shifts(m.eigenvalues, rng)
+            for r in trace_identity_residuals(m, float(x), float(y)).values():
+                report.record(r, tol)
+    return report
 
 
 def check_inverse_roundtrip(kind: str, n: int, trials: int = 1000, seed: int = 0,
@@ -109,32 +91,21 @@ def check_inverse_roundtrip(kind: str, n: int, trials: int = 1000, seed: int = 0
     Ill-conditioned draws (real-form condition number above ``cond_limit``)
     are redrawn so the tolerance measures algebra, not float pathology.
     """
-    start = time.perf_counter()
-    cases = 0
-    failures = 0
-    worst = 0.0
     index = 0
-    done = 0
     attempts = 0
-    while done < trials:
-        attempts += 1
-        if attempts > 20 * trials + 100:
-            raise Error("too many ill-conditioned draws; check the sampler")
-        m = _draw(kind, n, seed, index)
-        index += 1
-        rf = m.real_form()
-        if np.linalg.cond(rf) > cond_limit:
-            continue
-        try:
-            inv = oct_inverse(m)
-        except Error:
-            continue
-        residual = float(np.max(np.abs(inv.real_form() @ rf - np.eye(8 * n))))
-        cases += 1
-        failures += int(residual > tol)
-        worst = max(worst, residual)
-        done += 1
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return IdentityReport(
-        f"inverse-roundtrip-model-{kind}-n{n}", cases, failures, worst, seed, elapsed
-    )
+    with IdentityReport(f"inverse-roundtrip-model-{kind}-n{n}", seed=seed).timed() as report:
+        while report.cases < trials:
+            attempts += 1
+            if attempts > 20 * trials + 100:
+                raise Error("too many ill-conditioned draws; check the sampler")
+            m = _draw(kind, n, seed, index)
+            index += 1
+            rf = m.real_form()
+            if np.linalg.cond(rf) > cond_limit:
+                continue
+            try:
+                inv = oct_inverse(m)
+            except Error:
+                continue
+            report.record(float(np.max(np.abs(inv.real_form() @ rf - np.eye(8 * n)))), tol)
+    return report

@@ -174,6 +174,13 @@ def test_solve_multiplicity_models():
     assert res_b.residual < 1e-12
 
 
+def test_solve_multiplicity_small_lead_coefficient():
+    # with a1 + a2 = 2^-24 the roots are about 1 and 1.4e8; the textbook
+    # formula loses the small root to cancellation (relative error 7.6e-9)
+    res = solve_multiplicity(ExponentProblem(0.0, 2.0 ** -24, 8.1388))
+    assert abs(res.roots[0] - 1.0000000073235177) <= 1e-15 * 1.0000000073235177
+
+
 def test_solve_multiplicity_hand_case():
     res = solve_multiplicity(ExponentProblem(-1.0, 0.0, 1.0))
     assert res.a == 1.0

@@ -64,6 +64,20 @@ def test_model_a_dimension_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-identities", "--model", "b", "--n", "1"],
+    ["sample-spectrum", "--model", "b", "--n", "1"],
+    ["sample-spectrum", "--model", "a", "--samples", "0"],
+    ["sample-spectrum", "--model", "a", "--t", "0"],
+    ["simulate-path", "--model", "a", "--steps", "0"],
+], ids=" ".join)
+def test_invalid_config_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_sample_spectrum_files(tmp_path, capsys):
     out_csv = str(tmp_path / "spec.csv")
     code, out = run(capsys, "sample-spectrum", "--model", "a", "--samples", "300",

@@ -7,6 +7,7 @@ from octodyson import (
     CharPolyEval,
     NearSingularShift,
     NotSymmCompatible,
+    NotSymmetric,
     OctonionicMatrix,
     SimulationConfig,
     SingularBase,
@@ -18,6 +19,7 @@ from octodyson import (
     real_form,
     resolvent,
     sample_matrix,
+    spectrum,
 )
 from octodyson.algebra import CANONICAL_LABELS, subset_label
 from octodyson.matrices import (
@@ -29,7 +31,6 @@ from octodyson.matrices import (
     logdet_gradient,
     octonionic_residual,
     off_spectrum_points,
-    random_planar_matrix,
     trace_identity_residuals,
 )
 
@@ -161,6 +162,19 @@ def test_resolvent_trace_and_structure():
     assert abs(res.trace + probe.dlog) < 1e-9 * (1 + abs(res.trace))
 
 
+def test_non_symmetric_components_rejected():
+    # a generic component stack has a non-symmetric real form; the symmetric
+    # eigensolver would read one triangle of it and return a plausible spectrum
+    m = OctonionicMatrix(np.random.default_rng(7).standard_normal((8, 3, 3)))
+    assert not m.is_symmetric()
+    with pytest.raises(NotSymmetric):
+        spectrum(m)
+    with pytest.raises(NotSymmetric):
+        resolvent(m, 10.0)
+    with pytest.raises(NotSymmetric):
+        charpoly_probe(m, 10.0)
+
+
 def test_resolvent_guard():
     m = draw("a", index=4)
     eigs = np.linalg.eigvalsh(m.real_form())
@@ -260,13 +274,6 @@ def test_planar_antisym_component_of_resolvent():
     lam = 1.0 / (1.0 - 6.0)
     np.testing.assert_allclose(inv.components[subset_label([1])], lam * ANTISYM_UNIT_2,
                                atol=1e-12)
-
-
-def test_random_planar_matrix_structure():
-    m = random_planar_matrix(np.random.default_rng(3))
-    assert m.is_symmetric()
-    for a in range(1, 8):
-        assert abs(m.components[a][0, 1] + m.components[a][1, 0]) < 1e-15
 
 
 def test_immutability():

@@ -35,7 +35,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         cfg(samples=0)
     with pytest.raises(ValueError):
-        cfg(mode="euler", steps=0)
+        cfg(steps=0)
     assert cfg(kind="b", n=4).n == 4
 
 
@@ -203,14 +203,14 @@ def test_implied_beta_smallish_samples():
 
 
 def test_euler_single_step_equals_exact_sampler():
-    c_euler = cfg(seed=40, mode="euler", steps=1)
+    c_euler = cfg(seed=40, steps=1)
     c_exact = cfg(seed=40)
     path = euler_path(c_euler, 0)
     assert path.samples[0] == spectrum(sample_matrix(c_exact, 0))
 
 
 def test_euler_path_keeps_cluster_structure():
-    c = cfg(seed=41, mode="euler", steps=300)
+    c = cfg(seed=41, steps=300)
     for idx in range(3):
         path = euler_path(c, idx)
         assert not path.crossing_detected
