@@ -47,6 +47,7 @@ from .calculus import (
 from .errors import (
     Error,
     InsufficientData,
+    InvalidArgument,
     InvalidConfig,
     NearSingularShift,
     NoAdmissibleRoot,

@@ -20,6 +20,7 @@ import itertools
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .reporting import IdentityReport
 
 #: Canonical enumeration order of the 8 subset labels:
@@ -77,11 +78,17 @@ _MUL_TENSOR_F.setflags(write=False)
 
 
 def subset_label(elements) -> int:
-    """Bitmask label of a subset of {1, 2, 3}."""
+    """Bitmask label of a subset of {1, 2, 3}.
+
+    Raises
+    ------
+    InvalidArgument
+        If an element is not 1, 2 or 3.
+    """
     label = 0
     for e in elements:
         if e not in (1, 2, 3):
-            raise ValueError(f"subset elements must be in {{1, 2, 3}}, got {e!r}")
+            raise InvalidArgument(f"subset elements must be in {{1, 2, 3}}, got {e!r}")
         label |= 1 << (e - 1)
     return label
 

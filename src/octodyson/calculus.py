@@ -305,14 +305,14 @@ def solve_multiplicity(p: ExponentProblem) -> MultiplicityResult:
 
     Raises
     ------
-    ValueError
+    InvalidConfig
         If a1 + a2 == 0 (the equation degenerates to linear).
     NoAdmissibleRoot
         If there is no positive real root.
     """
     lead = p.alpha1 + p.alpha2
     if lead == 0.0:
-        raise ValueError("alpha1 + alpha2 must be nonzero")
+        raise InvalidConfig("alpha1 + alpha2 must be nonzero")
     b = -(p.alpha1 + p.alpha3)
     disc = b * b - 4.0 * lead * p.alpha3
     if disc < 0.0:
@@ -339,7 +339,12 @@ def invariant_exponent(p: ExponentProblem, a: float) -> float:
 
     The spectral density carries (prod_{i<j} (x_i - x_j)^2)^kappa with
     kappa = -a^2 (a1 + a2) / a3; the gap exponent is beta = 2 kappa.
+
+    Raises
+    ------
+    InvalidConfig
+        If a3 == 0.
     """
     if p.alpha3 == 0.0:
-        raise ValueError("alpha3 must be nonzero")
+        raise InvalidConfig("alpha3 must be nonzero")
     return -a * a * (p.alpha1 + p.alpha2) / p.alpha3

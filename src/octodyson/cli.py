@@ -20,9 +20,9 @@ import argparse
 import json
 import sys
 
-from . import __version__, algebra
+from . import __version__, algebra, errors
 from .calculus import ExponentProblem, invariant_exponent, model_a, model_b, solve_multiplicity
-from .errors import InsufficientData, InvalidConfig, NoAdmissibleRoot
+from .errors import InsufficientData, InvalidConfig
 from .matrices import check_dim2_identities, check_logdet_derivatives, dim3_counterexample
 from .reporting import (
     RunManifest,
@@ -267,10 +267,10 @@ def cmd_solve_exponents(args) -> int:
     problem = ExponentProblem(args.alpha1, args.alpha2, args.alpha3)
     try:
         result = solve_multiplicity(problem)
-    except (NoAdmissibleRoot, ValueError) as exc:
+        kappa = invariant_exponent(problem, result.a)
+    except errors.Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    kappa = invariant_exponent(problem, result.a)
     payload = {
         "roots": list(result.roots),
         "a": result.a,

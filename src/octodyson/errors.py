@@ -39,4 +39,10 @@ class VerificationFailure(Error):
 
 
 class InvalidConfig(Error, ValueError):
-    """A model or sampling configuration is outside its valid range."""
+    """A model, sampling or exponent-problem configuration is outside its
+    valid range."""
+
+
+class InvalidArgument(Error, ValueError):
+    """An argument is outside the function's contract: a wrong shape, a
+    missing structure or a value outside its domain."""

@@ -20,12 +20,20 @@ with components given in closed form by :func:`oct_inverse`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .algebra import CANONICAL_LABELS, CONJUGATION_SIGNS, SIGN_TABLE
-from .errors import NearSingularShift, NotSymmCompatible, NotSymmetric, SingularBase, SingularCore
+from .errors import (
+    Error,
+    InvalidArgument,
+    NearSingularShift,
+    NotSymmCompatible,
+    NotSymmetric,
+    SingularBase,
+    SingularCore,
+)
 from .reporting import IdentityReport
 
 #: The 2x2 antisymmetric unit; every 2x2 antisymmetric matrix is a multiple.
@@ -41,6 +49,11 @@ class OctonionicMatrix:
     ----------
     components : ndarray, shape (8, n, n)
         Real component matrices indexed by basis bitmask label.
+
+    Raises
+    ------
+    InvalidArgument
+        If the components do not have shape (8, n, n).
     """
 
     components: np.ndarray
@@ -48,7 +61,7 @@ class OctonionicMatrix:
     def __post_init__(self):
         comps = np.array(self.components, dtype=np.float64)
         if comps.ndim != 3 or comps.shape[0] != 8 or comps.shape[1] != comps.shape[2]:
-            raise ValueError(f"components must have shape (8, n, n), got {comps.shape}")
+            raise InvalidArgument(f"components must have shape (8, n, n), got {comps.shape}")
         comps.setflags(write=False)
         object.__setattr__(self, "components", comps)
 
@@ -102,17 +115,45 @@ class OctonionicMatrix:
         return OctonionicMatrix(comps)
 
 
-def real_form(components: np.ndarray) -> np.ndarray:
-    """Real 8n x 8n form of the component stack (blocks in canonical order)."""
-    comps = np.asarray(components, dtype=np.float64)
-    n = comps.shape[-1]
-    batch = comps.shape[:-3]
-    out = np.zeros(batch + (8 * n, 8 * n))
+@lru_cache(maxsize=16)
+def _real_form_source(n: int) -> np.ndarray:
+    """Where each entry of the 8n x 8n real form comes from, built once per
+    ``n``: a flat index into the (8, n, n) stack followed by its negation,
+    so a block of sign -1 reads from the second half.
+
+    Left writable: ``np.take`` converts a read-only index array on every
+    call, which made it five times slower at n = 48.
+    """
+    block = np.arange(n * n).reshape(n, n)
+    source = np.empty((8 * n, 8 * n), dtype=np.intp)
     for pa, a in enumerate(CANONICAL_LABELS):
         for pb, b in enumerate(CANONICAL_LABELS):
-            block = SIGN_TABLE[a ^ b, b] * comps[..., a ^ b, :, :]
-            out[..., pa * n:(pa + 1) * n, pb * n:(pb + 1) * n] = block
-    return out
+            negated = SIGN_TABLE[a ^ b, b] < 0
+            source[pa * n:(pa + 1) * n, pb * n:(pb + 1) * n] = (
+                (8 * negated + (a ^ b)) * n * n + block)
+    return source
+
+
+def real_form(components: np.ndarray) -> np.ndarray:
+    """Real 8n x 8n form of the component stack (blocks in canonical order).
+
+    Accepts one stack of shape (8, n, n) or a batch (..., 8, n, n).  Block
+    (A, B) is ``sign(A^B, B) * M^{A^B}``, gathered by one ``np.take`` from
+    the flattened stack followed by its negation (a quarter of the output's
+    size).  Negation is exact, so this equals the signed block products bit
+    for bit, signed zeros included.
+
+    Raises
+    ------
+    InvalidArgument
+        If the trailing shape is not (8, n, n).
+    """
+    comps = np.asarray(components, dtype=np.float64)
+    n = comps.shape[-1]
+    if comps.shape[-3:] != (8, n, n):
+        raise InvalidArgument(f"components must end in shape (8, n, n), got {comps.shape}")
+    flat = comps.reshape(comps.shape[:-3] + (8 * n * n,))
+    return np.take(np.concatenate((flat, -flat), axis=-1), _real_form_source(n), axis=-1)
 
 
 def components_from_real_form(matrix: np.ndarray) -> np.ndarray:
@@ -121,11 +162,16 @@ def components_from_real_form(matrix: np.ndarray) -> np.ndarray:
     The (A, identity-label) block of a real form is exactly ``M^A``, so this
     inverts :func:`real_form` on genuine real forms; on arbitrary input it is
     the candidate used by :func:`octonionic_residual`.
+
+    Raises
+    ------
+    InvalidArgument
+        If the matrix dimension is not a multiple of 8.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     dim = matrix.shape[-1]
     if dim % 8:
-        raise ValueError(f"matrix dimension {dim} is not divisible by 8")
+        raise InvalidArgument(f"matrix dimension {dim} is not divisible by 8")
     n = dim // 8
     comps = np.empty(matrix.shape[:-2] + (8, n, n))
     for pa, a in enumerate(CANONICAL_LABELS):
@@ -141,7 +187,8 @@ def octonionic_residual(matrix: np.ndarray) -> float:
 
 def is_octonionic(matrix: np.ndarray, tol: float = 1e-10) -> bool:
     """Whether a square matrix is (within ``tol``) the real form of some
-    component stack.  Raises ``ValueError`` if the dimension is not 8n."""
+    component stack.  Raises :class:`InvalidArgument` if the dimension is
+    not 8n."""
     return octonionic_residual(matrix) <= tol
 
 
@@ -455,7 +502,7 @@ def check_logdet_derivatives(count: int = 100, n: int = 5, seed: int = 3,
                 matrix = rng.standard_normal((n, n))
                 tries += 1
                 if tries > 100:
-                    raise RuntimeError("could not draw a well-conditioned matrix")
+                    raise Error("could not draw a well-conditioned matrix")
             g_an = logdet_gradient(matrix)
             g_fd = fd_logdet_gradient(matrix, h)
             report.record(float(np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an)), tol)

@@ -6,22 +6,36 @@ exact Gaussian sampling carries no discretization error.  Euler paths of
 ``steps`` Gaussian increments serve trajectory-level checks only.
 
 Randomness is counter-based: sample ``index`` under seed ``s`` draws from a
-Philox stream whose counter starts at ``index * 2**128``, so the stream is a
-pure function of ``(seed, index)`` and results are bitwise reproducible
-regardless of how work is split across threads.
+Philox stream keyed by ``s`` whose 256-bit counter starts at
+``index * 2**128``, so the stream is a pure function of ``(seed, index)``
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+:func:`sample_rng` builds that generator for one index.  The batched
+sampler :func:`sample_spectra` builds one Philox per chunk of indices
+instead and, before each index, resets its counter to ``index * 2**128``
+with an empty output buffer: the generator is then in exactly the state a
+fresh :func:`sample_rng` would have, so each sample's normals, and hence the
+output bytes, cannot depend on the chunk size or on the thread count.  What
+varies with those is only which generator object does the drawing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .calculus import MODEL_B_ANTISYM_RATE
-from .errors import InsufficientData, InvalidConfig
+from .errors import InsufficientData, InvalidArgument, InvalidConfig
 from .matrices import OctonionicMatrix, real_form
+
+#: Bytes of real forms one chunk of :func:`sample_spectra` builds at a time
+#: (512 forms at n = 2, 8 at n = 16, one from n = 33 up); this bounds its
+#: scratch memory whatever the chunk size.
+FORM_BATCH_BYTES = 2 ** 20
 
 #: Fixed seed of the bootstrap resampler (kept independent of the sampling
 #: seed so identical sample sets always yield identical standard errors).
@@ -72,43 +86,89 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
 
 
-def _symmetric_from_draws(n: int, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    m = np.zeros((n, n))
-    m[np.diag_indices(n)] = diag
-    iu = np.triu_indices(n, 1)
-    m[iu] = upper
-    m.T[iu] = upper
-    return m
+def _seek(rng: np.random.Generator, key: np.ndarray, index: int) -> None:
+    """Put a Philox generator keyed by ``key`` into the state of a fresh
+    ``sample_rng(seed, index)``: counter ``index << 128``, buffer empty."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, 0, index & 0xFFFF_FFFF_FFFF_FFFF, index >> 64],
+                                      dtype=np.uint64),
+                  "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
-def _antisymmetric_from_draws(n: int, upper: np.ndarray) -> np.ndarray:
-    m = np.zeros((n, n))
-    iu = np.triu_indices(n, 1)
-    m[iu] = -upper
-    m.T[iu] = upper
-    return m
+@dataclass(frozen=True)
+class _DrawLayout:
+    """Where the normals of one increment go in the (8, n, n) stack.
+
+    One increment is ``size`` standard normals in a fixed order: the scalar
+    diagonal, the scalar upper triangle (row-major), then the antisymmetric
+    upper triangles (seven for model "a", one shared for model "b").  Normal
+    ``source[e]``, times its scale and ``sign[e]``, lands at flat position
+    ``target[e]`` of the stack; every other entry is zero.  ``scale_index[i]``
+    selects the scale of normal ``i``: 0 for the diagonal (variance dt), 1
+    for the scalar off-diagonal and model "a"'s antisymmetric entries (dt/2),
+    2 for model "b"'s shared antisymmetric entries (dt / 14).
+    """
+
+    n: int
+    size: int
+    scale_index: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    sign: np.ndarray
+
+    def scale(self, dt: float) -> np.ndarray:
+        """Per-normal standard deviations of an increment over ``dt``."""
+        return np.array([math.sqrt(dt), math.sqrt(dt / 2.0),
+                         math.sqrt(dt * MODEL_B_ANTISYM_RATE)])[self.scale_index]
+
+    def scatter(self, scaled: np.ndarray) -> np.ndarray:
+        """Component stacks, shape (..., 8, n, n), from scaled normals of
+        shape (..., size)."""
+        n = self.n
+        comps = np.zeros(scaled.shape[:-1] + (8 * n * n,))
+        comps[..., self.target] = scaled[..., self.source] * self.sign
+        return comps.reshape(scaled.shape[:-1] + (8, n, n))
+
+
+@lru_cache(maxsize=16)
+def _draw_layout(kind: str, n: int) -> _DrawLayout:
+    rows, cols = np.triu_indices(n, 1)
+    n_off = len(rows)
+    diag = np.arange(n)
+    source = [diag, n + np.arange(n_off), n + np.arange(n_off)]
+    target = [diag * (n + 1), rows * n + cols, cols * n + rows]
+    sign = [np.ones(n + 2 * n_off)]
+    for c in range(1, 8):
+        start = n + n_off * (c if kind == "a" else 1)
+        upper = start + np.arange(n_off)
+        source += [upper, upper]
+        target += [c * n * n + rows * n + cols, c * n * n + cols * n + rows]
+        sign += [-np.ones(n_off), np.ones(n_off)]
+    size = n + n_off * (8 if kind == "a" else 2)
+    scale_index = np.ones(size, dtype=np.intp)
+    scale_index[:n] = 0
+    if kind == "b":
+        scale_index[n + n_off:] = 2
+    arrays = [scale_index] + [np.concatenate(part) for part in (source, target, sign)]
+    for a in arrays:
+        a.setflags(write=False)
+    return _DrawLayout(n, size, *arrays)
 
 
 def _draw_increment(rng: np.random.Generator, kind: str, n: int, dt: float) -> np.ndarray:
     """One Gaussian increment of the component stack over time ``dt``.
 
-    Fixed draw order (scalar diagonal, scalar upper triangle, then the
-    antisymmetric data) keeps streams reproducible across call sites.
+    One ``standard_normal`` call in the fixed order of :class:`_DrawLayout`
+    keeps streams reproducible across call sites.
     """
-    n_off = n * (n - 1) // 2
-    comps = np.zeros((8, n, n))
-    diag = rng.standard_normal(n) * math.sqrt(dt)
-    upper = rng.standard_normal(n_off) * math.sqrt(dt / 2.0)
-    comps[0] = _symmetric_from_draws(n, diag, upper)
-    if kind == "a":
-        for a in range(1, 8):
-            z = rng.standard_normal(n_off) * math.sqrt(dt / 2.0)
-            comps[a] = _antisymmetric_from_draws(n, z)
-    else:
-        z = rng.standard_normal(n_off) * math.sqrt(dt * MODEL_B_ANTISYM_RATE)
-        shared = _antisymmetric_from_draws(n, z)
-        comps[1:] = shared
-    return comps
+    layout = _draw_layout(kind, n)
+    return layout.scatter(rng.standard_normal(layout.size) * layout.scale(dt))
 
 
 def sample_components(cfg: SimulationConfig, index: int) -> np.ndarray:
@@ -173,33 +233,68 @@ def spectrum(m: OctonionicMatrix, cluster_tol: float = 1e-6) -> SpectralSample:
     return cluster_eigenvalues(m.eigenvalues, cluster_tol)
 
 
+def _cluster_rows(eigs: np.ndarray, cluster_tol: float) -> list[SpectralSample]:
+    """:func:`cluster_eigenvalues` of every row of ``eigs`` (ascending rows
+    of length 8n), equal to it row by row.
+
+    The thresholds and gaps of all rows are computed at once.  A row whose
+    gaps exceed its threshold exactly at positions 8, 16, ... holds n
+    clusters of eight, and ``reshape(n, 8).mean(-1)`` sums each cluster in
+    the same pairwise order as ``np.mean`` of the cluster; every other row
+    goes through :func:`cluster_eigenvalues`.
+    """
+    rows, m = eigs.shape
+    threshold = cluster_tol * (1.0 + np.max(np.abs(eigs), axis=1))
+    regular_breaks = np.arange(1, m) % 8 == 0
+    regular = np.all((np.diff(eigs, axis=1) > threshold[:, None]) == regular_breaks, axis=1)
+    groups = eigs.reshape(rows, m // 8, 8)
+    means = groups.mean(axis=-1).tolist()
+    widest = np.max(groups[..., 7] - groups[..., 0], axis=1)
+    spreads = np.where(widest > 0.0, widest, 0.0).tolist()
+    mults = (8,) * (m // 8)
+    return [SpectralSample(tuple(means[i]), mults, spreads[i]) if regular[i]
+            else cluster_eigenvalues(eigs[i], cluster_tol)
+            for i in range(rows)]
+
+
 def sample_spectra(cfg: SimulationConfig, threads: int = 1,
                    chunk: int = 1024) -> list[SpectralSample]:
-    """Spectra of all configured samples.
+    """Spectra of all configured samples, equal to clustering the real-form
+    eigenvalues of ``sample_components(cfg, i)`` for each index ``i``.
 
-    Work is split over index chunks; each sample is generated from its own
-    counter stream and written to its own output slot, so the result is
-    identical for any thread count.
+    Work is split over index chunks.  Each chunk draws all its normals with
+    one Philox reset to each index's counter block (see the module
+    docstring), builds real forms and eigensolves them in batches of at most
+    :data:`FORM_BATCH_BYTES`, and clusters the whole chunk at once.  Every
+    step acts on each sample alone, so the result is identical for any
+    chunk size and thread count.
     """
-    results: list[SpectralSample | None] = [None] * cfg.samples
+    layout = _draw_layout(cfg.kind, cfg.n)
+    scale = layout.scale(cfg.t)
+    forms_per_batch = max(1, FORM_BATCH_BYTES // (8 * (8 * cfg.n) ** 2))
 
-    def run_chunk(lo: int, hi: int) -> None:
-        stack = np.empty((hi - lo, 8, cfg.n, cfg.n))
-        for idx in range(lo, hi):
-            stack[idx - lo] = sample_components(cfg, idx)
-        forms = real_form(stack)
-        eigs = np.linalg.eigvalsh(forms)
-        for idx in range(lo, hi):
-            results[idx] = cluster_eigenvalues(eigs[idx - lo], cfg.cluster_tol)
+    def run_chunk(bounds: tuple[int, int]) -> list[SpectralSample]:
+        lo, hi = bounds
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+        key = rng.bit_generator.state["state"]["key"]
+        normals = np.empty((hi - lo, layout.size))
+        for index, row in zip(range(lo, hi), normals):
+            _seek(rng, key, index)
+            rng.standard_normal(out=row)
+        normals *= scale
+        eigs = np.empty((hi - lo, 8 * cfg.n))
+        for a in range(0, hi - lo, forms_per_batch):
+            batch = normals[a:a + forms_per_batch]
+            eigs[a:a + forms_per_batch] = np.linalg.eigvalsh(real_form(layout.scatter(batch)))
+        return _cluster_rows(eigs, cfg.cluster_tol)
 
     bounds = [(lo, min(lo + chunk, cfg.samples)) for lo in range(0, cfg.samples, chunk)]
     if threads <= 1 or len(bounds) == 1:
-        for lo, hi in bounds:
-            run_chunk(lo, hi)
+        parts = map(run_chunk, bounds)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: run_chunk(*b), bounds))
-    return results  # type: ignore[return-value]
+            parts = list(pool.map(run_chunk, bounds))
+    return list(itertools.chain.from_iterable(parts))
 
 
 def hermitian_reduction_residual(m: OctonionicMatrix) -> float:
@@ -210,11 +305,16 @@ def hermitian_reduction_residual(m: OctonionicMatrix) -> float:
     M^0 + i sqrt(7) S (the sum of the seven imaginary units squares to -7,
     acting like a rescaled imaginary unit).  Returns the max absolute
     difference of the sorted multisets.
+
+    Raises
+    ------
+    InvalidArgument
+        If the seven nonscalar components are not all equal.
     """
     comps = m.components
     for a in range(2, 8):
         if not np.array_equal(comps[a], comps[1]):
-            raise ValueError("requires all nonscalar components equal (shared structure)")
+            raise InvalidArgument("requires all nonscalar components equal (shared structure)")
     h = comps[0] + 1j * math.sqrt(7.0) * comps[1]
     herm = np.linalg.eigvalsh(h)
     return float(np.max(np.abs(m.eigenvalues - np.repeat(herm, 8))))
@@ -267,11 +367,16 @@ def gap_statistics(samples, bootstrap: int = 1000,
     rng = np.random.Generator(np.random.Philox(key=bootstrap_seed))
     betas = np.empty(bootstrap)
     n = len(gaps)
-    for b in range(bootstrap):
-        idx = rng.integers(0, n, n)
-        r2 = float(np.mean(g2[idx]))
-        r4 = float(np.mean(g4[idx]))
-        betas[b] = implied_beta(r4 / (r2 * r2))
+    # blocks of at most 64 replicates bound the index scratch at 64 n
+    # integers; one draw per replicate keeps the stream order, and a row
+    # mean sums in the same order as np.mean of that row alone
+    for lo in range(0, bootstrap, 64):
+        idx = np.empty((min(64, bootstrap - lo), n), dtype=np.int64)
+        for row in idx:
+            row[:] = rng.integers(0, n, n)
+        r2 = g2[idx].mean(axis=1)
+        ratios = g4[idx].mean(axis=1) / (r2 * r2)
+        betas[lo:lo + len(idx)] = [implied_beta(r) for r in ratios.tolist()]
     return GapStatistics(
         count=n,
         moment2=m2,

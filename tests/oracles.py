@@ -3,12 +3,19 @@
 Everything here is deliberately built by a different route than the library
 code it checks: quadruple sums from the raw entry-level covariance tensor,
 moment ratios from quadrature, gap laws from a rejection sampler, and 2x2
-spectra from the explicit quadratic formula.
+spectra from the explicit quadratic formula.  The reference constructions
+at the end are the straightforward loop forms of the sampler's hot path
+(one matrix and one triangle at a time); the vectorised library code must
+reproduce them bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from octodyson.algebra import CANONICAL_LABELS, SIGN_TABLE
+from octodyson.calculus import MODEL_B_ANTISYM_RATE
+from octodyson.simulate import GapStatistics, implied_beta
 
 
 def entry_gamma_tensor(kind: str, n: int) -> np.ndarray:
@@ -100,3 +107,75 @@ def planar_distinct_eigenvalues(components: np.ndarray) -> tuple[float, float]:
     half = np.sqrt(0.25 * (a - b) ** 2 + q2)
     mid = 0.5 * (a + b)
     return mid - half, mid + half
+
+
+# ---------------------------------------------------------------------------
+# reference constructions of the sampling hot path
+
+
+def reference_draw_increment(rng: np.random.Generator, kind: str, n: int,
+                             dt: float) -> np.ndarray:
+    """Component-stack increment built triangle by triangle, with separate
+    normal draws for the scalar diagonal, the scalar upper triangle and each
+    antisymmetric upper triangle."""
+
+    def symmetric(diag, upper):
+        m = np.zeros((n, n))
+        m[np.diag_indices(n)] = diag
+        iu = np.triu_indices(n, 1)
+        m[iu] = upper
+        m.T[iu] = upper
+        return m
+
+    def antisymmetric(upper):
+        m = np.zeros((n, n))
+        iu = np.triu_indices(n, 1)
+        m[iu] = -upper
+        m.T[iu] = upper
+        return m
+
+    n_off = n * (n - 1) // 2
+    comps = np.zeros((8, n, n))
+    diag = rng.standard_normal(n) * math.sqrt(dt)
+    upper = rng.standard_normal(n_off) * math.sqrt(dt / 2.0)
+    comps[0] = symmetric(diag, upper)
+    if kind == "a":
+        for a in range(1, 8):
+            z = rng.standard_normal(n_off) * math.sqrt(dt / 2.0)
+            comps[a] = antisymmetric(z)
+    else:
+        z = rng.standard_normal(n_off) * math.sqrt(dt * MODEL_B_ANTISYM_RATE)
+        comps[1:] = antisymmetric(z)
+    return comps
+
+
+def reference_real_form(components: np.ndarray) -> np.ndarray:
+    """Real form assembled block by block: 64 signed block copies."""
+    comps = np.asarray(components, dtype=np.float64)
+    n = comps.shape[-1]
+    out = np.zeros(comps.shape[:-3] + (8 * n, 8 * n))
+    for pa, a in enumerate(CANONICAL_LABELS):
+        for pb, b in enumerate(CANONICAL_LABELS):
+            block = SIGN_TABLE[a ^ b, b] * comps[..., a ^ b, :, :]
+            out[..., pa * n:(pa + 1) * n, pb * n:(pb + 1) * n] = block
+    return out
+
+
+def reference_gap_statistics(samples, bootstrap: int, bootstrap_seed: int) -> GapStatistics:
+    """Gap moments with the bootstrap run one replicate at a time."""
+    gaps = np.array([s.distinct[1] - s.distinct[0] for s in samples if len(s.distinct) == 2])
+    g2 = gaps ** 2
+    g4 = g2 ** 2
+    m2 = float(np.mean(g2))
+    m4 = float(np.mean(g4))
+    rng = np.random.Generator(np.random.Philox(key=bootstrap_seed))
+    betas = np.empty(bootstrap)
+    n = len(gaps)
+    for b in range(bootstrap):
+        idx = rng.integers(0, n, n)
+        r2 = float(np.mean(g2[idx]))
+        r4 = float(np.mean(g4[idx]))
+        betas[b] = implied_beta(r4 / (r2 * r2))
+    return GapStatistics(count=n, moment2=m2, moment4=m4, ratio=m4 / (m2 * m2),
+                         implied_beta=implied_beta(m4 / (m2 * m2)),
+                         stderr=float(np.std(betas)))

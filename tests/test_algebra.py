@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from octodyson import algebra
+from octodyson import InvalidArgument, algebra
 from octodyson.algebra import (
     CANONICAL_LABELS,
     SIGN_TABLE,
@@ -45,7 +45,7 @@ def test_label_encoding():
     assert label_name(L13) == "{1,3}"
     # symmetric difference is xor
     assert L12 ^ L23 == L13
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         subset_label([4])
 
 

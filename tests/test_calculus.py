@@ -9,6 +9,7 @@ from octodyson import (
     CharPolyEval,
     DiffusionModel,
     ExponentProblem,
+    InvalidConfig,
     NoAdmissibleRoot,
     OctonionicMatrix,
     SimulationConfig,
@@ -191,7 +192,7 @@ def test_solve_multiplicity_errors():
         solve_multiplicity(ExponentProblem(1.0, 1.0, 1.0))  # complex roots
     with pytest.raises(NoAdmissibleRoot):
         solve_multiplicity(ExponentProblem(-5.0, 6.0, 2.0))  # roots -2, -1
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         solve_multiplicity(ExponentProblem(-1.0, 1.0, 1.0))  # degenerate lead
 
 
@@ -218,12 +219,14 @@ def test_invariant_exponents():
     assert invariant_exponent(ExponentProblem(-8.0, 7.875, 8.0), 8.0) == 1.0
     assert invariant_exponent(ExponentProblem(-11.0, 10.5, 8.0), 0.0) == 0.0
     assert invariant_exponent(ExponentProblem(-1.0, 0.0, 1.0), 1.0) == 1.0
+    with pytest.raises(InvalidConfig):
+        invariant_exponent(ExponentProblem(-1.0, 2.0, 0.0), 1.0)
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         DiffusionModel("a", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         DiffusionModel("c", 2)
     assert model_a().n == 2
     assert model_b(4).n == 4

@@ -1,12 +1,16 @@
 """Command-line surface: subcommands, file schemas, determinism, exit codes."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from octodyson import cli, simulate
 from octodyson.cli import main
-from octodyson.reporting import fmt17
+from octodyson.reporting import fmt17, write_spectrum_csv, write_stats_json
+
+from oracles import reference_gap_statistics, reference_real_form
 
 
 def run(capsys, *argv):
@@ -166,6 +170,13 @@ def test_solve_exponents_no_root(capsys):
     assert code == 1
 
 
+def test_solve_exponents_zero_alpha3(capsys):
+    # a = 2 solves the quadratic, but kappa = -a^2 (a1 + a2) / a3 is undefined
+    code = main(["solve-exponents", "--alpha1", "2", "--alpha2", "-1", "--alpha3", "0"])
+    assert code == 1
+    assert "alpha3 must be nonzero" in capsys.readouterr().err
+
+
 def test_check_dim2(capsys):
     code, out = run(capsys, "check-dim2", "--trials", "50", "--seed", "5")
     assert code == 0
@@ -181,3 +192,44 @@ def test_report_out_file_with_manifest(tmp_path, capsys):
     assert payload["passed"] is True
     manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
     assert out_json in manifest["outputs"]
+
+
+@pytest.mark.parametrize("argv,kind,n,samples", [
+    (["--model", "a", "--samples", "300"], "a", 2, 300),
+    (["--model", "b", "--n", "5", "--samples", "60"], "b", 5, 60),
+], ids=["a", "b5"])
+def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples, tmp_path,
+                                                         capsys, monkeypatch):
+    """The batched sampler writes the bytes of a one-sample-at-a-time
+    pipeline, for any thread count and for chunks smaller than the run."""
+    seed = 17
+    cfg = simulate.SimulationConfig(kind=kind, n=n, samples=samples, seed=seed)
+    spectra = [
+        simulate.cluster_eigenvalues(
+            np.linalg.eigvalsh(reference_real_form(simulate.sample_components(cfg, i))),
+            cfg.cluster_tol)
+        for i in range(samples)
+    ]
+    write_spectrum_csv(str(tmp_path / "ref.csv"), spectra, kind, n, 1.0)
+    expected_csv = (tmp_path / "ref.csv").read_bytes()
+    if n == 2:
+        stats = reference_gap_statistics(spectra, 1000, simulate.BOOTSTRAP_SEED)
+        write_stats_json(str(tmp_path / "ref.json"), {
+            "model": kind, "n": n, "t": 1.0, "samples": samples,
+            "moment2": stats.moment2, "moment4": stats.moment4, "ratio": stats.ratio,
+            "implied_beta": stats.implied_beta, "stderr": stats.stderr, "seed": seed,
+        })
+    runs = [("1", 1024), ("1", 16), ("2", 16)]
+    for threads, chunk in runs:
+        monkeypatch.setattr(cli, "sample_spectra",
+                            functools.partial(simulate.sample_spectra, chunk=chunk))
+        out = tmp_path / f"t{threads}c{chunk}.csv"
+        code, _ = run(capsys, "sample-spectrum", *argv, "--seed", str(seed),
+                      "--threads", threads, "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == expected_csv
+        stats_path = tmp_path / f"t{threads}c{chunk}.csv.stats.json"
+        if n == 2:
+            assert stats_path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+        else:
+            assert not stats_path.exists()

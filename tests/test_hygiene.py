@@ -1,14 +1,15 @@
-"""Source hygiene: every name a module imports is used by that module."""
+"""Source hygiene: every name a module imports is used by that module, and
+every exception the package raises is one of its own typed errors."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).resolve().parent.parent / "src" / "octodyson").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "octodyson"
+MODULES = sorted(PACKAGE.glob("*.py"))
+SOURCES = [p for p in MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,6 +27,26 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def builtin_raises(source: str) -> list[str]:
+    """``raise`` statements whose exception is a builtin class, called or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if not isinstance(exc, ast.Name):
+            continue
+        cls = getattr(builtins, exc.id, None)
+        if isinstance(cls, type) and issubclass(cls, BaseException):
+            found.append(f"{exc.id} (line {node.lineno})")
+    return found
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_builtin_exceptions_raised(path):
+    assert builtin_raises(path.read_text()) == []

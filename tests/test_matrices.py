@@ -5,6 +5,7 @@ import pytest
 
 from octodyson import (
     CharPolyEval,
+    InvalidArgument,
     NearSingularShift,
     NotSymmCompatible,
     NotSymmetric,
@@ -34,6 +35,8 @@ from octodyson.matrices import (
     trace_identity_residuals,
 )
 
+from oracles import reference_real_form
+
 RNG = np.random.default_rng(2024)
 
 
@@ -53,6 +56,35 @@ def test_block_of_single_component():
     rf = real_form(comps)
     pos = CANONICAL_LABELS.index(subset_label([1]))
     np.testing.assert_array_equal(rf[2 * pos:2 * pos + 2, 0:2], ANTISYM_UNIT_2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_real_form_matches_block_reference(n):
+    """The gathered real form equals the 64 signed block copies bit for bit,
+    the sign bits of zeros included, for one stack and for batches."""
+    rng = np.random.default_rng(70 + n)
+    single = rng.standard_normal((8, n, n))
+    single[1, 0, :] = 0.0
+    single[2, :, 0] = -0.0
+    batch = rng.standard_normal((3, 2, 8, n, n))
+    batch[..., 3, 0, 0] = 0.0
+    batch[..., 5, :, 0] = -0.0
+    stacks = [single, batch, np.zeros((8, n, n))]
+    if n > 1:
+        stacks.append(draw("b", n).components)
+    for comps in stacks:
+        got, want = real_form(comps), reference_real_form(comps)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_component_shape_rejected():
+    for shape in ((7, 2, 2), (8, 2, 3), (8, 2)):
+        with pytest.raises(InvalidArgument):
+            OctonionicMatrix(np.zeros(shape))
+        with pytest.raises(InvalidArgument):
+            real_form(np.zeros(shape))
 
 
 def test_real_form_symmetric_for_symmetric_components():
@@ -77,7 +109,7 @@ def test_is_octonionic_rejects_generic_symmetric():
     g = RNG.standard_normal((16, 16))
     g = g + g.T
     assert not is_octonionic(g)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         is_octonionic(RNG.standard_normal((12, 12)))
 
 

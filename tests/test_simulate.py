@@ -1,24 +1,43 @@
 """Sampling laws, spectrum clustering, gap statistics, Euler paths."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from octodyson import (
     InsufficientData,
+    InvalidArgument,
+    InvalidConfig,
     OctonionicMatrix,
     SimulationConfig,
     euler_path,
     gap_statistics,
     hermitian_reduction_residual,
     implied_beta,
+    real_form,
     sample_matrix,
     sample_rng,
     sample_spectra,
+    simulate,
     spectrum,
 )
-from octodyson.simulate import SpectralSample, cluster_eigenvalues
+from octodyson.simulate import (
+    SpectralSample,
+    _cluster_rows,
+    _draw_increment,
+    _seek,
+    cluster_eigenvalues,
+    sample_components,
+)
 
-from oracles import moment_ratio_by_quadrature, planar_distinct_eigenvalues, rejection_gap_sampler
+from oracles import (
+    moment_ratio_by_quadrature,
+    planar_distinct_eigenvalues,
+    reference_draw_increment,
+    reference_gap_statistics,
+    rejection_gap_sampler,
+)
 
 
 def cfg(**kw):
@@ -28,13 +47,13 @@ def cfg(**kw):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         cfg(kind="a", n=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         cfg(t=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         cfg(samples=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         cfg(steps=0)
     assert cfg(kind="b", n=4).n == 4
 
@@ -146,7 +165,7 @@ def test_hermitian_reduction():
     m0 = np.array([[1.0, 0.2], [0.2, -0.5]])
     m = OctonionicMatrix.from_scalar_part(m0)
     assert hermitian_reduction_residual(m) < 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         hermitian_reduction_residual(sample_matrix(cfg(seed=1), 0))
 
 
@@ -223,3 +242,81 @@ def test_sample_rng_streams_disjoint():
     b = sample_rng(7, 1).standard_normal(4)
     assert not np.allclose(a, b)
     np.testing.assert_array_equal(a, sample_rng(7, 0).standard_normal(4))
+
+
+def rng_state(rng: np.random.Generator) -> str:
+    return repr(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("kind,n", [("a", 2), ("b", 2), ("b", 8), ("b", 16)])
+def test_draw_increment_matches_reference(kind, n):
+    """One normal draw per increment reproduces the triangle-by-triangle
+    draw bit for bit and leaves the generator where the reference leaves it
+    (Euler paths and check_dim2_identities continue the stream)."""
+    for make in (lambda: np.random.default_rng(50 + n), lambda: sample_rng(51, 7)):
+        rng, ref = make(), make()
+        for dt in (1.0, 0.37, 1e-3):
+            got = _draw_increment(rng, kind, n, dt)
+            want = reference_draw_increment(ref, kind, n, dt)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            assert rng_state(rng) == rng_state(ref)
+
+
+@pytest.mark.parametrize("index", [0, 1, 1023, 1024, 2 ** 64 + 3])
+@pytest.mark.parametrize("seed", [0, 2 ** 63 + 5])
+def test_counter_reset_matches_sample_rng(seed, index):
+    """Resetting a used generator to an index's counter block gives the
+    normals of a fresh sample_rng(seed, index); 2**64 + 3 sets the high
+    counter word."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    key = rng.bit_generator.state["state"]["key"]
+    rng.standard_normal(3)
+    rng.integers(0, 10, dtype=np.uint32)  # leaves half a 64-bit word buffered
+    _seek(rng, key, index)
+    fresh = sample_rng(seed, index)
+    assert rng_state(rng) == rng_state(fresh)
+    np.testing.assert_array_equal(rng.standard_normal(37), fresh.standard_normal(37))
+
+
+def test_cluster_rows_match_cluster_eigenvalues(monkeypatch):
+    draws = [np.linalg.eigvalsh(real_form(sample_components(cfg(seed=60), i)))
+             for i in range(3)]
+    rows = np.array([
+        np.r_[np.full(8, -1.0), np.full(8, 2.0)] + 1e-14 * np.arange(16),  # regular
+        np.r_[np.full(8, 1.0), np.full(8, 1.0 + 1e-9)],  # a merged pair
+        np.r_[np.full(3, -2.0), np.full(5, -1.0), np.full(8, 4.0)],  # a split cluster
+        np.r_[np.full(7, -1.0), np.full(9, 2.0)],  # a break off the multiples of 8
+        np.linalg.eigvalsh(real_form(np.zeros((8, 2, 2)))),  # all equal
+        *draws,
+    ])
+    for tol in (1e-6, 0.0, 10.0):  # 10: every row merges into one cluster
+        assert _cluster_rows(rows, tol) == [cluster_eigenvalues(r, tol) for r in rows]
+    # only the four rows without clusters of eight leave the chunk-wide path
+    fallbacks = []
+    monkeypatch.setattr(simulate, "cluster_eigenvalues",
+                        lambda e, tol: fallbacks.append(e) or cluster_eigenvalues(e, tol))
+    _cluster_rows(rows, 1e-6)
+    assert len(fallbacks) == 4
+    monkeypatch.undo()
+    assert _cluster_rows(rows, 10.0)[0].multiplicities == (16,)
+    b3 = cfg(kind="b", n=3, seed=62)
+    rows3 = np.array([np.linalg.eigvalsh(real_form(sample_components(b3, i)))
+                      for i in range(5)])
+    assert _cluster_rows(rows3, 1e-6) == [cluster_eigenvalues(r, 1e-6) for r in rows3]
+
+
+def test_gap_statistics_matches_replicate_loop():
+    spectra = sample_spectra(cfg(seed=61, samples=400))
+    for bootstrap in (1, 64, 130):
+        assert (gap_statistics(spectra, bootstrap=bootstrap, bootstrap_seed=9)
+                == reference_gap_statistics(spectra, bootstrap, 9))
+    # replicates that draw only the equal gaps have moment ratio 1 and an
+    # infinite implied exponent, so the standard error is NaN
+    equal = [SpectralSample((0.0, 1.0), (8, 8), 0.0)] * 150
+    equal.append(SpectralSample((0.0, 2.0), (8, 8), 0.0))
+    with np.errstate(invalid="ignore"):
+        got = gap_statistics(equal, bootstrap=100)
+        want = reference_gap_statistics(equal, 100, simulate.BOOTSTRAP_SEED)
+    assert np.isnan(got.stderr)
+    np.testing.assert_equal(dataclasses.astuple(got), dataclasses.astuple(want))
