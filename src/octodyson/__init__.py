@@ -6,7 +6,7 @@ The package has four layers:
 * :mod:`octodyson.algebra` — the eight-dimensional algebra on a
   subset-labeled basis, with exhaustive identity suites;
 * :mod:`octodyson.matrices` — component/real-form matrices, the structured
-  inverse, resolvents, and characteristic-polynomial probes;
+  inverse, resolvents, and characteristic-polynomial data;
 * :mod:`octodyson.calculus` — carre-du-champ calculus on log det, model
   closed forms, eigenvalue multiplicity, and invariant-density exponents;
 * :mod:`octodyson.simulate` — reproducible Monte Carlo sampling, spectrum
@@ -61,7 +61,6 @@ from .matrices import (
     CharPolyEval,
     OctonionicMatrix,
     Resolvent,
-    charpoly_probe,
     components_from_real_form,
     is_octonionic,
     oct_inverse,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .algebra import SIGN_TABLE
 from .errors import InvalidConfig, NoAdmissibleRoot, NotSymmCompatible, VerificationFailure
-from .matrices import CharPolyEval, OctonionicMatrix, off_spectrum_points, resolvent
+from .matrices import CharPolyEval, OctonionicMatrix, resolvent, separated_shifts
 
 #: Shared-Gamma coefficient of the antisymmetric component in model "b".
 MODEL_B_ANTISYM_RATE = 1.0 / 14.0
@@ -225,11 +225,8 @@ def measure_coefficients(model: DiffusionModel, matrix: OctonionicMatrix,
     L(p)/p = a1 p''/p + a2 (p'/p)^2.
     """
     eigs = matrix.eigenvalues
-    x1, y1, x2, y2 = off_spectrum_points(eigs, rng, 4)
-    while abs(x1 - y1) < 0.5:
-        x1, y1 = off_spectrum_points(eigs, rng, 2)
-    while abs(x2 - y2) < 0.5 or (x2, y2) == (x1, y1):
-        x2, y2 = off_spectrum_points(eigs, rng, 2)
+    x1, y1 = separated_shifts(eigs, rng)
+    x2, y2 = separated_shifts(eigs, rng)
 
     def alpha3_at(x: float, y: float) -> float:
         g = gamma_log_charpoly(matrix, x, y, model)
@@ -248,7 +245,8 @@ def measure_coefficients(model: DiffusionModel, matrix: OctonionicMatrix,
     rhs = []
     for x in (x1, x2):
         px = CharPolyEval.from_eigenvalues(eigs, x)
-        rows.append([px.ddp / px.p, px.dlog ** 2])
+        # p''/p = (p'/p)^2 - curvature
+        rows.append([px.dlog ** 2 - px.curvature, px.dlog ** 2])
         rhs.append(generator_charpoly_ratio(matrix, x, model))
     a1, a2 = np.linalg.solve(np.array(rows), np.array(rhs))
     return ExponentProblem(float(a1), float(a2), 0.5 * (a3_first + a3_second))

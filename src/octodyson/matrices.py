@@ -273,13 +273,19 @@ def off_spectrum_points(eigenvalues: np.ndarray, rng: np.random.Generator,
     return signs * pts
 
 
+def separated_shifts(eigenvalues: np.ndarray, rng: np.random.Generator):
+    """Two off-spectrum shifts at least 0.5 apart."""
+    x, y = off_spectrum_points(eigenvalues, rng, 2)
+    while abs(x - y) < 0.5:
+        x, y = off_spectrum_points(eigenvalues, rng, 2)
+    return x, y
+
+
 @dataclass(frozen=True)
 class Resolvent:
     """Dense inverse of (real form - shift * Id), with component data when
     the shifted matrix satisfies the compatibility condition."""
 
-    matrix: OctonionicMatrix
-    shift: float
     dense: np.ndarray
     components: np.ndarray | None
     oct_residual: float | None
@@ -316,73 +322,37 @@ def resolvent(m: OctonionicMatrix, x: float, guard_scale: float = 0.5,
             components = components_from_real_form(dense)
     except SingularBase:
         pass
-    return Resolvent(m, float(x), dense, components, oct_res)
+    return Resolvent(dense, components, oct_res)
 
 
 @dataclass(frozen=True)
 class CharPolyEval:
-    """Value and first two shift-derivatives of det(real form - x * Id)."""
+    """Logarithmic shift-derivatives of p(x) = det(real form - x * Id).
+
+    ``dlog`` is p'/p and ``curvature`` is (p'/p)^2 - p''/p, the trace of the
+    squared resolvent.  Both are power sums of 1/(lam_k - x), so p itself,
+    a product of 8n factors that overflows at n = 48, is never formed.
+    """
 
     x: float
-    p: float
-    dp: float
-    ddp: float
-
-    @property
-    def dlog(self) -> float:
-        """dp / p."""
-        return self.dp / self.p
-
-    @property
-    def curvature(self) -> float:
-        """(dp/p)^2 - ddp/p; equals the trace of the squared resolvent."""
-        return (self.dp / self.p) ** 2 - self.ddp / self.p
+    dlog: float
+    curvature: float
 
     @classmethod
-    def from_eigenvalues(cls, eigenvalues: np.ndarray, x: float,
-                         p: float | None = None) -> "CharPolyEval":
-        """Evaluate from the spectrum; stable also when x hits an eigenvalue.
+    def from_eigenvalues(cls, eigenvalues: np.ndarray, x: float) -> "CharPolyEval":
+        """Evaluate from the spectrum: dlog = -sum 1/(lam_k - x) and
+        curvature = sum 1/(lam_k - x)^2.
 
-        p(x) = prod(lam_k - x); away from the spectrum the derivatives come
-        from power sums of 1/(lam_k - x), at an eigenvalue from leave-one-out
-        and leave-two-out products.
+        Raises
+        ------
+        NearSingularShift
+            If ``x`` is an eigenvalue, where p'/p has a pole.
         """
         d = np.asarray(eigenvalues, dtype=np.float64) - x
-        m = len(d)
-        if p is None:
-            p = float(np.prod(d))
-        scale = 1.0 + spectral_radius(np.asarray(eigenvalues))
-        if np.min(np.abs(d)) > 1e-12 * scale:
-            s1 = float(np.sum(1.0 / d))
-            s2 = float(np.sum(1.0 / d ** 2))
-            return cls(float(x), p, -p * s1, p * (s1 * s1 - s2))
-        # degenerate shift: exact leave-k-out expansion
-        pref = np.ones(m + 1)
-        for i in range(m):
-            pref[i + 1] = pref[i] * d[i]
-        suff = np.ones(m + 1)
-        for i in range(m - 1, -1, -1):
-            suff[i] = suff[i + 1] * d[i]
-        dp = -float(np.sum(pref[:m] * suff[1:]))
-        ddp = 0.0
-        for k in range(m):
-            mid = pref[k]
-            for l in range(k + 1, m):
-                ddp += 2.0 * mid * suff[l + 1]
-                mid *= d[l]
-        return cls(float(x), float(pref[m]), dp, float(ddp))
-
-
-def charpoly_probe(m: OctonionicMatrix, x: float) -> CharPolyEval:
-    """Characteristic-polynomial data of the real form at shift ``x``.
-
-    The value is a direct determinant evaluation; the derivatives come from
-    the eigenvalue list (the real form must be symmetric).
-    """
-    eigs = m.eigenvalues
-    rf = m.real_form()
-    p = float(np.linalg.det(rf - x * np.eye(rf.shape[0])))
-    return CharPolyEval.from_eigenvalues(eigs, x, p=p)
+        if np.any(d == 0.0):
+            raise NearSingularShift(f"shift {x} is an eigenvalue")
+        r = 1.0 / d
+        return cls(float(x), -float(np.sum(r)), float(np.sum(r * r)))
 
 
 # ---------------------------------------------------------------------------

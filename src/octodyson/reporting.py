@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -25,9 +26,10 @@ class IdentityReport:
     """Outcome of one verification suite, and the tally that builds it.
 
     ``failures == 0`` means the suite passed; ``max_residual`` is the largest
-    numeric residual seen (0.0 for exact integer suites).  A suite runs inside
-    :meth:`timed` and adds each case with :meth:`record`, :meth:`record_all`
-    or :meth:`check`; a residual fails when it exceeds its tolerance.
+    finite residual seen (0.0 for exact integer suites), so the report stays
+    valid JSON.  A suite runs inside :meth:`timed` and adds each case with
+    :meth:`record`, :meth:`record_all` or :meth:`check`; a residual passes
+    only when it is at most its tolerance, so NaN and infinity fail.
     """
 
     suite: str
@@ -51,15 +53,17 @@ class IdentityReport:
     def record(self, residual: float, tol: float) -> None:
         """One numeric case."""
         self.cases += 1
-        self.failures += int(residual > tol)
-        self.max_residual = max(self.max_residual, residual)
+        self.failures += int(not residual <= tol)
+        if math.isfinite(residual):
+            self.max_residual = max(self.max_residual, residual)
 
     def record_all(self, residuals: np.ndarray, tol: float) -> None:
         """One numeric case per entry of ``residuals``."""
         self.cases += residuals.size
-        self.failures += int(np.count_nonzero(residuals > tol))
-        if residuals.size:
-            self.max_residual = max(self.max_residual, float(residuals.max()))
+        self.failures += residuals.size - int(np.count_nonzero(residuals <= tol))
+        finite = residuals[np.isfinite(residuals)]
+        if finite.size:
+            self.max_residual = max(self.max_residual, float(finite.max()))
 
     def check(self, ok: bool) -> None:
         """One exact case; it leaves ``max_residual`` unchanged."""

@@ -347,7 +347,8 @@ def gap_statistics(samples, bootstrap: int = 1000,
                    bootstrap_seed: int = BOOTSTRAP_SEED) -> GapStatistics:
     """Moments of the eigenvalue gap s = x2 - x1 over two-cluster samples.
 
-    ``stderr`` is a bootstrap standard error of the implied exponent.
+    ``stderr`` is a bootstrap standard error of the implied exponent; it is
+    infinite when some replicate implies an infinite exponent.
 
     Raises
     ------
@@ -383,7 +384,7 @@ def gap_statistics(samples, bootstrap: int = 1000,
         moment4=m4,
         ratio=ratio,
         implied_beta=implied_beta(ratio),
-        stderr=float(np.std(betas)),
+        stderr=float(np.std(betas)) if np.isfinite(betas).all() else math.inf,
     )
 
 

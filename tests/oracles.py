@@ -178,4 +178,4 @@ def reference_gap_statistics(samples, bootstrap: int, bootstrap_seed: int) -> Ga
         betas[b] = implied_beta(r4 / (r2 * r2))
     return GapStatistics(count=n, moment2=m2, moment4=m4, ratio=m4 / (m2 * m2),
                          implied_beta=implied_beta(m4 / (m2 * m2)),
-                         stderr=float(np.std(betas)))
+                         stderr=float(np.std(betas)) if np.isfinite(betas).all() else math.inf)

@@ -146,7 +146,8 @@ def test_generator_ratio_change_of_variables():
         eigs, x, _ = shifts(m, rng)
         ratio = generator_charpoly_ratio(m, x, model)
         px = CharPolyEval.from_eigenvalues(eigs, x)
-        expected = stated.alpha1 * px.ddp / px.p + stated.alpha2 * px.dlog ** 2
+        expected = (stated.alpha1 * (px.dlog ** 2 - px.curvature)
+                    + stated.alpha2 * px.dlog ** 2)
         assert abs(ratio - expected) < 1e-8 * (1 + abs(expected))
 
 

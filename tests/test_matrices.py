@@ -13,7 +13,6 @@ from octodyson import (
     SimulationConfig,
     SingularBase,
     SingularCore,
-    charpoly_probe,
     components_from_real_form,
     is_octonionic,
     oct_inverse,
@@ -190,8 +189,8 @@ def test_resolvent_trace_and_structure():
     assert res.components is not None
     assert abs(res.trace - 8.0 * np.trace(res.components[0])) < 1e-10
     assert res.oct_residual < 1e-12
-    probe = charpoly_probe(m, 4.5)
-    assert abs(res.trace + probe.dlog) < 1e-9 * (1 + abs(res.trace))
+    ev = CharPolyEval.from_eigenvalues(m.eigenvalues, 4.5)
+    assert abs(res.trace + ev.dlog) < 1e-9 * (1 + abs(res.trace))
 
 
 def test_non_symmetric_components_rejected():
@@ -203,8 +202,6 @@ def test_non_symmetric_components_rejected():
         spectrum(m)
     with pytest.raises(NotSymmetric):
         resolvent(m, 10.0)
-    with pytest.raises(NotSymmetric):
-        charpoly_probe(m, 10.0)
 
 
 def test_resolvent_guard():
@@ -215,29 +212,25 @@ def test_resolvent_guard():
 
 
 def test_charpoly_zero_matrix():
-    # p(x) = x^16 for the zero 2x2 matrix: p(1) = 1, p'(1) = 16, p''(1) = 240
+    # p(x) = x^16 for the zero 2x2 matrix: p'/p(1) = 16 and
+    # (p'/p)^2 - p''/p = 16^2 - 16 * 15 = 16 at x = 1
     m = OctonionicMatrix.zero(2)
-    probe = charpoly_probe(m, 1.0)
-    assert abs(probe.p - 1.0) < 1e-12
-    assert abs(probe.dp - 16.0) < 1e-10
-    assert abs(probe.ddp - 240.0) < 1e-9
+    ev = CharPolyEval.from_eigenvalues(m.eigenvalues, 1.0)
+    assert ev.dlog == 16.0
+    assert ev.curvature == 16.0
 
 
 def test_charpoly_probe_finite_at_eigenvalue():
+    # p'/p has a pole at an eigenvalue: the shift is refused, not evaluated
     eigs = np.array([1.0, 1.0, 2.0, 3.0])
-    ev = CharPolyEval.from_eigenvalues(eigs, 2.0)
-    # p(x) = (1-x)^2 (2-x)(3-x); at x=2: p=0, p'=-(1)^2(1) = ... compute:
-    # p'(x) = d/dx[(1-x)^2(2-x)(3-x)]; at 2: only the (2-x) factor survives
-    # differentiation: p'(2) = -(1-2)^2 (3-2) = -1
-    assert ev.p == 0.0
-    assert abs(ev.dp - (-1.0)) < 1e-12
-    assert np.isfinite(ev.ddp)
+    with pytest.raises(NearSingularShift):
+        CharPolyEval.from_eigenvalues(eigs, 2.0)
 
 
 def test_charpoly_derivatives_match_polyfit():
     m = draw("b", n=2, index=6)
     x = 5.2
-    probe = charpoly_probe(m, x)
+    ev = CharPolyEval.from_eigenvalues(m.eigenvalues, x)
     eigs = np.linalg.eigvalsh(m.real_form())
     # det(M - x Id) == det(x Id - M) in even dimension, so the polynomial
     # built from the roots matches p with the same sign, derivatives included
@@ -245,9 +238,9 @@ def test_charpoly_derivatives_match_polyfit():
     p = np.polyval(coeffs, x)
     dp = np.polyval(np.polyder(coeffs), x)
     ddp = np.polyval(np.polyder(coeffs, 2), x)
-    assert abs(probe.p - p) < 1e-8 * abs(p)
-    assert abs(probe.dp - dp) < 1e-7 * abs(dp)
-    assert abs(probe.ddp - ddp) < 1e-6 * abs(ddp)
+    assert abs(ev.dlog - dp / p) < 1e-7 * abs(dp / p)
+    curvature = (dp / p) ** 2 - ddp / p
+    assert abs(ev.curvature - curvature) < 1e-6 * abs(curvature)
 
 
 @pytest.mark.parametrize("kind,n", [("a", 2), ("b", 2), ("b", 3)])

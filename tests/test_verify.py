@@ -1,0 +1,76 @@
+"""Verification suites: the residual tally, large-n charpoly data, and
+negative controls that must make the closed-form suite fail."""
+
+import json
+
+import numpy as np
+import pytest
+
+from octodyson import (
+    CharPolyEval,
+    DiffusionModel,
+    IdentityReport,
+    SimulationConfig,
+    calculus,
+    model_a,
+    model_b,
+    sample_matrix,
+)
+from octodyson.matrices import off_spectrum_points
+from octodyson.verify import check_closed_forms, check_trace_identities
+
+
+def test_non_finite_residuals_fail():
+    report = IdentityReport("tally")
+    report.record(0.5, 1.0)
+    report.record(float("nan"), 1.0)
+    report.record(float("inf"), 1.0)
+    report.record_all(np.array([0.0, np.nan]), 1.0)
+    assert (report.cases, report.failures, report.max_residual) == (5, 3, 0.5)
+    assert not report.passed
+    json.dumps(report.to_dict(), allow_nan=False)
+
+
+def test_charpoly_power_sums_at_n48():
+    # p(x) is a product of 384 factors of modulus above 1 here: it
+    # overflows, while its logarithmic derivatives are ordinary numbers
+    m = sample_matrix(SimulationConfig(kind="b", n=48, t=1.0, samples=1, seed=0), 0)
+    eigs = m.eigenvalues
+    x = float(off_spectrum_points(eigs, np.random.default_rng(0))[0])
+    ev = CharPolyEval.from_eigenvalues(eigs, x)
+    s1 = 0.0
+    s2 = 0.0
+    for lam in eigs.tolist():
+        s1 += 1.0 / (lam - x)
+        s2 += 1.0 / (lam - x) ** 2
+    assert np.isfinite(ev.dlog) and np.isfinite(ev.curvature)
+    assert abs(ev.dlog + s1) <= 1e-12 * abs(s1)
+    assert abs(ev.curvature - s2) <= 1e-12 * s2
+    assert check_closed_forms(model_b(48), trials=1).passed
+    assert check_trace_identities("b", 48, trials=1).passed
+
+
+@pytest.fixture
+def perturb(monkeypatch):
+    """Monkeypatch with the cached Gamma weight tables cleared before the
+    test and after its patches are undone."""
+    calculus._gamma_weights.cache_clear()
+    calculus._generator_weights.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    calculus._gamma_weights.cache_clear()
+    calculus._generator_weights.cache_clear()
+
+
+@pytest.mark.parametrize("model", [model_a(), model_b(3)], ids=["a", "b3"])
+def test_closed_forms_fail_with_scaled_gamma(perturb, model):
+    stated = DiffusionModel.gamma_coefficients
+    perturb.setattr(DiffusionModel, "gamma_coefficients",
+                    lambda self, f, g: tuple(1.01 * c for c in stated(self, f, g)))
+    assert not check_closed_forms(model, trials=5).passed
+
+
+def test_closed_forms_fail_with_perturbed_antisym_rate(perturb):
+    perturb.setattr(calculus, "MODEL_B_ANTISYM_RATE", 1.0 / 13.0)
+    assert not check_closed_forms(model_b(3), trials=5).passed
+    assert check_closed_forms(model_a(), trials=5).passed
