@@ -60,9 +60,6 @@ from .errors import (
 from .matrices import (
     CharPolyEval,
     OctonionicMatrix,
-    Resolvent,
-    components_from_real_form,
-    is_octonionic,
     oct_inverse,
     real_form,
     resolvent,

@@ -27,9 +27,6 @@ from .reporting import IdentityReport
 #: {}, {1}, {2}, {3}, {1,2}, {1,3}, {2,3}, {1,2,3}  (as bitmasks).
 CANONICAL_LABELS = (0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
 
-#: Position of each bitmask label in the canonical order.
-LABEL_POSITION = {label: pos for pos, label in enumerate(CANONICAL_LABELS)}
-
 # Sign table with rows/columns in canonical label order.
 _TABLE_ROWS = (
     (1, 1, 1, 1, 1, 1, 1, 1),
@@ -226,7 +223,7 @@ def check_table_structure(table: np.ndarray | None = None) -> IdentityReport:
     return report
 
 
-def check_sign_identities(extended: bool = True, table: np.ndarray | None = None) -> IdentityReport:
+def check_sign_identities(table: np.ndarray | None = None) -> IdentityReport:
     """Exhaustive composition identities of the sign table.
 
     Over all label tuples (exact integer arithmetic):
@@ -236,10 +233,8 @@ def check_sign_identities(extended: bool = True, table: np.ndarray | None = None
     3. sign(a^c, a) sign(b^c, b) == -sign(a^c, b) sign(b^c, a) for the 448
        triples with a != b;
     4. sign(b^c, c) sign(c^d, d) sign(d^a, a) sign(a^b, b) == sign(b^d, b^d)
-       for the 512 quadruples with a^b^c^d == 0.
-
-    With ``extended=True`` the 4-cycle sign sum over 2408 qualifying tuples
-    is additionally checked against 392.
+       for the 512 quadruples with a^b^c^d == 0;
+    5. the 4-cycle sign sum over 2408 qualifying tuples equals 392.
     """
     t = SIGN_TABLE if table is None else table
     with IdentityReport("sign-identities").timed() as report:
@@ -253,19 +248,9 @@ def check_sign_identities(extended: bool = True, table: np.ndarray | None = None
             if a ^ b ^ c ^ d == 0:
                 lhs = t[b ^ c, c] * t[c ^ d, d] * t[d ^ a, a] * t[a ^ b, b]
                 report.check(lhs == t[b ^ d, b ^ d])
-        if extended:
-            total, _ = cyclic_sign_sum(t)
-            report.check(total == 392)  # 2^3 * 7^2
+        total, _ = cyclic_sign_sum(t)
+        report.check(total == 392)  # 2^3 * 7^2
     return report
-
-
-_WEAK_ASSOC_FORMS = (
-    # the four Moufang identities as (lhs, rhs) on symbols (x, y, z)
-    ("z(x(zy))", "((zx)z)y"),
-    ("((xz)y)z", "x((zy)z)"),
-    ("(zx)(yz)", "(z(xy))z"),
-    ("(zx)(yz)", "z((xy)z)"),
-)
 
 
 def _moufang_basis_case(a: int, b: int, c: int, table: np.ndarray) -> tuple[bool, ...]:

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import SIGN_TABLE
-from .errors import InvalidConfig, NoAdmissibleRoot, NotSymmCompatible, VerificationFailure
+from .errors import InvalidConfig, NoAdmissibleRoot, VerificationFailure
 from .matrices import CharPolyEval, OctonionicMatrix, resolvent, separated_shifts
 
 #: Shared-Gamma coefficient of the antisymmetric component in model "b".
@@ -133,16 +133,6 @@ def _generator_weights(kind: str) -> tuple[np.ndarray, np.ndarray]:
     return w_elem, w_tr
 
 
-def _components(m: OctonionicMatrix, x: float) -> np.ndarray:
-    res = resolvent(m, x)
-    if res.components is None:
-        raise NotSymmCompatible(
-            "resolvent is not octonionic; the matrix does not satisfy the "
-            "compatibility condition at this shift"
-        )
-    return res.components
-
-
 def gamma_log_charpoly(m: OctonionicMatrix, x: float, y: float,
                        model: DiffusionModel) -> float:
     """Carre du champ of (log p(x), log p(y)) from the entry-level rule.
@@ -152,8 +142,8 @@ def gamma_log_charpoly(m: OctonionicMatrix, x: float, y: float,
     singularity there); the closed form's confluent value is
     :func:`gamma_closed_form` at equal shifts.
     """
-    ucx = _components(m, x)
-    ucy = ucx if y == x else _components(m, y)
+    ucx = resolvent(m, x).components
+    ucy = ucx if y == x else resolvent(m, y).components
     total = 0.0
     for f, g, we, wt in _gamma_weights(model.kind):
         total += we * float(np.sum(ucx[f] * ucy[g]))
@@ -168,7 +158,7 @@ def generator_log_charpoly(m: OctonionicMatrix, x: float,
     The drift part vanishes for both models; the quadratic part is the
     quadruple sum with aggregated sign weights.
     """
-    uc = _components(m, x)
+    uc = resolvent(m, x).components
     w_elem, w_tr = _generator_weights(model.kind)
     traces = np.array([np.trace(uc[f]) for f in range(8)])
     total = 0.0
@@ -252,31 +242,27 @@ def measure_coefficients(model: DiffusionModel, matrix: OctonionicMatrix,
     return ExponentProblem(float(a1), float(a2), 0.5 * (a3_first + a3_second))
 
 
-def exponent_coefficients(model: DiffusionModel, verify: bool = True,
-                          seed: int = 0, tol: float = 1e-6) -> ExponentProblem:
+def exponent_coefficients(model: DiffusionModel, seed: int = 0,
+                          tol: float = 1e-6) -> ExponentProblem:
     """Coefficient triple for a model, cross-checked numerically.
 
     Returns the stated (a1, a2, a3) after confirming, on a random draw, that
     the measured values agree to ``tol``.  Raises
     :class:`~octodyson.errors.VerificationFailure` on mismatch.
     """
-    stated = STATED_COEFFICIENTS[model.kind]
-    if verify:
-        from .simulate import SimulationConfig, sample_matrix
+    from .simulate import SimulationConfig, sample_matrix
 
-        cfg = SimulationConfig(kind=model.kind, n=model.n, t=1.0, samples=1, seed=seed)
-        matrix = sample_matrix(cfg, 0)
-        rng = np.random.default_rng(seed)
-        measured = measure_coefficients(model, matrix, rng)
-        for name, got, want in (
-            ("alpha1", measured.alpha1, stated.alpha1),
-            ("alpha2", measured.alpha2, stated.alpha2),
-            ("alpha3", measured.alpha3, stated.alpha3),
-        ):
-            if abs(got - want) > tol * (1.0 + abs(want)):
-                raise VerificationFailure(
-                    f"measured {name} = {got!r}, expected {want!r}"
-                )
+    stated = STATED_COEFFICIENTS[model.kind]
+    cfg = SimulationConfig(kind=model.kind, n=model.n, t=1.0, samples=1, seed=seed)
+    matrix = sample_matrix(cfg, 0)
+    measured = measure_coefficients(model, matrix, np.random.default_rng(seed))
+    for name, got, want in (
+        ("alpha1", measured.alpha1, stated.alpha1),
+        ("alpha2", measured.alpha2, stated.alpha2),
+        ("alpha3", measured.alpha3, stated.alpha3),
+    ):
+        if abs(got - want) > tol * (1.0 + abs(want)):
+            raise VerificationFailure(f"measured {name} = {got!r}, expected {want!r}")
     return stated
 
 

@@ -151,7 +151,7 @@ def cmd_verify_algebra(args) -> int:
     table = algebra.tampered_table() if args.tamper else None
     reports = [
         algebra.check_table_structure(table),
-        algebra.check_sign_identities(extended=True, table=table),
+        algebra.check_sign_identities(table=table),
         algebra.check_moufang(trials=args.trials, seed=args.seed, table=table),
         algebra.check_norm_multiplicativity(pairs=args.norm_pairs, seed=args.seed + 1,
                                             table=table),

@@ -40,6 +40,13 @@ from .reporting import IdentityReport
 ANTISYM_UNIT_2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 ANTISYM_UNIT_2.setflags(write=False)
 
+#: Tolerance of the compatibility condition (*) in :func:`oct_inverse`.
+SYMM_TOL = 1e-10
+#: Condition number above which :func:`oct_inverse` calls a factor singular.
+COND_LIMIT = 1e12
+#: Label pairs A < B of the compatibility condition.
+_LABEL_PAIRS = np.triu_indices(8, 1)
+
 
 @dataclass(frozen=True)
 class OctonionicMatrix:
@@ -156,69 +163,30 @@ def real_form(components: np.ndarray) -> np.ndarray:
     return np.take(np.concatenate((flat, -flat), axis=-1), _real_form_source(n), axis=-1)
 
 
-def components_from_real_form(matrix: np.ndarray) -> np.ndarray:
-    """Read the component stack off the first block column of a real form.
-
-    The (A, identity-label) block of a real form is exactly ``M^A``, so this
-    inverts :func:`real_form` on genuine real forms; on arbitrary input it is
-    the candidate used by :func:`octonionic_residual`.
-
-    Raises
-    ------
-    InvalidArgument
-        If the matrix dimension is not a multiple of 8.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    dim = matrix.shape[-1]
-    if dim % 8:
-        raise InvalidArgument(f"matrix dimension {dim} is not divisible by 8")
-    n = dim // 8
-    comps = np.empty(matrix.shape[:-2] + (8, n, n))
-    for pa, a in enumerate(CANONICAL_LABELS):
-        comps[..., a, :, :] = matrix[..., pa * n:(pa + 1) * n, 0:n]
-    return comps
-
-
-def octonionic_residual(matrix: np.ndarray) -> float:
-    """Max-norm distance from ``matrix`` to the real form its blocks imply."""
-    comps = components_from_real_form(matrix)
-    return float(np.max(np.abs(matrix - real_form(comps))))
-
-
-def is_octonionic(matrix: np.ndarray, tol: float = 1e-10) -> bool:
-    """Whether a square matrix is (within ``tol``) the real form of some
-    component stack.  Raises :class:`InvalidArgument` if the dimension is
-    not 8n."""
-    return octonionic_residual(matrix) <= tol
-
-
 def symm_compatibility_residual(m: OctonionicMatrix) -> float:
     """Worst scaled residual of the compatibility condition (*).
 
     Each pair (A, B) is scaled by ``1 + |M^A| |M^B|`` so the returned value
-    is comparable against a fixed tolerance.
+    is comparable against a fixed tolerance.  The 28 pairs A < B are
+    evaluated as one stacked product.
     """
     comps = m.components
     try:
         m0_inv = np.linalg.inv(comps[0])
     except np.linalg.LinAlgError as exc:
         raise SingularBase("scalar component is singular") from exc
-    worst = 0.0
-    for a in range(8):
-        for b in range(a + 1, 8):
-            lhs = comps[a] @ m0_inv @ comps[b]
-            rhs = comps[b] @ m0_inv @ comps[a]
-            scale = 1.0 + np.linalg.norm(comps[a]) * np.linalg.norm(comps[b])
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
-    return worst
+    a, b = _LABEL_PAIRS
+    left = comps @ m0_inv
+    diff = np.abs(left[a] @ comps[b] - left[b] @ comps[a]).max(axis=(1, 2))
+    norms = np.linalg.norm(comps, axis=(1, 2))
+    return float(np.max(diff / (1.0 + norms[a] * norms[b])))
 
 
-def oct_inverse(m: OctonionicMatrix, symm_tol: float = 1e-10,
-                cond_limit: float = 1e12) -> OctonionicMatrix:
+def oct_inverse(m: OctonionicMatrix) -> OctonionicMatrix:
     """Structured inverse of an octonionic matrix.
 
     Requires an invertible scalar component, the compatibility condition (*)
-    within ``symm_tol``, and an invertible core sum.  The result ``N``
+    within :data:`SYMM_TOL`, and an invertible core sum.  The result ``N``
     satisfies ``real_form(N) @ real_form(M) == Id`` and has components
 
         N^0 = (sum_C M^C (M^0)^-1 M^C)^-1,
@@ -229,18 +197,18 @@ def oct_inverse(m: OctonionicMatrix, symm_tol: float = 1e-10,
     SingularBase, NotSymmCompatible, SingularCore
     """
     comps = m.components
-    if np.linalg.cond(comps[0]) > cond_limit:
+    if np.linalg.cond(comps[0]) > COND_LIMIT:
         raise SingularBase("scalar component is singular or near-singular")
     m0_inv = np.linalg.inv(comps[0])
 
     worst = symm_compatibility_residual(m)
-    if worst > symm_tol:
-        raise NotSymmCompatible(f"compatibility residual {worst:.3e} exceeds {symm_tol:.1e}")
+    if worst > SYMM_TOL:
+        raise NotSymmCompatible(f"compatibility residual {worst:.3e} exceeds {SYMM_TOL:.1e}")
 
     core = np.zeros_like(comps[0])
     for c in range(8):
         core += comps[c] @ m0_inv @ comps[c]
-    if np.linalg.cond(core) > cond_limit:
+    if np.linalg.cond(core) > COND_LIMIT:
         raise SingularCore("core sum is singular or near-singular")
     n0 = np.linalg.inv(core)
 
@@ -255,9 +223,9 @@ def spectral_radius(eigenvalues: np.ndarray) -> float:
     return float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0
 
 
-def shift_guard(eigenvalues: np.ndarray, n: int, scale: float = 0.5) -> float:
+def shift_guard(eigenvalues: np.ndarray, n: int) -> float:
     """Minimum allowed distance from a resolvent shift to the spectrum."""
-    return scale * (1.0 + spectral_radius(eigenvalues)) / (8 * n)
+    return 0.5 * (1.0 + spectral_radius(eigenvalues)) / (8 * n)
 
 
 def off_spectrum_points(eigenvalues: np.ndarray, rng: np.random.Generator,
@@ -281,48 +249,22 @@ def separated_shifts(eigenvalues: np.ndarray, rng: np.random.Generator):
     return x, y
 
 
-@dataclass(frozen=True)
-class Resolvent:
-    """Dense inverse of (real form - shift * Id), with component data when
-    the shifted matrix satisfies the compatibility condition."""
+def resolvent(m: OctonionicMatrix, x: float) -> OctonionicMatrix:
+    """Resolvent of the real form at shift ``x``, as the structured inverse
+    of ``m - x Id`` (:func:`oct_inverse`).
 
-    dense: np.ndarray
-    components: np.ndarray | None
-    oct_residual: float | None
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.dense))
-
-
-def resolvent(m: OctonionicMatrix, x: float, guard_scale: float = 0.5,
-              symm_tol: float = 1e-10) -> Resolvent:
-    """Resolvent of the real form at shift ``x``.
-
-    Refuses shifts closer to the spectrum than the guard distance
-    ``guard_scale * (1 + spectral_radius) / (8n)``.  When the shifted matrix
-    satisfies the compatibility condition (*), the inverse is itself a real
-    form; its components are extracted and the consistency residual reported.
+    Refuses shifts closer to the spectrum than :func:`shift_guard`.
 
     Raises
     ------
     NearSingularShift, NotSymmetric
+    SingularBase, NotSymmCompatible, SingularCore
+        If the shifted matrix fails a condition of :func:`oct_inverse`.
     """
     eigs = m.eigenvalues
-    if np.min(np.abs(eigs - x)) <= shift_guard(eigs, m.n, guard_scale):
+    if np.min(np.abs(eigs - x)) <= shift_guard(eigs, m.n):
         raise NearSingularShift(f"shift {x} is within the guard distance of the spectrum")
-    rf = m.real_form()
-    dense = np.linalg.inv(rf - x * np.eye(rf.shape[0]))
-
-    components = None
-    oct_res = None
-    try:
-        if symm_compatibility_residual(m.shifted(x)) <= symm_tol:
-            oct_res = octonionic_residual(dense)
-            components = components_from_real_form(dense)
-    except SingularBase:
-        pass
-    return Resolvent(dense, components, oct_res)
+    return oct_inverse(m.shifted(x))
 
 
 @dataclass(frozen=True)
@@ -366,7 +308,9 @@ def _rel(lhs: float, rhs: float) -> float:
 def trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) -> dict[str, float]:
     """Scaled residuals of the component-trace and charpoly-trace identities.
 
-    Checks, for resolvents U at off-spectrum shifts x != y:
+    Checks, for resolvents U at off-spectrum shifts x != y, with U the LU
+    inverse of the shifted real form and U^C the components of the
+    structured inverse :func:`resolvent` (two independent routes):
 
     * ``full-trace``: trace U(x) == 8 trace U(x)^0;
     * ``transpose-pairing``: sum_ij U(x)^F_ij U(y)^F_ij ==
@@ -376,14 +320,16 @@ def trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) -> dict[st
     * ``sq``: tr U(x)^2 == (p'/p)^2 - p''/p;
     * ``cross``: tr[U(x)U(y)] == (p'/p(x) - p'/p(y)) / (y - x).
     """
-    ux = resolvent(m, x)
-    uy = resolvent(m, y)
-    if ux.components is None or uy.components is None:
-        raise NotSymmCompatible("resolvent components unavailable")
-    ucx, ucy = ux.components, uy.components
+    ucx = resolvent(m, x).components
+    ucy = resolvent(m, y).components
+    rf = m.real_form()
+    eye = np.eye(rf.shape[0])
+    dx = np.linalg.inv(rf - x * eye)
+    dy = np.linalg.inv(rf - y * eye)
+    trace_x = float(np.trace(dx))
 
     res: dict[str, float] = {}
-    res["full-trace"] = _rel(ux.trace, 8.0 * float(np.trace(ucx[0])))
+    res["full-trace"] = _rel(trace_x, 8.0 * float(np.trace(ucx[0])))
 
     worst = 0.0
     for f in range(8):
@@ -392,7 +338,7 @@ def trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) -> dict[st
         worst = max(worst, _rel(lhs, rhs))
     res["transpose-pairing"] = worst
 
-    cross_trace = float(np.trace(ux.dense @ uy.dense))
+    cross_trace = float(np.trace(dx @ dy))
     comp_sum = 8.0 * sum(
         SIGN_TABLE[c, c] * float(np.trace(ucx[c] @ ucy[c])) for c in range(8)
     )
@@ -400,8 +346,8 @@ def trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) -> dict[st
 
     px = CharPolyEval.from_eigenvalues(m.eigenvalues, x)
     py = CharPolyEval.from_eigenvalues(m.eigenvalues, y)
-    res["dlog"] = _rel(ux.trace, -px.dlog)
-    res["sq"] = _rel(float(np.trace(ux.dense @ ux.dense)), px.curvature)
+    res["dlog"] = _rel(trace_x, -px.dlog)
+    res["sq"] = _rel(float(np.trace(dx @ dx)), px.curvature)
     res["cross"] = _rel(cross_trace, (px.dlog - py.dlog) / (y - x))
     return res
 
@@ -455,31 +401,30 @@ def fd_logdet_hessian(matrix: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return out
 
 
-def check_logdet_derivatives(count: int = 100, n: int = 5, seed: int = 3,
-                             h: float = 1e-5, tol: float = 1e-5,
-                             cond_limit: float = 200.0) -> IdentityReport:
+def check_logdet_derivatives(count: int = 100, seed: int = 3) -> IdentityReport:
     """Central differences vs analytic log-det derivatives.
 
-    Draws well-conditioned random matrices (redrawing above ``cond_limit``)
-    and compares the full gradient and Hessian in relative Frobenius norm.
+    Draws well-conditioned random 5x5 matrices (redrawing above condition
+    number 200) and compares the full gradient and Hessian in relative
+    Frobenius norm, to 1e-5.
     """
     rng = np.random.default_rng(seed)
     with IdentityReport("logdet-derivatives", seed=seed).timed() as report:
         for _ in range(count):
-            matrix = rng.standard_normal((n, n))
+            matrix = rng.standard_normal((5, 5))
             tries = 0
-            while np.linalg.cond(matrix) > cond_limit:
-                matrix = rng.standard_normal((n, n))
+            while np.linalg.cond(matrix) > 200.0:
+                matrix = rng.standard_normal((5, 5))
                 tries += 1
                 if tries > 100:
                     raise Error("could not draw a well-conditioned matrix")
             g_an = logdet_gradient(matrix)
-            g_fd = fd_logdet_gradient(matrix, h)
-            report.record(float(np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an)), tol)
+            g_fd = fd_logdet_gradient(matrix)
+            report.record(float(np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an)), 1e-5)
             h_an = logdet_hessian(matrix)
-            h_fd = fd_logdet_hessian(matrix, h)
+            h_fd = fd_logdet_hessian(matrix)
             report.record(float(np.linalg.norm((h_fd - h_an).ravel())
-                                / np.linalg.norm(h_an.ravel())), tol)
+                                / np.linalg.norm(h_an.ravel())), 1e-5)
     return report
 
 
@@ -530,17 +475,14 @@ def check_dim2_identities(trials: int = 1_000, seed: int = 4,
     return report
 
 
-def dim3_counterexample(m0: np.ndarray | None = None,
-                        a0: np.ndarray | None = None) -> float:
+def dim3_counterexample() -> float:
     """Residual of (M^0 A0)^2 + det(M^0) Id for a 3x3 instance.
 
     The relation (M^0 A0)^2 == -det(M^0) Id underpins the 2x2 identities and
     cannot hold for 3x3 symmetric M^0 (an odd-dimensional antisymmetric A0 is
-    singular); the default instance shows a large residual.
+    singular); this instance shows a large residual.
     """
-    if m0 is None:
-        m0 = np.diag([1.0, 2.0, 3.0])
-    if a0 is None:
-        a0 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    m0 = np.diag([1.0, 2.0, 3.0])
+    a0 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     prod = m0 @ a0
     return float(np.linalg.norm(prod @ prod + np.linalg.det(m0) * np.eye(3)))

@@ -195,10 +195,6 @@ class SpectralSample:
     multiplicities: tuple[int, ...]
     spread: float
 
-    @property
-    def total(self) -> int:
-        return int(sum(self.multiplicities))
-
 
 def cluster_eigenvalues(eigenvalues: np.ndarray, cluster_tol: float) -> SpectralSample:
     """Greedy clustering of sorted eigenvalues.
@@ -369,12 +365,10 @@ def gap_statistics(samples, bootstrap: int = 1000,
     betas = np.empty(bootstrap)
     n = len(gaps)
     # blocks of at most 64 replicates bound the index scratch at 64 n
-    # integers; one draw per replicate keeps the stream order, and a row
-    # mean sums in the same order as np.mean of that row alone
+    # integers; one block draw gives the indices of its rows drawn one by
+    # one, and a row mean sums in the same order as np.mean of that row alone
     for lo in range(0, bootstrap, 64):
-        idx = np.empty((min(64, bootstrap - lo), n), dtype=np.int64)
-        for row in idx:
-            row[:] = rng.integers(0, n, n)
+        idx = rng.integers(0, n, (min(64, bootstrap - lo), n))
         r2 = g2[idx].mean(axis=1)
         ratios = g4[idx].mean(axis=1) / (r2 * r2)
         betas[lo:lo + len(idx)] = [implied_beta(r) for r in ratios.tolist()]

@@ -2,11 +2,12 @@
 
 Everything here is deliberately built by a different route than the library
 code it checks: quadruple sums from the raw entry-level covariance tensor,
-moment ratios from quadrature, gap laws from a rejection sampler, and 2x2
-spectra from the explicit quadratic formula.  The reference constructions
-at the end are the straightforward loop forms of the sampler's hot path
-(one matrix and one triangle at a time); the vectorised library code must
-reproduce them bit for bit.
+moment ratios from quadrature, gap laws from a rejection sampler, 2x2
+spectra from the explicit quadratic formula, components read back off the
+blocks of a real form, and the compatibility condition pair by pair.  The
+reference constructions at the end are the straightforward loop forms of the
+sampler's hot path (one matrix and one triangle at a time); the vectorised
+library code must reproduce them bit for bit.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 
 from octodyson.algebra import CANONICAL_LABELS, SIGN_TABLE
 from octodyson.calculus import MODEL_B_ANTISYM_RATE
+from octodyson.matrices import real_form
 from octodyson.simulate import GapStatistics, implied_beta
 
 
@@ -107,6 +109,35 @@ def planar_distinct_eigenvalues(components: np.ndarray) -> tuple[float, float]:
     half = np.sqrt(0.25 * (a - b) ** 2 + q2)
     mid = 0.5 * (a + b)
     return mid - half, mid + half
+
+
+def components_from_real_form(matrix: np.ndarray) -> np.ndarray:
+    """The component stack read off the first block column of an 8n x 8n
+    matrix: the (A, identity-label) block of a real form is ``M^A``."""
+    n = matrix.shape[-1] // 8
+    comps = np.empty((8, n, n))
+    for pa, a in enumerate(CANONICAL_LABELS):
+        comps[a] = matrix[pa * n:(pa + 1) * n, 0:n]
+    return comps
+
+
+def octonionic_residual(matrix: np.ndarray) -> float:
+    """Max-norm distance from ``matrix`` to the real form its blocks imply."""
+    return float(np.max(np.abs(matrix - real_form(components_from_real_form(matrix)))))
+
+
+def symm_compatibility_residual_by_pair(components: np.ndarray) -> float:
+    """Worst scaled residual of M^A (M^0)^-1 M^B == M^B (M^0)^-1 M^A, one
+    label pair at a time, each scaled by 1 + |M^A| |M^B|."""
+    m0_inv = np.linalg.inv(components[0])
+    worst = 0.0
+    for a in range(8):
+        for b in range(a + 1, 8):
+            lhs = components[a] @ m0_inv @ components[b]
+            rhs = components[b] @ m0_inv @ components[a]
+            scale = 1.0 + np.linalg.norm(components[a]) * np.linalg.norm(components[b])
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def test_table_structure_suite():
 
 
 def test_sign_identities_exhaustive():
-    report = algebra.check_sign_identities(extended=True)
+    report = algebra.check_sign_identities()
     assert report.passed
     # 64 + 64 pairs, 448 qualifying triples, 512 qualifying quadruples, theta
     assert report.cases == 64 + 64 + 448 + 512 + 1

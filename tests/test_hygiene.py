@@ -1,8 +1,12 @@
-"""Source hygiene: every name a module imports is used by that module, and
-every exception the package raises is one of its own typed errors."""
+"""Source hygiene: every name a module imports is used by that module, every
+module-level private name is read by its module, every exception the package
+raises is one of its own typed errors, and importing the CLI stays cheap."""
 
 import ast
 import builtins
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +31,25 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def unread_private_names(source: str) -> list[str]:
+    """Module-level ``_name`` definitions that the module never loads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node.lineno
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in loaded)
+
+
 def builtin_raises(source: str) -> list[str]:
     """``raise`` statements whose exception is a builtin class, called or not."""
     found = []
@@ -47,6 +70,23 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text()) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_builtin_exceptions_raised(path):
     assert builtin_raises(path.read_text()) == []
+
+
+def test_cli_import_stays_numpy_only():
+    """Every CLI invocation pays for the import: scipy and hypothesis stay out."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH"))))
+    code = ("import sys, octodyson.cli; "
+            "print(sorted({'scipy', 'hypothesis'} & {m.split('.')[0] for m in sys.modules}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

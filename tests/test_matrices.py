@@ -13,8 +13,6 @@ from octodyson import (
     SimulationConfig,
     SingularBase,
     SingularCore,
-    components_from_real_form,
-    is_octonionic,
     oct_inverse,
     real_form,
     resolvent,
@@ -29,12 +27,17 @@ from octodyson.matrices import (
     dim3_counterexample,
     fd_logdet_gradient,
     logdet_gradient,
-    octonionic_residual,
     off_spectrum_points,
+    symm_compatibility_residual,
     trace_identity_residuals,
 )
 
-from oracles import reference_real_form
+from oracles import (
+    components_from_real_form,
+    octonionic_residual,
+    reference_real_form,
+    symm_compatibility_residual_by_pair,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -101,20 +104,17 @@ def test_component_extraction_roundtrip():
         rf = m.real_form()
         np.testing.assert_array_equal(components_from_real_form(rf), m.components)
         assert octonionic_residual(rf) == 0.0
-        assert is_octonionic(rf)
 
 
 def test_is_octonionic_rejects_generic_symmetric():
     g = RNG.standard_normal((16, 16))
     g = g + g.T
-    assert not is_octonionic(g)
-    with pytest.raises(InvalidArgument):
-        is_octonionic(RNG.standard_normal((12, 12)))
+    assert octonionic_residual(g) > 1e-10
 
 
 def test_is_octonionic_identity():
-    assert is_octonionic(np.eye(16))
-    assert is_octonionic(np.eye(24))
+    assert octonionic_residual(np.eye(16)) == 0.0
+    assert octonionic_residual(np.eye(24)) == 0.0
 
 
 def test_oct_inverse_scalar_multiple():
@@ -176,21 +176,56 @@ def test_oct_inverse_error_paths():
         oct_inverse(OctonionicMatrix(comps))
 
 
+def _incompatible_stack(rng, n=3):
+    """Symmetric scalar part and generic antisymmetric parts: violates (*)."""
+    comps = rng.standard_normal((8, n, n))
+    comps[0] = comps[0] + comps[0].T + 4.0 * n * np.eye(n)
+    comps[1:] = comps[1:] - comps[1:].transpose(0, 2, 1)
+    return OctonionicMatrix(comps)
+
+
+def spectral_shift(m):
+    return float(np.max(np.abs(m.eigenvalues))) + 1.5
+
+
+@pytest.mark.parametrize("kind,n", [("a", 2), ("b", 2), ("b", 8), ("b", 48)])
+def test_compatibility_residual_matches_pair_loop(kind, n):
+    for index in range(3):
+        m = draw(kind, n=n, seed=17, index=index)
+        for shifted in (m, m.shifted(spectral_shift(m))):
+            got = symm_compatibility_residual(shifted)
+            want = symm_compatibility_residual_by_pair(shifted.components)
+            assert got < 1e-10
+            assert abs(got - want) <= 1e-14
+    bad = _incompatible_stack(np.random.default_rng(n))
+    got = symm_compatibility_residual(bad)
+    want = symm_compatibility_residual_by_pair(bad.components)
+    assert got > 1e-3
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_resolvent_rejects_incompatible_matrix():
+    m = _incompatible_stack(np.random.default_rng(3))
+    with pytest.raises(NotSymmCompatible):
+        resolvent(m, spectral_shift(m))
+
+
 def test_resolvent_of_zero_matrix():
     m = OctonionicMatrix.zero(2)
     res = resolvent(m, -1.0)
-    np.testing.assert_allclose(res.dense, np.eye(16), atol=1e-14)
-    assert res.components is not None and res.oct_residual < 1e-14
+    np.testing.assert_allclose(res.real_form(), np.eye(16), atol=1e-14)
+    ev = CharPolyEval.from_eigenvalues(m.eigenvalues, -1.0)
+    assert abs(8.0 * np.trace(res.components[0]) + ev.dlog) < 1e-14
 
 
 def test_resolvent_trace_and_structure():
     m = draw("a", index=3)
     res = resolvent(m, 4.5)
-    assert res.components is not None
-    assert abs(res.trace - 8.0 * np.trace(res.components[0])) < 1e-10
-    assert res.oct_residual < 1e-12
+    dense = np.linalg.inv(m.real_form() - 4.5 * np.eye(16))
+    np.testing.assert_allclose(res.real_form(), dense, rtol=0, atol=1e-12)
+    trace = 8.0 * float(np.trace(res.components[0]))
     ev = CharPolyEval.from_eigenvalues(m.eigenvalues, 4.5)
-    assert abs(res.trace + ev.dlog) < 1e-9 * (1 + abs(res.trace))
+    assert abs(trace + ev.dlog) < 1e-9 * (1 + abs(trace))
 
 
 def test_non_symmetric_components_rejected():

@@ -319,3 +319,16 @@ def test_gap_statistics_matches_replicate_loop():
     want = reference_gap_statistics(equal, 100, simulate.BOOTSTRAP_SEED)
     assert got.stderr == np.inf
     np.testing.assert_equal(dataclasses.astuple(got), dataclasses.astuple(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 101, 150, 19_999, 20_000])
+def test_bootstrap_block_draw_matches_row_draws(n):
+    """One (rows, n) integer draw gives the indices of ``rows`` draws of n,
+    and leaves the counter generator in the same state."""
+    rows = 64
+    by_row = np.random.Generator(np.random.Philox(key=5))
+    block = np.random.Generator(np.random.Philox(key=5))
+    want = np.array([by_row.integers(0, n, n) for _ in range(rows)])
+    got = block.integers(0, n, (rows, n))
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_equal(block.bit_generator.state, by_row.bit_generator.state)
