@@ -46,6 +46,10 @@ SYMM_TOL = 1e-10
 COND_LIMIT = 1e12
 #: Label pairs A < B of the compatibility condition.
 _LABEL_PAIRS = np.triu_indices(8, 1)
+#: Step of the central differences of log det.
+FD_STEP = 1e-5
+#: Tolerance of the dimension-2 trace identities.
+DIM2_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,15 +64,15 @@ class OctonionicMatrix:
     Raises
     ------
     InvalidArgument
-        If the components do not have shape (8, n, n).
+        If the components do not have shape (8, n, n) with n >= 1.
     """
 
     components: np.ndarray
 
     def __post_init__(self):
         comps = np.array(self.components, dtype=np.float64)
-        if comps.ndim != 3 or comps.shape[0] != 8 or comps.shape[1] != comps.shape[2]:
-            raise InvalidArgument(f"components must have shape (8, n, n), got {comps.shape}")
+        if comps.ndim != 3 or comps.shape[0] != 8 or not 0 < comps.shape[1] == comps.shape[2]:
+            raise InvalidArgument(f"components need shape (8, n, n), n >= 1, got {comps.shape}")
         comps.setflags(write=False)
         object.__setattr__(self, "components", comps)
 
@@ -163,23 +167,25 @@ def real_form(components: np.ndarray) -> np.ndarray:
     return np.take(np.concatenate((flat, -flat), axis=-1), _real_form_source(n), axis=-1)
 
 
+def _compatibility(comps: np.ndarray, m0_inv: np.ndarray) -> tuple[float, np.ndarray]:
+    """Worst residual of (*), and the products M^A (M^0)^-1 M^B it is read from."""
+    prod = (comps @ m0_inv)[:, None] @ comps
+    a, b = _LABEL_PAIRS
+    diff = np.abs(prod[a, b] - prod[b, a]).max(axis=(1, 2))
+    norms = np.linalg.norm(comps, axis=(1, 2))
+    return float(np.max(diff / (1.0 + norms[a] * norms[b]))), prod
+
+
 def symm_compatibility_residual(m: OctonionicMatrix) -> float:
     """Worst scaled residual of the compatibility condition (*).
 
     Each pair (A, B) is scaled by ``1 + |M^A| |M^B|`` so the returned value
-    is comparable against a fixed tolerance.  The 28 pairs A < B are
-    evaluated as one stacked product.
+    is comparable against a fixed tolerance.
     """
-    comps = m.components
     try:
-        m0_inv = np.linalg.inv(comps[0])
+        return _compatibility(m.components, np.linalg.inv(m.components[0]))[0]
     except np.linalg.LinAlgError as exc:
         raise SingularBase("scalar component is singular") from exc
-    a, b = _LABEL_PAIRS
-    left = comps @ m0_inv
-    diff = np.abs(left[a] @ comps[b] - left[b] @ comps[a]).max(axis=(1, 2))
-    norms = np.linalg.norm(comps, axis=(1, 2))
-    return float(np.max(diff / (1.0 + norms[a] * norms[b])))
 
 
 def oct_inverse(m: OctonionicMatrix) -> OctonionicMatrix:
@@ -192,6 +198,9 @@ def oct_inverse(m: OctonionicMatrix) -> OctonionicMatrix:
         N^0 = (sum_C M^C (M^0)^-1 M^C)^-1,
         N^A = -N^0 M^A (M^0)^-1              for A != 0.
 
+    M^0 is inverted once; one stacked product serves both the residual of
+    (*) and the core sum, and one more gives the seven N^A.
+
     Raises
     ------
     SingularBase, NotSymmCompatible, SingularCore
@@ -201,22 +210,15 @@ def oct_inverse(m: OctonionicMatrix) -> OctonionicMatrix:
         raise SingularBase("scalar component is singular or near-singular")
     m0_inv = np.linalg.inv(comps[0])
 
-    worst = symm_compatibility_residual(m)
+    worst, prod = _compatibility(comps, m0_inv)
     if worst > SYMM_TOL:
         raise NotSymmCompatible(f"compatibility residual {worst:.3e} exceeds {SYMM_TOL:.1e}")
 
-    core = np.zeros_like(comps[0])
-    for c in range(8):
-        core += comps[c] @ m0_inv @ comps[c]
+    core = sum(prod[c, c] for c in range(8))
     if np.linalg.cond(core) > COND_LIMIT:
         raise SingularCore("core sum is singular or near-singular")
     n0 = np.linalg.inv(core)
-
-    out = np.empty_like(comps)
-    out[0] = n0
-    for a in range(1, 8):
-        out[a] = -n0 @ comps[a] @ m0_inv
-    return OctonionicMatrix(out)
+    return OctonionicMatrix(np.concatenate((n0[None], -n0 @ comps[1:] @ m0_inv)))
 
 
 def spectral_radius(eigenvalues: np.ndarray) -> float:
@@ -301,7 +303,7 @@ class CharPolyEval:
 # trace identities of resolvent components
 
 
-def _rel(lhs: float, rhs: float) -> float:
+def _rel(lhs, rhs):
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
@@ -331,23 +333,18 @@ def trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) -> dict[st
     res: dict[str, float] = {}
     res["full-trace"] = _rel(trace_x, 8.0 * float(np.trace(ucx[0])))
 
-    worst = 0.0
-    for f in range(8):
-        lhs = float(np.sum(ucx[f] * ucy[f]))
-        rhs = SIGN_TABLE[f, f] * float(np.trace(ucx[f] @ ucy[f]))
-        worst = max(worst, _rel(lhs, rhs))
-    res["transpose-pairing"] = worst
+    # sign(C, C) tr[U^C(x) U^C(y)], one stacked product for all eight C
+    signed = CONJUGATION_SIGNS * np.trace(ucx @ ucy, axis1=1, axis2=2)
+    res["transpose-pairing"] = float(np.max(_rel(np.sum(ucx * ucy, axis=(1, 2)), signed)))
 
-    cross_trace = float(np.trace(dx @ dy))
-    comp_sum = 8.0 * sum(
-        SIGN_TABLE[c, c] * float(np.trace(ucx[c] @ ucy[c])) for c in range(8)
-    )
-    res["product-trace"] = _rel(cross_trace, comp_sum)
+    # tr(dx dy) = sum_ij dx_ij dy_ji, so no 8n x 8n product is formed
+    cross_trace = float(np.sum(dx * dy.T))
+    res["product-trace"] = _rel(cross_trace, 8.0 * sum(signed.tolist()))
 
     px = CharPolyEval.from_eigenvalues(m.eigenvalues, x)
     py = CharPolyEval.from_eigenvalues(m.eigenvalues, y)
     res["dlog"] = _rel(trace_x, -px.dlog)
-    res["sq"] = _rel(float(np.trace(dx @ dx)), px.curvature)
+    res["sq"] = _rel(float(np.sum(dx * dx.T)), px.curvature)
     res["cross"] = _rel(cross_trace, (px.dlog - py.dlog) / (y - x))
     return res
 
@@ -367,38 +364,33 @@ def logdet_hessian(matrix: np.ndarray) -> np.ndarray:
     return -np.einsum("jk,li->ijkl", inv, inv)
 
 
-def _logdet(matrix: np.ndarray) -> float:
-    # log|det|: the derivative formulas hold wherever det != 0, either sign
-    return float(np.linalg.slogdet(matrix)[1])
-
-
-def fd_logdet_gradient(matrix: np.ndarray, h: float = 1e-5) -> np.ndarray:
+def _central_differences(fn, matrix: np.ndarray) -> np.ndarray:
+    """(fn(R + h E_kl) - fn(R - h E_kl)) / 2h for every entry (k, l), with
+    h = FD_STEP and ``fn`` called once on the stack of all 2 n^2 points."""
     n = matrix.shape[0]
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            up = matrix.copy(); up[i, j] += h
-            dn = matrix.copy(); dn[i, j] -= h
-            out[i, j] = (_logdet(up) - _logdet(dn)) / (2 * h)
-    return out
+    k, l = np.indices((n, n))
+    stack = np.broadcast_to(matrix, (2, n, n, n, n)).copy()
+    stack[0, k, l, k, l] += FD_STEP
+    stack[1, k, l, k, l] -= FD_STEP
+    out = fn(stack)
+    return (out[0] - out[1]) / (2 * FD_STEP)
 
 
-def fd_logdet_hessian(matrix: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central differences of the analytic gradient.
+def fd_logdet_gradient(matrix: np.ndarray) -> np.ndarray:
+    """Central differences of log|det|, either sign of det, from one stacked ``slogdet``."""
+    return _central_differences(lambda stack: np.linalg.slogdet(stack)[1], matrix)
+
+
+def fd_logdet_hessian(matrix: np.ndarray) -> np.ndarray:
+    """Central differences of the analytic gradient, from one stacked ``inv``.
 
     The pure double stencil on log det has a roundoff floor of eps/h^2
     (about 1e-6 relative at h = 1e-5), too coarse to certify a 1e-5
     tolerance; differencing the gradient, itself validated against pure
     log-det differences, keeps the noise at eps/h.
     """
-    n = matrix.shape[0]
-    out = np.empty((n, n, n, n))
-    for k in range(n):
-        for l in range(n):
-            up = matrix.copy(); up[k, l] += h
-            dn = matrix.copy(); dn[k, l] -= h
-            out[:, :, k, l] = (logdet_gradient(up) - logdet_gradient(dn)) / (2 * h)
-    return out
+    # [k, l, j, i] -> [i, j, k, l]: the gradient is the transposed inverse
+    return np.ascontiguousarray(_central_differences(np.linalg.inv, matrix).transpose(3, 2, 0, 1))
 
 
 def check_logdet_derivatives(count: int = 100, seed: int = 3) -> IdentityReport:
@@ -432,8 +424,17 @@ def check_logdet_derivatives(count: int = 100, seed: int = 3) -> IdentityReport:
 # dimension-2 trace identities and their higher-dimension obstruction
 
 
-def check_dim2_identities(trials: int = 1_000, seed: int = 4,
-                          tol: float = 1e-10) -> IdentityReport:
+def _dim2_trace_residuals(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
+    """One draw's resolvent-component residuals, one stacked product per trace."""
+    a0 = ANTISYM_UNIT_2
+    t_xa, t_ya, t_xy, t_xx, t_xaxa = (np.trace(p, axis1=1, axis2=2) for p in (
+        ux @ a0, uy @ a0, ux @ uy, ux @ ux, ux @ a0 @ ux @ a0))
+    return np.concatenate((_rel(t_xa[1:] * t_ya[1:], -2.0 * t_xy[1:]),
+                           _rel(t_xaxa[1:], -t_xx[1:]),
+                           [_rel(t_xaxa[0], t_xx[0] - np.trace(ux[0]) ** 2)]))
+
+
+def check_dim2_identities(trials: int = 1_000, seed: int = 4) -> IdentityReport:
     """Trace identities special to 2x2 matrices, on random structured draws.
 
     With ``A0`` the antisymmetric unit and U the resolvent components at two
@@ -443,35 +444,22 @@ def check_dim2_identities(trials: int = 1_000, seed: int = 4,
     * tr(U(x)^C A0 U(x)^C A0)     == -tr((U(x)^C)^2),
     * tr(U^0 A0 U^0 A0)           == tr((U^0)^2) - (tr U^0)^2,
 
-    plus the scalar 2x2 identity tr(M^2) - (tr M)^2 == -2 det(M).  Draws
-    follow the model-a law at t = 1.
+    plus the scalar 2x2 identity tr(M^2) - (tr M)^2 == -2 det(M), each to
+    :data:`DIM2_TOL`.  Draws follow the model-a law at t = 1.
     """
     from .simulate import _draw_increment
 
     rng = np.random.default_rng(seed)
-    a0 = ANTISYM_UNIT_2
     with IdentityReport("dim2-trace-identities", seed=seed).timed() as report:
         for _ in range(trials):
             m = OctonionicMatrix(_draw_increment(rng, "a", 2, 1.0))
             x, y = off_spectrum_points(m.eigenvalues, rng, 2)
-            ux = resolvent(m, float(x)).components
-            uy = resolvent(m, float(y)).components
-            for c in range(1, 8):
-                report.record(_rel(
-                    float(np.trace(ux[c] @ a0)) * float(np.trace(uy[c] @ a0)),
-                    -2.0 * float(np.trace(ux[c] @ uy[c])),
-                ), tol)
-                report.record(_rel(
-                    float(np.trace(ux[c] @ a0 @ ux[c] @ a0)),
-                    -float(np.trace(ux[c] @ ux[c])),
-                ), tol)
-            report.record(_rel(
-                float(np.trace(ux[0] @ a0 @ ux[0] @ a0)),
-                float(np.trace(ux[0] @ ux[0])) - float(np.trace(ux[0])) ** 2,
-            ), tol)
+            report.record_all(_dim2_trace_residuals(resolvent(m, float(x)).components,
+                                                    resolvent(m, float(y)).components),
+                              DIM2_TOL)
             mm = rng.standard_normal((2, 2))
             report.record(_rel(float(np.trace(mm @ mm)) - float(np.trace(mm)) ** 2,
-                               -2.0 * float(np.linalg.det(mm))), tol)
+                               -2.0 * float(np.linalg.det(mm))), DIM2_TOL)
     return report
 
 

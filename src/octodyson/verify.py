@@ -22,14 +22,19 @@ from .matrices import oct_inverse, separated_shifts, trace_identity_residuals
 from .reporting import IdentityReport
 from .simulate import SimulationConfig, sample_matrix
 
+#: Suite tolerances, and the condition number above which the round trip redraws.
+CLOSED_FORM_TOL = 1e-8
+TRACE_TOL = 1e-9
+ROUNDTRIP_TOL = 1e-9
+ROUNDTRIP_COND_LIMIT = 1e8
+
 
 def _draw(kind: str, n: int, seed: int, index: int):
     cfg = SimulationConfig(kind=kind, n=n, t=1.0, samples=1, seed=seed)
     return sample_matrix(cfg, index)
 
 
-def check_closed_forms(model: DiffusionModel, trials: int = 100, seed: int = 0,
-                       tol: float = 1e-8) -> IdentityReport:
+def check_closed_forms(model: DiffusionModel, trials: int = 100, seed: int = 0) -> IdentityReport:
     """Quadruple-sum evaluations vs the model closed forms.
 
     Per draw: the carre du champ of (log p(x), log p(y)) against
@@ -49,9 +54,9 @@ def check_closed_forms(model: DiffusionModel, trials: int = 100, seed: int = 0,
 
             gam = gamma_log_charpoly(m, x, y, model)
             closed = gamma_closed_form(px, py)
-            report.record(abs(gam - closed) / abs(closed), tol)
+            report.record(abs(gam - closed) / abs(closed), CLOSED_FORM_TOL)
             gam_sym = gamma_log_charpoly(m, y, x, model)
-            report.record(abs(gam - gam_sym) / (1.0 + abs(gam)), tol)
+            report.record(abs(gam - gam_sym) / (1.0 + abs(gam)), CLOSED_FORM_TOL)
 
             gen = generator_log_charpoly(m, x, model)
             closed_gen = generator_closed_form(px, model)
@@ -59,12 +64,12 @@ def check_closed_forms(model: DiffusionModel, trials: int = 100, seed: int = 0,
                 scale = 3.0 * abs(px.curvature) + 0.5 * px.dlog ** 2
             else:
                 scale = abs(closed_gen)
-            report.record(abs(gen - closed_gen) / max(abs(closed_gen), 1e-3 * scale), tol)
+            report.record(abs(gen - closed_gen) / max(abs(closed_gen), 1e-3 * scale),
+                          CLOSED_FORM_TOL)
     return report
 
 
-def check_trace_identities(kind: str, n: int, trials: int = 50, seed: int = 0,
-                           tol: float = 1e-9) -> IdentityReport:
+def check_trace_identities(kind: str, n: int, trials: int = 50, seed: int = 0) -> IdentityReport:
     """Component-trace and charpoly-trace identities on random draws."""
     rng = np.random.default_rng(seed)
     with IdentityReport(f"trace-identities-model-{kind}-n{n}", seed=seed).timed() as report:
@@ -72,15 +77,15 @@ def check_trace_identities(kind: str, n: int, trials: int = 50, seed: int = 0,
             m = _draw(kind, n, seed, i)
             x, y = separated_shifts(m.eigenvalues, rng)
             for r in trace_identity_residuals(m, float(x), float(y)).values():
-                report.record(r, tol)
+                report.record(r, TRACE_TOL)
     return report
 
 
-def check_inverse_roundtrip(kind: str, n: int, trials: int = 1000, seed: int = 0,
-                            tol: float = 1e-9, cond_limit: float = 1e8) -> IdentityReport:
+def check_inverse_roundtrip(kind: str, n: int, trials: int = 1000,
+                            seed: int = 0) -> IdentityReport:
     """Structured inverse against the identity: |rf(N) rf(M) - Id|_inf.
 
-    Ill-conditioned draws (real-form condition number above ``cond_limit``)
+    Draws of real-form condition number above :data:`ROUNDTRIP_COND_LIMIT`
     are redrawn so the tolerance measures algebra, not float pathology.  The
     real form is symmetric, so its 2-norm condition number is
     max|lam| / min|lam| over the cached spectrum.
@@ -95,12 +100,12 @@ def check_inverse_roundtrip(kind: str, n: int, trials: int = 1000, seed: int = 0
             m = _draw(kind, n, seed, index)
             index += 1
             moduli = np.abs(m.eigenvalues)
-            if moduli.max() > cond_limit * moduli.min():
+            if moduli.max() > ROUNDTRIP_COND_LIMIT * moduli.min():
                 continue
             try:
                 inv = oct_inverse(m)
             except Error:
                 continue
             product = inv.real_form() @ m.real_form()
-            report.record(float(np.max(np.abs(product - np.eye(8 * n)))), tol)
+            report.record(float(np.max(np.abs(product - np.eye(8 * n)))), ROUNDTRIP_TOL)
     return report

@@ -5,9 +5,12 @@ code it checks: quadruple sums from the raw entry-level covariance tensor,
 moment ratios from quadrature, gap laws from a rejection sampler, 2x2
 spectra from the explicit quadratic formula, components read back off the
 blocks of a real form, and the compatibility condition pair by pair.  The
-reference constructions at the end are the straightforward loop forms of the
-sampler's hot path (one matrix and one triangle at a time); the vectorised
-library code must reproduce them bit for bit.
+reference constructions at the end are the straightforward forms of the hot
+paths: the sampler one matrix and one triangle at a time, the octonion
+product as the dense contraction with the structure tensor, the structured
+inverse with its three factorisations of M^0, and the finite differences and
+dimension-2 traces one entry or component at a time.  The vectorised library
+code must reproduce them bit for bit.
 """
 
 import math
@@ -16,7 +19,16 @@ import numpy as np
 
 from octodyson.algebra import CANONICAL_LABELS, SIGN_TABLE
 from octodyson.calculus import MODEL_B_ANTISYM_RATE
-from octodyson.matrices import real_form
+from octodyson.errors import NotSymmCompatible, SingularBase, SingularCore
+from octodyson.matrices import (
+    ANTISYM_UNIT_2,
+    COND_LIMIT,
+    FD_STEP,
+    SYMM_TOL,
+    OctonionicMatrix,
+    logdet_gradient,
+    real_form,
+)
 from octodyson.simulate import GapStatistics, implied_beta
 
 
@@ -210,3 +222,109 @@ def reference_gap_statistics(samples, bootstrap: int, bootstrap_seed: int) -> Ga
     return GapStatistics(count=n, moment2=m2, moment4=m4, ratio=m4 / (m2 * m2),
                          implied_beta=implied_beta(m4 / (m2 * m2)),
                          stderr=float(np.std(betas)) if np.isfinite(betas).all() else math.inf)
+
+
+def einsum_multiplier(table: np.ndarray):
+    """The algebra product of ``table`` as the dense contraction with its
+    float structure tensor T[a, b, a^b] = sign(a, b)."""
+    tensor = np.zeros((8, 8, 8))
+    for a in range(8):
+        for b in range(8):
+            tensor[a, b, a ^ b] = table[a, b]
+
+    def product(x, y):
+        return np.einsum("...a,...b,abk->...k", x, y, tensor)
+
+    return product
+
+
+def _reference_symm_residual(m: OctonionicMatrix) -> float:
+    comps = m.components
+    try:
+        m0_inv = np.linalg.inv(comps[0])
+    except np.linalg.LinAlgError as exc:
+        raise SingularBase("scalar component is singular") from exc
+    a, b = np.triu_indices(8, 1)
+    left = comps @ m0_inv
+    diff = np.abs(left[a] @ comps[b] - left[b] @ comps[a]).max(axis=(1, 2))
+    norms = np.linalg.norm(comps, axis=(1, 2))
+    return float(np.max(diff / (1.0 + norms[a] * norms[b])))
+
+
+def reference_oct_inverse(m: OctonionicMatrix) -> OctonionicMatrix:
+    """Structured inverse with M^0 factored three times (condition number,
+    inverse, and the inverse inside the compatibility residual) and each
+    component product formed on its own."""
+    comps = m.components
+    if np.linalg.cond(comps[0]) > COND_LIMIT:
+        raise SingularBase("scalar component is singular or near-singular")
+    m0_inv = np.linalg.inv(comps[0])
+
+    worst = _reference_symm_residual(m)
+    if worst > SYMM_TOL:
+        raise NotSymmCompatible(f"compatibility residual {worst:.3e} exceeds {SYMM_TOL:.1e}")
+
+    core = np.zeros_like(comps[0])
+    for c in range(8):
+        core += comps[c] @ m0_inv @ comps[c]
+    if np.linalg.cond(core) > COND_LIMIT:
+        raise SingularCore("core sum is singular or near-singular")
+    n0 = np.linalg.inv(core)
+
+    out = np.empty_like(comps)
+    out[0] = n0
+    for a in range(1, 8):
+        out[a] = -n0 @ comps[a] @ m0_inv
+    return OctonionicMatrix(out)
+
+
+def reference_fd_logdet_gradient(matrix: np.ndarray) -> np.ndarray:
+    """Central differences of log|det|, one perturbed entry at a time."""
+    h = FD_STEP
+    n = matrix.shape[0]
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            up = matrix.copy(); up[i, j] += h
+            dn = matrix.copy(); dn[i, j] -= h
+            out[i, j] = (float(np.linalg.slogdet(up)[1])
+                         - float(np.linalg.slogdet(dn)[1])) / (2 * h)
+    return out
+
+
+def reference_fd_logdet_hessian(matrix: np.ndarray) -> np.ndarray:
+    """Central differences of the analytic gradient, one entry at a time."""
+    h = FD_STEP
+    n = matrix.shape[0]
+    out = np.empty((n, n, n, n))
+    for k in range(n):
+        for l in range(n):
+            up = matrix.copy(); up[k, l] += h
+            dn = matrix.copy(); dn[k, l] -= h
+            out[:, :, k, l] = (logdet_gradient(up) - logdet_gradient(dn)) / (2 * h)
+    return out
+
+
+def _rel(lhs: float, rhs: float) -> float:
+    return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+
+
+def reference_dim2_trace_residuals(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
+    """The dimension-2 resolvent-component residuals one component at a
+    time: the pairing identity for C = 1..7, the square identity for
+    C = 1..7, then the scalar identity."""
+    a0 = ANTISYM_UNIT_2
+    pairing, square = [], []
+    for c in range(1, 8):
+        pairing.append(_rel(float(np.trace(ux[c] @ a0)) * float(np.trace(uy[c] @ a0)),
+                            -2.0 * float(np.trace(ux[c] @ uy[c]))))
+        square.append(_rel(float(np.trace(ux[c] @ a0 @ ux[c] @ a0)),
+                           -float(np.trace(ux[c] @ ux[c]))))
+    scalar = _rel(float(np.trace(ux[0] @ a0 @ ux[0] @ a0)),
+                  float(np.trace(ux[0] @ ux[0])) - float(np.trace(ux[0])) ** 2)
+    return np.array(pairing + square + [scalar])
+
+
+def reference_trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """tr(a b) from the formed product."""
+    return float(np.trace(a @ b))

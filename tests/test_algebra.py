@@ -23,7 +23,10 @@ from octodyson.algebra import (
     norm,
     sign,
     subset_label,
+    tampered_table,
 )
+
+from oracles import einsum_multiplier
 
 L1 = subset_label([1])
 L2 = subset_label([2])
@@ -100,6 +103,28 @@ def test_mul_batched_matches_scalar():
     batched = mul(xs, ys)
     for i in range(20):
         np.testing.assert_allclose(batched[i], mul(xs[i], ys[i]), atol=1e-14)
+
+
+@pytest.mark.parametrize("tamper", [False, True], ids=["genuine", "tampered"])
+@pytest.mark.parametrize("shape_x,shape_y", [((8,), (500, 8)), ((500, 8), (500, 8))],
+                         ids=["8xN8", "N8xN8"])
+def test_product_matches_dense_contraction(tamper, shape_x, shape_y):
+    """The signed gather gives the dense contraction's bits, signed zeros
+    included, in a C-ordered array."""
+    table = tampered_table() if tamper else SIGN_TABLE
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal(shape_x)
+    y = rng.standard_normal(shape_y)
+    # zero coordinates of both signs make some output entries signed zeros
+    x[..., 2] = -0.0
+    y[..., 5] = 0.0
+    y[:40] = -0.0
+    got = (algebra._multiplier(table) if tamper else mul)(x, y)
+    want = einsum_multiplier(table)(x, y)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert (want == 0.0).any()
 
 
 @settings(max_examples=200)

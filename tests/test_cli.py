@@ -6,11 +6,19 @@ import json
 import numpy as np
 import pytest
 
-from octodyson import cli, simulate
+from octodyson import algebra, cli, matrices, simulate, verify
 from octodyson.cli import main
 from octodyson.reporting import fmt17, write_spectrum_csv, write_stats_json
 
-from oracles import reference_gap_statistics, reference_real_form
+from oracles import (
+    einsum_multiplier,
+    reference_dim2_trace_residuals,
+    reference_fd_logdet_gradient,
+    reference_fd_logdet_hessian,
+    reference_gap_statistics,
+    reference_oct_inverse,
+    reference_real_form,
+)
 
 
 def run(capsys, *argv):
@@ -233,3 +241,32 @@ def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples,
             assert stats_path.read_bytes() == (tmp_path / "ref.json").read_bytes()
         else:
             assert not stats_path.exists()
+
+
+def _suite_json(capsys, argv):
+    """Exit code and JSON report of one run, without the timings."""
+    code, out = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    for report in payload["reports"]:
+        del report["elapsed_ms"]
+    return code, payload
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-algebra", "--trials", "400", "--norm-pairs", "3000", "--seed", "3"],
+    ["verify-algebra", "--trials", "400", "--norm-pairs", "3000", "--seed", "3", "--tamper"],
+    ["check-dim2", "--trials", "80", "--seed", "2"],
+    ["verify-identities", "--model", "a", "--trials", "15", "--seed", "5"],
+], ids=" ".join)
+def test_suite_json_matches_reference_kernels(argv, capsys, monkeypatch):
+    """The stacked kernels print the JSON of the loop and dense references:
+    the einsum product, the structured inverse with three factorisations of
+    M^0, per-entry finite differences and per-component dimension-2 traces."""
+    got = _suite_json(capsys, argv)
+    monkeypatch.setattr(algebra, "_multiplier", einsum_multiplier)
+    monkeypatch.setattr(matrices, "oct_inverse", reference_oct_inverse)
+    monkeypatch.setattr(verify, "oct_inverse", reference_oct_inverse)
+    monkeypatch.setattr(matrices, "fd_logdet_gradient", reference_fd_logdet_gradient)
+    monkeypatch.setattr(matrices, "fd_logdet_hessian", reference_fd_logdet_hessian)
+    monkeypatch.setattr(matrices, "_dim2_trace_residuals", reference_dim2_trace_residuals)
+    assert _suite_json(capsys, argv) == got

@@ -22,10 +22,12 @@ from octodyson import (
 from octodyson.algebra import CANONICAL_LABELS, subset_label
 from octodyson.matrices import (
     ANTISYM_UNIT_2,
+    _dim2_trace_residuals,
     check_dim2_identities,
     check_logdet_derivatives,
     dim3_counterexample,
     fd_logdet_gradient,
+    fd_logdet_hessian,
     logdet_gradient,
     off_spectrum_points,
     symm_compatibility_residual,
@@ -35,6 +37,10 @@ from octodyson.matrices import (
 from oracles import (
     components_from_real_form,
     octonionic_residual,
+    reference_dim2_trace_residuals,
+    reference_fd_logdet_gradient,
+    reference_fd_logdet_hessian,
+    reference_oct_inverse,
     reference_real_form,
     symm_compatibility_residual_by_pair,
 )
@@ -87,6 +93,13 @@ def test_component_shape_rejected():
             OctonionicMatrix(np.zeros(shape))
         with pytest.raises(InvalidArgument):
             real_form(np.zeros(shape))
+
+
+def test_empty_component_stack_rejected():
+    with pytest.raises(InvalidArgument):
+        OctonionicMatrix(np.zeros((8, 0, 0)))
+    with pytest.raises(InvalidArgument):
+        resolvent(OctonionicMatrix.zero(0), 1.0)
 
 
 def test_real_form_symmetric_for_symmetric_components():
@@ -174,6 +187,37 @@ def test_oct_inverse_error_paths():
     comps[1] = ANTISYM_UNIT_2
     with pytest.raises(SingularCore):
         oct_inverse(OctonionicMatrix(comps))
+
+
+@pytest.mark.parametrize("kind,n,draws", [("a", 2, 6), ("b", 2, 6), ("b", 8, 3), ("b", 48, 1)])
+def test_oct_inverse_matches_three_factorisation_reference(kind, n, draws):
+    """One inverse of M^0 and stacked products give the bits of the
+    reference that factors M^0 three times, shifted and unshifted."""
+    rng = np.random.default_rng(8)
+    for index in range(draws):
+        m = draw(kind, n=n, seed=21, index=index)
+        for mat in (m, m.shifted(float(off_spectrum_points(m.eigenvalues, rng)[0]))):
+            assert np.array_equal(oct_inverse(mat).components,
+                                  reference_oct_inverse(mat).components)
+
+
+def test_oct_inverse_error_paths_match_reference():
+    singular = np.zeros((8, 2, 2))
+    incompatible = np.zeros((8, 3, 3))
+    incompatible[0] = np.eye(3)
+    incompatible[1, 0, 1], incompatible[1, 1, 0] = 1.0, -1.0
+    incompatible[2, 0, 2], incompatible[2, 2, 0] = 1.0, -1.0
+    singular_core = np.zeros((8, 2, 2))
+    singular_core[0] = np.eye(2)
+    singular_core[1] = ANTISYM_UNIT_2
+    for comps, exc in ((singular, SingularBase), (incompatible, NotSymmCompatible),
+                       (singular_core, SingularCore)):
+        m = OctonionicMatrix(comps)
+        with pytest.raises(exc) as want:
+            reference_oct_inverse(m)
+        with pytest.raises(exc) as got:
+            oct_inverse(m)
+        assert str(got.value) == str(want.value)
 
 
 def _incompatible_stack(rng, n=3):
@@ -304,6 +348,14 @@ def test_logdet_gradient_small_case():
                                rtol=0, atol=1e-8)
 
 
+def test_fd_logdet_matches_entry_loops():
+    rng = np.random.default_rng(17)
+    for n in (1, 3, 5, 5):
+        mat = rng.standard_normal((n, n))
+        assert np.array_equal(fd_logdet_gradient(mat), reference_fd_logdet_gradient(mat))
+        assert np.array_equal(fd_logdet_hessian(mat), reference_fd_logdet_hessian(mat))
+
+
 def test_logdet_derivative_suite():
     report = check_logdet_derivatives(count=20, seed=12)
     assert report.passed and report.max_residual < 1e-5
@@ -312,6 +364,17 @@ def test_logdet_derivative_suite():
 def test_dim2_identity_suite():
     report = check_dim2_identities(trials=150, seed=13)
     assert report.passed and report.max_residual < 1e-10
+
+
+def test_dim2_trace_residuals_match_component_loop():
+    rng = np.random.default_rng(19)
+    for index in range(20):
+        m = draw("a", seed=3, index=index)
+        x, y = off_spectrum_points(m.eigenvalues, rng, 2)
+        ux = resolvent(m, float(x)).components
+        uy = resolvent(m, float(y)).components
+        assert np.array_equal(_dim2_trace_residuals(ux, uy),
+                              reference_dim2_trace_residuals(ux, uy))
 
 
 def test_dim2_scalar_identity_on_identity_matrix():
