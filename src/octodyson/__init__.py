@@ -33,7 +33,6 @@ from .calculus import (
     DiffusionModel,
     ExponentProblem,
     MultiplicityResult,
-    exponent_coefficients,
     gamma_closed_form,
     gamma_log_charpoly,
     generator_closed_form,
@@ -64,7 +63,7 @@ from .matrices import (
     real_form,
     resolvent,
 )
-from .reporting import IdentityReport, RunManifest
+from .reporting import IdentityReport
 from .simulate import (
     EulerPath,
     GapStatistics,

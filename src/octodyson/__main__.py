@@ -1,4 +1,6 @@
-from .cli import entry
+import sys
+
+from .cli import main
 
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

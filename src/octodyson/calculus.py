@@ -242,30 +242,6 @@ def measure_coefficients(model: DiffusionModel, matrix: OctonionicMatrix,
     return ExponentProblem(float(a1), float(a2), 0.5 * (a3_first + a3_second))
 
 
-def exponent_coefficients(model: DiffusionModel, seed: int = 0,
-                          tol: float = 1e-6) -> ExponentProblem:
-    """Coefficient triple for a model, cross-checked numerically.
-
-    Returns the stated (a1, a2, a3) after confirming, on a random draw, that
-    the measured values agree to ``tol``.  Raises
-    :class:`~octodyson.errors.VerificationFailure` on mismatch.
-    """
-    from .simulate import SimulationConfig, sample_matrix
-
-    stated = STATED_COEFFICIENTS[model.kind]
-    cfg = SimulationConfig(kind=model.kind, n=model.n, t=1.0, samples=1, seed=seed)
-    matrix = sample_matrix(cfg, 0)
-    measured = measure_coefficients(model, matrix, np.random.default_rng(seed))
-    for name, got, want in (
-        ("alpha1", measured.alpha1, stated.alpha1),
-        ("alpha2", measured.alpha2, stated.alpha2),
-        ("alpha3", measured.alpha3, stated.alpha3),
-    ):
-        if abs(got - want) > tol * (1.0 + abs(want)):
-            raise VerificationFailure(f"measured {name} = {got!r}, expected {want!r}")
-    return stated
-
-
 @dataclass(frozen=True)
 class MultiplicityResult:
     """Roots of the multiplicity quadratic."""

@@ -1,150 +1,143 @@
-"""Command-line interface.
+"""Command-line interface: identity suites, Monte Carlo spectra, exponents.
 
-Subcommands::
-
-    verify-algebra     exhaustive basis-level identity suites
-    verify-identities  closed-form / trace / inverse residual suites
-    sample-spectrum    Monte Carlo spectra: CSV + statistics JSON
-    simulate-path      Euler trajectories with per-step spectra
-    solve-exponents    multiplicity quadratic and invariant-density exponent
-    check-dim2         dimension-2 trace identities and the 3x3 obstruction
-
-Exit code 0 means every suite run by the invocation passed.  Outputs are
-byte-identical for identical (command, seed) regardless of --threads, and
-every output file gets a manifest entry recording its digest.
+Exit code 0 means every suite run by the invocation passed; 2 means a usage
+error, such as a trial count below 1 or model a at n != 2.  With --json,
+stdout is exactly one JSON document.  With --out, every file the command
+writes is recorded with its SHA-256 digest in one manifest,
+<out>.manifest.json.  Outputs are byte-identical for identical (command,
+seed) regardless of --threads.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 
 from . import __version__, algebra, errors
-from .calculus import ExponentProblem, invariant_exponent, model_a, model_b, solve_multiplicity
+from .calculus import DiffusionModel, ExponentProblem, invariant_exponent, solve_multiplicity
 from .errors import InsufficientData, InvalidConfig
 from .matrices import check_dim2_identities, check_logdet_derivatives, dim3_counterexample
-from .reporting import (
-    RunManifest,
-    spectrum_csv_header,
-    spectrum_csv_row,
-    write_spectrum_csv,
-    write_stats_json,
-)
+from .reporting import file_digest, write_spectrum_csv, write_stats_json
 from .simulate import SimulationConfig, euler_path, gap_statistics, sample_spectra
 from .verify import check_closed_forms, check_inverse_roundtrip, check_trace_identities
 
 
-def _add_common(parser: argparse.ArgumentParser, out: bool = False, threads: bool = False):
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
-    parser.add_argument("--json", action="store_true", help="emit a JSON report to stdout")
+def _positive_int(text: str) -> int:
+    """argparse type of a case count: below 1, a suite would pass vacuously."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _command(sub, name: str, func, summary: str, out: bool = True, threads: bool = False,
+             model: bool = False) -> argparse.ArgumentParser:
+    """A subcommand running ``func``, with the options its kind of command shares."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(func=func)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
+    p.add_argument("--json", action="store_true", help="emit a JSON report to stdout")
     if out:
-        parser.add_argument("--out", type=str, default=None, help="output file path")
+        p.add_argument("--out", type=str, default=None, help="output file path")
     if threads:
-        parser.add_argument("--threads", type=int, default=1,
-                            help="worker threads (speed only; output bytes unchanged)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads (speed only; output bytes unchanged)")
+    if model:
+        p.add_argument("--model", choices=("a", "b"), required=True)
+        p.add_argument("--n", type=int, default=2,
+                       help="matrix dimension (default 2, the only one of model a)")
+    return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="octodyson", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-algebra", help="basis-level identity suites")
-    _add_common(p, out=True)
-    p.add_argument("--trials", type=int, default=10_000,
+    p = _command(sub, "verify-algebra", cmd_verify_algebra,
+                 "exhaustive basis-level identity suites")
+    p.add_argument("--trials", type=_positive_int, default=10_000,
                    help="random real triples for the Moufang suite")
-    p.add_argument("--norm-pairs", type=int, default=100_000,
+    p.add_argument("--norm-pairs", type=_positive_int, default=100_000,
                    help="random pairs for norm multiplicativity")
     p.add_argument("--tamper", action="store_true",
                    help="negative control: flip one sign-table cell first")
-    p.set_defaults(func=cmd_verify_algebra)
 
-    p = sub.add_parser("verify-identities", help="closed-form and trace residual suites")
-    _add_common(p, out=True)
-    p.add_argument("--model", choices=("a", "b"), required=True)
-    p.add_argument("--n", type=int, default=None, help="matrix dimension (model b)")
-    p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(func=cmd_verify_identities)
+    p = _command(sub, "verify-identities", cmd_verify_identities,
+                 "closed-form / trace / inverse residual suites", model=True)
+    p.add_argument("--trials", type=_positive_int, default=100)
 
-    p = sub.add_parser("sample-spectrum", help="Monte Carlo spectra and gap statistics")
-    _add_common(p, out=True, threads=True)
-    p.add_argument("--model", choices=("a", "b"), required=True)
-    p.add_argument("--n", type=int, default=None, help="matrix dimension (default 2)")
+    p = _command(sub, "sample-spectrum", cmd_sample_spectrum,
+                 "Monte Carlo spectra: CSV + statistics JSON", threads=True, model=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--cluster-tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_sample_spectrum)
 
-    p = sub.add_parser("simulate-path", help="Euler trajectories with per-step spectra")
-    _add_common(p, out=True)
-    p.add_argument("--model", choices=("a", "b"), required=True)
-    p.add_argument("--n", type=int, default=None, help="matrix dimension (default 2)")
+    p = _command(sub, "simulate-path", cmd_simulate_path,
+                 "Euler trajectories with per-step spectra", model=True)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--paths", type=int, default=10)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--cluster-tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_simulate_path)
 
-    p = sub.add_parser("solve-exponents", help="multiplicity and invariant exponent")
-    _add_common(p)
+    p = _command(sub, "solve-exponents", cmd_solve_exponents,
+                 "multiplicity quadratic and invariant-density exponent", out=False)
     p.add_argument("--alpha1", type=float, required=True)
     p.add_argument("--alpha2", type=float, required=True)
     p.add_argument("--alpha3", type=float, required=True)
-    p.set_defaults(func=cmd_solve_exponents)
 
-    p = sub.add_parser("check-dim2", help="dimension-2 trace identities")
-    _add_common(p, out=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.set_defaults(func=cmd_check_dim2)
+    p = _command(sub, "check-dim2", cmd_check_dim2,
+                 "dimension-2 trace identities and the 3x3 obstruction")
+    p.add_argument("--trials", type=_positive_int, default=1000)
     return parser
 
 
-def _model_dimension(args) -> int:
-    if args.model == "a":
-        return 2
-    return args.n if args.n is not None else 2
+def _finish(args, payload: dict, lines: list[str], writers=(), ok: bool = True) -> int:
+    """The one way a command ends: print ``payload`` as JSON under --json, else
+    ``lines``; under --out, call each ``(suffix, write)`` pair on ``args.out +
+    suffix`` and record every file it wrote in the manifest.  Returns the exit
+    code, 0 when ``ok``."""
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    if getattr(args, "out", None):
+        outputs = {}
+        for suffix, write in writers:
+            path = args.out + suffix
+            write(path)
+            outputs[path] = file_digest(path)
+        config = {k: v for k, v in vars(args).items()
+                  if k not in ("func", "command", "argv") and v is not None}
+        write_stats_json(args.out + ".manifest.json", {
+            "command": args.argv, "config": config, "seed": args.seed,
+            "version": __version__, "outputs": outputs,
+        })
+    return 0 if ok else 1
 
 
-def _emit_reports(args, reports, extra: dict | None = None) -> int:
+def _finish_suites(args, reports, ok: bool = True, **extra) -> int:
+    """End a suite command: its reports, their totals and ``extra``, written as
+    one JSON report under --out; it fails when any case failed or not ``ok``."""
     failures = sum(r.failures for r in reports)
     payload = {
         "reports": [r.to_dict() for r in reports],
         "cases": sum(r.cases for r in reports),
         "failures": failures,
         "passed": failures == 0,
+        **extra,
     }
-    if extra:
-        payload.update(extra)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for r in reports:
-            print(r.summary())
-        for key, value in (extra or {}).items():
-            print(f"{key}: {value}")
-        print(f"total: cases={payload['cases']} failures={failures} "
-              f"{'PASS' if failures == 0 else 'FAIL'}")
-    if getattr(args, "out", None):
-        write_stats_json(args.out, payload)
-        manifest = _manifest(args)
-        manifest.add_output(args.out)
-        manifest.write(args.out + ".manifest.json")
-    return 0 if failures == 0 else 1
-
-
-def _manifest(args) -> RunManifest:
-    config = {
-        k: v for k, v in vars(args).items()
-        if k not in ("func", "command", "argv") and v is not None
-    }
-    return RunManifest(
-        command=list(getattr(args, "argv", [])),
-        config=config,
-        seed=getattr(args, "seed", 0),
-        version=__version__,
-    )
+    lines = [r.summary() for r in reports] + [f"{k}: {v}" for k, v in extra.items()]
+    lines.append(f"total: cases={payload['cases']} failures={failures} "
+                 f"{'PASS' if failures == 0 else 'FAIL'}")
+    return _finish(args, payload, lines, [("", lambda path: write_stats_json(path, payload))],
+                   ok=ok and failures == 0)
 
 
 def cmd_verify_algebra(args) -> int:
@@ -159,108 +152,70 @@ def cmd_verify_algebra(args) -> int:
         algebra.check_imaginary_sum_square(table),
     ]
     witness = algebra.nonassociativity_witness(table)
-    extra = {"nonassociativity_witness": None}
-    if witness is not None:
-        a, b, c = witness
-        extra["nonassociativity_witness"] = [algebra.label_name(x) for x in (a, b, c)]
-    return _emit_reports(args, reports, extra)
+    names = None if witness is None else [algebra.label_name(x) for x in witness]
+    return _finish_suites(args, reports, nonassociativity_witness=names)
 
 
 def cmd_verify_identities(args) -> int:
-    n = _model_dimension(args)
-    model = model_a() if args.model == "a" else model_b(n)
-    if args.trials == 0:
-        print("warning: trials = 0, suites pass vacuously")
+    model = DiffusionModel(args.model, args.n)
     reports = [
         check_closed_forms(model, trials=args.trials, seed=args.seed),
-        check_trace_identities(args.model, n, trials=min(args.trials, 50), seed=args.seed + 1),
-        check_inverse_roundtrip(args.model, n, trials=args.trials, seed=args.seed + 2),
+        check_trace_identities(args.model, args.n, trials=min(args.trials, 50),
+                               seed=args.seed + 1),
+        check_inverse_roundtrip(args.model, args.n, trials=args.trials, seed=args.seed + 2),
         check_logdet_derivatives(count=min(args.trials, 100), seed=args.seed + 3),
     ]
     if args.model == "a":
         reports.append(check_dim2_identities(trials=args.trials, seed=args.seed + 4))
-    return _emit_reports(args, reports)
+    return _finish_suites(args, reports)
 
 
 def cmd_sample_spectrum(args) -> int:
-    n = _model_dimension(args)
-    cfg = SimulationConfig(kind=args.model, n=n, t=args.t, samples=args.samples,
+    cfg = SimulationConfig(kind=args.model, n=args.n, t=args.t, samples=args.samples,
                            seed=args.seed, cluster_tol=args.cluster_tol)
     spectra = sample_spectra(cfg, threads=args.threads)
-    clean = sum(
-        1 for s in spectra
-        if len(s.distinct) == n and all(m == 8 for m in s.multiplicities)
-    )
-    print(f"samples: {len(spectra)}; with {n} clusters of multiplicity 8: {clean}")
-
-    stats_payload = None
-    if n == 2:
-        try:
-            stats = gap_statistics(spectra)
-            stats_payload = {
-                "model": args.model, "n": n, "t": args.t, "samples": args.samples,
-                "moment2": stats.moment2, "moment4": stats.moment4,
-                "ratio": stats.ratio, "implied_beta": stats.implied_beta,
-                "stderr": stats.stderr, "seed": args.seed,
-            }
-            print(f"gap moment ratio: {stats.ratio:.6f}  "
-                  f"implied beta: {stats.implied_beta:.4f} +- {stats.stderr:.4f}")
-        except InsufficientData as exc:
-            print(f"statistics skipped: {exc}")
+    clean = sum(s.multiplicities == (8,) * cfg.n for s in spectra)
+    lines = [f"samples: {len(spectra)}; with {cfg.n} clusters of multiplicity 8: {clean}"]
+    writers = [("", lambda path: write_spectrum_csv(path, spectra, cfg.kind, cfg.n, cfg.t))]
+    stats = None
+    if cfg.n != 2:
+        lines.append("statistics skipped: gap statistics are defined for n = 2")
     else:
-        print("statistics skipped: gap statistics are defined for n = 2")
-
-    if args.out:
-        write_spectrum_csv(args.out, spectra, args.model, n, args.t)
-        manifest = _manifest(args)
-        manifest.add_output(args.out)
-        if stats_payload is not None:
-            stats_path = args.out + ".stats.json"
-            write_stats_json(stats_path, stats_payload)
-            manifest.add_output(stats_path)
-        manifest.write(args.out + ".manifest.json")
-        print(f"wrote {args.out}")
-    if args.json and stats_payload is not None:
-        print(json.dumps(stats_payload, indent=2))
-    return 0 if clean == len(spectra) else 1
+        try:
+            gaps = gap_statistics(spectra)
+        except InsufficientData as exc:
+            lines.append(f"statistics skipped: {exc}")
+        else:
+            stats = {
+                "model": cfg.kind, "n": cfg.n, "t": cfg.t, "samples": cfg.samples,
+                "moment2": gaps.moment2, "moment4": gaps.moment4,
+                "ratio": gaps.ratio, "implied_beta": gaps.implied_beta,
+                "stderr": gaps.stderr, "seed": cfg.seed,
+            }
+            lines.append(f"gap moment ratio: {gaps.ratio:.6f}  "
+                         f"implied beta: {gaps.implied_beta:.4f} +- {gaps.stderr:.4f}")
+            writers.append((".stats.json", lambda path: write_stats_json(path, stats)))
+    return _finish(args, {"samples": len(spectra), "clean": clean, "stats": stats}, lines,
+                   writers, ok=clean == len(spectra))
 
 
 def cmd_simulate_path(args) -> int:
-    n = _model_dimension(args)
-    cfg = SimulationConfig(kind=args.model, n=n, t=args.t, samples=args.paths,
+    cfg = SimulationConfig(kind=args.model, n=args.n, t=args.t, samples=args.paths,
                            seed=args.seed, steps=args.steps, cluster_tol=args.cluster_tol)
-    crossings = 0
-    broken = 0
-    min_gap = float("inf")
-    rows = []
-    for path in range(cfg.samples):
-        result = euler_path(cfg, path)
-        crossings += int(result.crossing_detected)
-        min_gap = min(min_gap, result.min_gap)
-        for step, s in enumerate(result.samples):
-            if len(s.distinct) != n or any(m != 8 for m in s.multiplicities):
-                broken += 1
-            if args.out:
-                rows.append(spectrum_csv_row((path, step), args.model, n, args.t, s))
+    paths = [euler_path(cfg, index) for index in range(cfg.samples)]
+    samples = [s for path in paths for s in path.samples]
+    crossings = sum(path.crossing_detected for path in paths)
+    broken = sum(s.multiplicities != (8,) * cfg.n for s in samples)
     summary = {
         "paths": cfg.samples, "steps": cfg.steps, "crossings": crossings,
-        "steps_with_broken_clusters": broken, "min_gap": min_gap,
+        "steps_with_broken_clusters": broken,
+        "min_gap": min(float("inf"), *(path.min_gap for path in paths)),
     }
-    if args.json:
-        print(json.dumps(summary, indent=2))
-    else:
-        for key, value in summary.items():
-            print(f"{key}: {value}")
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(spectrum_csv_header(("path_id", "step"), n) + "\n")
-            for row in rows:
-                fh.write(row + "\n")
-        manifest = _manifest(args)
-        manifest.add_output(args.out)
-        manifest.write(args.out + ".manifest.json")
-        print(f"wrote {args.out}")
-    return 0 if crossings == 0 and broken == 0 else 1
+    ids = list(itertools.product(range(cfg.samples), range(cfg.steps)))
+    return _finish(args, summary, [f"{k}: {v}" for k, v in summary.items()], [
+        ("", lambda path: write_spectrum_csv(path, samples, cfg.kind, cfg.n, cfg.t,
+                                             ("path_id", "step"), ids)),
+    ], ok=crossings == 0 and broken == 0)
 
 
 def cmd_solve_exponents(args) -> int:
@@ -279,41 +234,31 @@ def cmd_solve_exponents(args) -> int:
         "kappa": kappa,
         "beta": 2.0 * kappa,
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"roots: {result.roots[0]:g}, {result.roots[1]:g}")
-        print(f"a = {result.a:g} ({'positive integer: eigenvalue multiplicity' if result.is_positive_integer else 'not a positive integer'})")
-        print(f"kappa = {kappa:g} (power of the squared Vandermonde)")
-        print(f"beta = {2 * kappa:g} (gap exponent)")
-    return 0
+    multiplicity = ("positive integer: eigenvalue multiplicity" if result.is_positive_integer
+                    else "not a positive integer")
+    return _finish(args, payload, [
+        f"roots: {result.roots[0]:g}, {result.roots[1]:g}",
+        f"a = {result.a:g} ({multiplicity})",
+        f"kappa = {kappa:g} (power of the squared Vandermonde)",
+        f"beta = {2 * kappa:g} (gap exponent)",
+    ])
 
 
 def cmd_check_dim2(args) -> int:
     report = check_dim2_identities(trials=args.trials, seed=args.seed)
     residual = dim3_counterexample()
-    ok = residual > 0.1
-    extra = {
-        "dim3_counterexample_residual": residual,
-        "dim3_obstruction_detected": ok,
-    }
-    code = _emit_reports(args, [report], extra)
-    return code if ok else 1
+    detected = residual > 0.1
+    return _finish_suites(args, [report], ok=detected, dim3_counterexample_residual=residual,
+                          dim3_obstruction_detected=detected)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = list(argv) if argv is not None else sys.argv[1:]
-    if getattr(args, "seed", 0) < 0:
+    if args.seed < 0:
         parser.error("--seed must be a nonnegative integer")
-    if getattr(args, "model", None) == "a" and getattr(args, "n", None) not in (None, 2):
-        parser.error("model 'a' requires n = 2")
     try:
         return args.func(args)
     except InvalidConfig as exc:
         parser.error(str(exc))
-
-
-def entry() -> None:
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Reports, run manifests, and deterministic output writers.
+"""Suite reports and deterministic output writers.
 
 Floats written to CSV use 17 significant digits so that a round-trip through
 the file reproduces the exact double.
@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,34 +89,6 @@ class IdentityReport:
         )
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every generated artifact."""
-
-    command: list[str]
-    config: dict
-    seed: int
-    version: str
-    outputs: dict[str, str] = field(default_factory=dict)
-
-    def add_output(self, path: str) -> None:
-        self.outputs[path] = file_digest(path)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "outputs": self.outputs,
-        }
-
-    def write(self, path: str) -> None:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-
 def file_digest(path: str) -> str:
     """SHA-256 hex digest of a file."""
     h = hashlib.sha256()
@@ -124,13 +96,6 @@ def file_digest(path: str) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def spectrum_csv_header(id_names, n: int) -> str:
-    """Header of a spectrum CSV whose rows start with the ``id_names`` columns."""
-    xs = [f"x{i + 1}" for i in range(n)]
-    ms = [f"mult{i + 1}" for i in range(n)]
-    return ",".join([*id_names, "model", "n", "t", *xs, *ms, "spread"])
 
 
 def spectrum_csv_row(ids, kind: str, n: int, t: float, sample) -> str:
@@ -147,15 +112,24 @@ def spectrum_csv_row(ids, kind: str, n: int, t: float, sample) -> str:
     return ",".join(cells)
 
 
-def write_spectrum_csv(path: str, samples, kind: str, n: int, t: float) -> None:
-    """Write per-sample spectra; byte-deterministic for a fixed sample list."""
+def write_spectrum_csv(path: str, samples, kind: str, n: int, t: float,
+                       id_names=("sample_id",), ids=None) -> None:
+    """Write per-sample spectra, each row led by its integer ``ids`` under the
+    ``id_names`` columns (by default the sample's position); byte-deterministic
+    for a fixed sample list."""
+    if ids is None:
+        ids = ((i,) for i in range(len(samples)))
+    header = [*id_names, "model", "n", "t", *(f"x{i + 1}" for i in range(n)),
+              *(f"mult{i + 1}" for i in range(n)), "spread"]
     with open(path, "w", newline="\n") as fh:
-        fh.write(spectrum_csv_header(("sample_id",), n) + "\n")
-        for i, s in enumerate(samples):
-            fh.write(spectrum_csv_row((i,), kind, n, t, s) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row_ids, s in zip(ids, samples):
+            fh.write(spectrum_csv_row(row_ids, kind, n, t, s) + "\n")
 
 
 def write_stats_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as indented JSON plus a newline: statistics, suite
+    reports and manifests."""
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .calculus import MODEL_B_ANTISYM_RATE
+from .calculus import MODEL_B_ANTISYM_RATE, DiffusionModel
 from .errors import InsufficientData, InvalidArgument, InvalidConfig
 from .matrices import OctonionicMatrix, real_form
 
@@ -46,7 +46,8 @@ BOOTSTRAP_SEED = 0x5EED_B007
 class SimulationConfig:
     """Configuration of one sampling run.
 
-    ``kind`` selects the model ("a" forces ``n == 2``); ``t`` is the time
+    ``kind`` and ``n`` must name a :class:`~octodyson.calculus.DiffusionModel`
+    ("a" forces ``n == 2``), which alone judges them; ``t`` is the time
     horizon of the Brownian entries; ``steps`` is the number of increments
     of an Euler path (:func:`euler_path`; the exact sampler ignores it).
     ``cluster_tol`` is the relative gap threshold separating eigenvalue
@@ -66,12 +67,7 @@ class SimulationConfig:
     cluster_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.kind not in ("a", "b"):
-            raise InvalidConfig(f"kind must be 'a' or 'b', got {self.kind!r}")
-        if self.kind == "a" and self.n != 2:
-            raise InvalidConfig("model 'a' requires n = 2")
-        if self.n < 2:
-            raise InvalidConfig("n must be at least 2")
+        DiffusionModel(self.kind, self.n)
         if self.samples < 1:
             raise InvalidConfig("samples must be >= 1")
         if not self.t > 0:

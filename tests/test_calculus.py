@@ -13,7 +13,6 @@ from octodyson import (
     NoAdmissibleRoot,
     OctonionicMatrix,
     SimulationConfig,
-    exponent_coefficients,
     gamma_closed_form,
     gamma_log_charpoly,
     generator_closed_form,
@@ -160,11 +159,6 @@ def test_measured_coefficients(kind, n):
     assert abs(measured.alpha1 - stated.alpha1) < 1e-6
     assert abs(measured.alpha2 - stated.alpha2) < 1e-6
     assert abs(measured.alpha3 - stated.alpha3) < 1e-6
-
-
-def test_exponent_coefficients_verified():
-    assert exponent_coefficients(model_a(), seed=1) == ExponentProblem(-11.0, 10.5, 8.0)
-    assert exponent_coefficients(model_b(3), seed=2) == ExponentProblem(-8.0, 7.875, 8.0)
 
 
 def test_solve_multiplicity_models():

@@ -62,9 +62,12 @@ def test_verify_identities(capsys):
 
 
 def test_verify_identities_zero_trials_vacuous(capsys):
-    code, out = run(capsys, "verify-identities", "--model", "a", "--trials", "0")
-    assert code == 0
-    assert "vacuously" in out
+    """A trial count below 1 would pass vacuously, so it is a usage error."""
+    for trials in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-identities", "--model", "a", "--trials", trials])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
 
 
 def test_model_a_dimension_usage_error():
@@ -241,6 +244,22 @@ def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples,
             assert stats_path.read_bytes() == (tmp_path / "ref.json").read_bytes()
         else:
             assert not stats_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-algebra", "--trials", "50", "--norm-pairs", "200"],
+    ["verify-identities", "--model", "a", "--trials", "3"],
+    ["sample-spectrum", "--model", "a", "--samples", "300"],
+    ["sample-spectrum", "--model", "b", "--n", "3", "--samples", "20"],
+    ["simulate-path", "--model", "a", "--steps", "5", "--paths", "2"],
+    ["solve-exponents", "--alpha1", "-11", "--alpha2", "10.5", "--alpha3", "8"],
+    ["check-dim2", "--trials", "20"],
+], ids=" ".join)
+def test_json_stdout_is_one_document(argv, tmp_path, capsys):
+    """Under --json stdout parses as one JSON document, also with --out."""
+    json.loads(run(capsys, *argv, "--json")[1])
+    if argv[0] != "solve-exponents":
+        json.loads(run(capsys, *argv, "--json", "--out", str(tmp_path / "out"))[1])
 
 
 def _suite_json(capsys, argv):
