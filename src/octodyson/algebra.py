@@ -10,14 +10,13 @@ where ``sign`` is the hard-coded 8x8 table below and the xor of bitmasks is
 the symmetric difference of the subsets.  A general element is a vector of 8
 real coordinates on this basis, carrying the Euclidean norm.
 
-All basis-level verification suites run in exact +-1 integer arithmetic;
-only checks on real-coefficient elements use floating point, where the
-product is the 8-term gather (xy)_k = sum_a sign(a, a^k) x_a y_{a^k}.
+There is one product, the 8-term gather (xy)_k = sum_a sign(a, a^k) x_a y_{a^k},
+computed in the dtype of its inputs.  On integer one-hot basis stacks it is
+exact, so the basis-level suites check it in +-1 integer arithmetic; on
+real-coefficient elements it runs in floating point.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -58,32 +57,28 @@ CONJUGATION_SIGNS = np.diagonal(SIGN_TABLE).copy()
 CONJUGATION_SIGNS.setflags(write=False)
 
 
-def _structure_tensor(table: np.ndarray) -> np.ndarray:
-    t = np.zeros((8, 8, 8), dtype=np.int64)
-    a, b = np.indices((8, 8))
-    t[a, b, a ^ b] = table
-    return t
-
-
-#: T[a, b, a^b] = sign(a, b), the exact integer reference of the product; the
-#: float product gathers the 64 nonzero cells instead of contracting all 512.
-MUL_TENSOR = _structure_tensor(SIGN_TABLE)
-MUL_TENSOR.setflags(write=False)
-
-
 def _multiplier(table: np.ndarray):
-    """The float product of ``table``: signs sign(a, a^k) gathered once, terms
-    summed over a = 0..7 into C-ordered zeros, so the dense contraction's bits."""
+    """The product of ``table``: integer signs sign(a, a^k) gathered once, terms
+    summed over a = 0..7 into C-ordered zeros of the inputs' dtype, so exact on
+    integers and the dense contraction's bits on floats."""
     xor = np.bitwise_xor.outer(np.arange(8), np.arange(8))  # xor[a, k] = a ^ k
-    signs = table[np.arange(8)[:, None], xor].astype(np.float64)
+    signs = table[np.arange(8)[:, None], xor]
 
     def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y, signs))
+        s = signs.astype(out.dtype)  # float signs keep the float terms in one-dtype loops
         for a in range(8):
-            out += signs[a] * x[..., a, None] * y[..., xor[a]]
+            out += s[a] * x[..., a, None] * y[..., xor[a]]
         return out
 
     return product
+
+
+def _basis_triples() -> tuple[np.ndarray, np.ndarray]:
+    """The 512 label triples (a, b, c) in row-major order, shape (3, 512), and
+    their integer one-hot basis elements, shape (3, 512, 8)."""
+    labels = np.indices((8, 8, 8)).reshape(3, -1)
+    return labels, np.eye(8, dtype=np.int64)[labels]
 
 
 def subset_label(elements) -> int:
@@ -117,12 +112,6 @@ def sign(a: int, b: int) -> int:
     return int(SIGN_TABLE[a, b])
 
 
-def basis_mul(sa: int, a: int, sb: int, b: int, table: np.ndarray | None = None) -> tuple[int, int]:
-    """Exact product of signed basis elements: (sa*w_a)(sb*w_b)."""
-    t = SIGN_TABLE if table is None else table
-    return sa * sb * int(t[a, b]), a ^ b
-
-
 def basis_element(label: int) -> np.ndarray:
     """Coordinate vector of a basis element."""
     x = np.zeros(8)
@@ -149,9 +138,9 @@ def mul(x, y) -> np.ndarray:
     Returns
     -------
     ndarray, shape (..., 8)
+        In the dtype of the inputs: integer coordinates multiply exactly.
     """
-    return _multiplier(SIGN_TABLE)(np.asarray(x, dtype=np.float64),
-                                   np.asarray(y, dtype=np.float64))
+    return _multiplier(SIGN_TABLE)(np.asarray(x), np.asarray(y))
 
 
 def conj(x) -> np.ndarray:
@@ -183,30 +172,34 @@ def tampered_table(a: int = 0b001, b: int = 0b010) -> np.ndarray:
 
 
 def nonassociativity_witness(table: np.ndarray | None = None) -> tuple[int, int, int] | None:
-    """First basis triple with (w_a w_b) w_c != w_a (w_b w_c), or None."""
-    for a, b, c in itertools.product(range(8), repeat=3):
-        lhs = basis_mul(*basis_mul(1, a, 1, b, table), 1, c, table)
-        rhs = basis_mul(1, a, *basis_mul(1, b, 1, c, table), table)
-        if lhs != rhs:
-            return a, b, c
-    return None
+    """First basis triple in row-major order with (w_a w_b) w_c != w_a (w_b w_c),
+    or None."""
+    m = _multiplier(SIGN_TABLE if table is None else table)
+    labels, (x, y, z) = _basis_triples()
+    bad = np.flatnonzero(np.any(m(m(x, y), z) != m(x, m(y, z)), axis=-1))
+    return tuple(int(v) for v in labels[:, bad[0]]) if bad.size else None
+
+
+def cycle_signs(table: np.ndarray | None = None) -> np.ndarray:
+    """The 4-cycle sign product over all label quadruples, as integers:
+
+        theta[a, b, c, d] = sign(b^c, c) sign(c^d, d) sign(d^a, a) sign(a^b, b).
+    """
+    t = SIGN_TABLE if table is None else table
+    a, b, c, d = np.indices((8, 8, 8, 8))
+    return t[b ^ c, c] * t[c ^ d, d] * t[d ^ a, a] * t[a ^ b, b]
 
 
 def cyclic_sign_sum(table: np.ndarray | None = None) -> tuple[int, int]:
     """Sum of the 4-cycle sign product over distinct-neighbor label tuples.
 
-    Enumerates all (a, b, c, d) with a != b, c != d, b != c, a != d and sums
-    sign(b^c, c) * sign(c^d, d) * sign(d^a, a) * sign(a^b, b).  Returns
-    (sum, tuple_count); the sum equals 392 = 2^3 * 7^2 for the genuine table.
+    Sums :func:`cycle_signs` over all (a, b, c, d) with a != b, c != d,
+    b != c, a != d.  Returns (sum, tuple_count); the sum equals
+    392 = 2^3 * 7^2 for the genuine table.
     """
-    t = SIGN_TABLE if table is None else table
-    total = 0
-    count = 0
-    for a, b, c, d in itertools.product(range(8), repeat=4):
-        if a != b and c != d and b != c and a != d:
-            total += int(t[b ^ c, c] * t[c ^ d, d] * t[d ^ a, a] * t[a ^ b, b])
-            count += 1
-    return total, count
+    a, b, c, d = np.indices((8, 8, 8, 8))
+    proper = (a != b) & (c != d) & (b != c) & (a != d)
+    return int(cycle_signs(table)[proper].sum()), int(np.count_nonzero(proper))
 
 
 def check_table_structure(table: np.ndarray | None = None) -> IdentityReport:
@@ -243,81 +236,61 @@ def check_sign_identities(table: np.ndarray | None = None) -> IdentityReport:
     2. sign(a^b, a) sign(a^b, b) == sign(a^b, a^b), all 64 pairs;
     3. sign(a^c, a) sign(b^c, b) == -sign(a^c, b) sign(b^c, a) for the 448
        triples with a != b;
-    4. sign(b^c, c) sign(c^d, d) sign(d^a, a) sign(a^b, b) == sign(b^d, b^d)
-       for the 512 quadruples with a^b^c^d == 0;
+    4. :func:`cycle_signs` equals sign(b^d, b^d) on the 512 quadruples with
+       a^b^c^d == 0;
     5. the 4-cycle sign sum over 2408 qualifying tuples equals 392.
     """
     t = SIGN_TABLE if table is None else table
     with IdentityReport("sign-identities").timed() as report:
-        for a, b in itertools.product(range(8), repeat=2):
-            report.check(t[a ^ b, b] == t[a, b] * t[b, b])
-            report.check(t[a ^ b, a] * t[a ^ b, b] == t[a ^ b, a ^ b])
-        for a, b, c in itertools.product(range(8), repeat=3):
-            if a ^ b:
-                report.check(t[a ^ c, a] * t[b ^ c, b] == -t[a ^ c, b] * t[b ^ c, a])
-        for a, b, c, d in itertools.product(range(8), repeat=4):
-            if a ^ b ^ c ^ d == 0:
-                lhs = t[b ^ c, c] * t[c ^ d, d] * t[d ^ a, a] * t[a ^ b, b]
-                report.check(lhs == t[b ^ d, b ^ d])
+        a, b = np.indices((8, 8))
+        report.check(t[a ^ b, b] == t[a, b] * t[b, b])
+        report.check(t[a ^ b, a] * t[a ^ b, b] == t[a ^ b, a ^ b])
+        a, b, c = np.indices((8, 8, 8))
+        report.check((t[a ^ c, a] * t[b ^ c, b] == -t[a ^ c, b] * t[b ^ c, a])[a != b])
+        a, b, c, d = np.indices((8, 8, 8, 8))
+        report.check((cycle_signs(t) == t[b ^ d, b ^ d])[a ^ b ^ c ^ d == 0])
         total, _ = cyclic_sign_sum(t)
         report.check(total == 392)  # 2^3 * 7^2
     return report
 
 
-def _moufang_basis_case(a: int, b: int, c: int, table: np.ndarray) -> tuple[bool, ...]:
-    """Whether each of the four Moufang identities holds on the basis triple
-    (a, b, c)."""
-    x, y, z = (1, a), (1, b), (1, c)
-
-    def m(p, q):
-        return basis_mul(p[0], p[1], q[0], q[1], table)
-
-    lhs = m(m(z, x), m(y, z))
-    return (
-        m(z, m(x, m(z, y))) == m(m(m(z, x), z), y),
-        m(m(m(x, z), y), z) == m(x, m(m(z, y), z)),
-        lhs == m(m(z, m(x, y)), z),
-        lhs == m(z, m(m(x, y), z)),
-    )
+def _law_sides(m, x, y, z) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Both sides of the four Moufang laws in (x, y, z), then of the two
+    alternative laws in (x, y), under the product ``m``."""
+    zx_yz = m(m(z, x), m(y, z))
+    return [
+        (m(z, m(x, m(z, y))), m(m(m(z, x), z), y)),
+        (m(m(m(x, z), y), z), m(x, m(m(z, y), z))),
+        (zx_yz, m(m(z, m(x, y)), z)),
+        (zx_yz, m(z, m(m(x, y), z))),
+        (m(m(x, x), y), m(x, m(x, y))),
+        (m(m(y, x), x), m(y, m(x, x))),
+    ]
 
 
 def check_moufang(trials: int = 10_000, seed: int = 0,
                   table: np.ndarray | None = None) -> IdentityReport:
-    """Moufang and alternativity identities.
+    """Moufang and alternativity identities, through the one product.
 
-    Exact on every basis triple (512 triples x 4 identities) and on every
-    basis pair for alternativity; then on ``trials`` standard-normal random
-    elements in floating point with absolute tolerance :data:`FLOAT_TOL`.
+    Exact on the integer basis elements: the four Moufang laws on every
+    basis triple (512 triples x 4) and the two alternative laws on every
+    basis pair (64 pairs x 2).  Then all six on ``trials`` standard-normal
+    random elements in floating point with absolute tolerance
+    :data:`FLOAT_TOL`.
     """
-    t = SIGN_TABLE if table is None else table
-
-    def m(p, q):
-        return basis_mul(p[0], p[1], q[0], q[1], t)
-
+    m = _multiplier(SIGN_TABLE if table is None else table)
     with IdentityReport("moufang-alternativity", seed=seed).timed() as report:
-        for a, b, c in itertools.product(range(8), repeat=3):
-            for ok in _moufang_basis_case(a, b, c, t):
-                report.check(ok)
-        for a, b in itertools.product(range(8), repeat=2):
-            x, y = (1, a), (1, b)
-            report.check(m(m(x, x), y) == m(x, m(x, y)))
-            report.check(m(m(y, x), x) == m(y, m(x, x)))
+        _, basis = _basis_triples()
+        for law, (lhs, rhs) in enumerate(_law_sides(m, *basis)):
+            holds = np.all(lhs == rhs, axis=-1)
+            # the alternative laws ignore z: the triples (a, b, 0) are the 64 pairs
+            report.check(holds if law < 4 else holds[::8])
 
-        fmul = _multiplier(t)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((trials, 8))
         y = rng.standard_normal((trials, 8))
         z = rng.standard_normal((trials, 8))
-        zx_yz = fmul(fmul(z, x), fmul(y, z))
-        pairs = [
-            (fmul(z, fmul(x, fmul(z, y))), fmul(fmul(fmul(z, x), z), y)),
-            (fmul(fmul(fmul(x, z), y), z), fmul(x, fmul(fmul(z, y), z))),
-            (zx_yz, fmul(fmul(z, fmul(x, y)), z)),
-            (zx_yz, fmul(z, fmul(fmul(x, y), z))),
-            (fmul(fmul(x, x), y), fmul(x, fmul(x, y))),
-            (fmul(fmul(y, x), x), fmul(y, fmul(x, x))),
-        ]
-        for lhs, rhs in pairs:
+        for lhs, rhs in _law_sides(m, x, y, z):
             report.record_all(np.max(np.abs(lhs - rhs), axis=-1), FLOAT_TOL)
     return report
 
@@ -354,13 +327,11 @@ def check_orthogonal_translates(trials: int = 1_000, seed: int = 2,
 
 def check_imaginary_sum_square(table: np.ndarray | None = None) -> IdentityReport:
     """Exact check that the sum of the seven imaginary units squares to -7."""
-    t = SIGN_TABLE if table is None else table
+    m = _multiplier(SIGN_TABLE if table is None else table)
     with IdentityReport("imaginary-sum-square").timed() as report:
-        tensor = _structure_tensor(t)  # integer tensor: exact arithmetic
-        e = np.ones(8, dtype=np.int64)
+        e = np.ones(8, dtype=np.int64)  # integer coordinates: exact arithmetic
         e[0] = 0
-        square = np.einsum("a,b,abk->k", e, e, tensor)
         expected = np.zeros(8, dtype=np.int64)
         expected[0] = -7
-        report.check(np.array_equal(square, expected))
+        report.check(np.array_equal(m(e, e), expected))
     return report

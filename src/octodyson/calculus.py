@@ -30,14 +30,13 @@ exponent beta = 2 kappa (8 for model "a", 2 for model "b").
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import SIGN_TABLE
+from .algebra import SIGN_TABLE, cycle_signs
 from .errors import InvalidConfig, NoAdmissibleRoot, VerificationFailure
 from .matrices import CharPolyEval, OctonionicMatrix, resolvent, separated_shifts
 
@@ -112,22 +111,21 @@ def _gamma_weights(kind: str) -> tuple[tuple[int, int, float, float], ...]:
 def _generator_weights(kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Aggregated sign weights of the generator quadruple sum.
 
-    Enumerates all 4096 block quadruples (a, b, c, d); each contributes its
-    four-factor sign product times the model coefficients of the component
-    pair (a^b, c^d), accumulated onto the resolvent-component pair
-    (b^c, d^a) for the elementwise and trace-product pairings respectively.
+    Each of the 4096 block quadruples (a, b, c, d) contributes its 4-cycle
+    sign product (:func:`~octodyson.algebra.cycle_signs`) times the model
+    coefficients of the component pair (a^b, c^d), accumulated in row-major
+    quadruple order onto the resolvent-component pair (b^c, d^a) for the
+    elementwise and trace-product pairings respectively.
     """
     model = DiffusionModel(kind, 2)
+    coeffs = np.array([[model.gamma_coefficients(f, g) for g in range(8)] for f in range(8)])
+    a, b, c, d = np.indices((8, 8, 8, 8)).reshape(4, -1)
+    theta = cycle_signs(SIGN_TABLE).ravel()
+    target = (b ^ c, d ^ a)
     w_elem = np.zeros((8, 8))
     w_tr = np.zeros((8, 8))
-    t = SIGN_TABLE
-    for a, b, c, d in itertools.product(range(8), repeat=4):
-        c1, c2 = model.gamma_coefficients(a ^ b, c ^ d)
-        if c1 == 0.0 and c2 == 0.0:
-            continue
-        theta = float(t[b ^ c, c] * t[c ^ d, d] * t[d ^ a, a] * t[a ^ b, b])
-        w_elem[b ^ c, d ^ a] += theta * c1
-        w_tr[b ^ c, d ^ a] += theta * c2
+    np.add.at(w_elem, target, theta * coeffs[a ^ b, c ^ d, 0])
+    np.add.at(w_tr, target, theta * coeffs[a ^ b, c ^ d, 1])
     w_elem.setflags(write=False)
     w_tr.setflags(write=False)
     return w_elem, w_tr

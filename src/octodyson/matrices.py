@@ -42,7 +42,7 @@ ANTISYM_UNIT_2.setflags(write=False)
 
 #: Tolerance of the compatibility condition (*) in :func:`oct_inverse`.
 SYMM_TOL = 1e-10
-#: Condition number above which :func:`oct_inverse` calls a factor singular.
+#: 1-norm condition number above which :func:`oct_inverse` calls a factor singular.
 COND_LIMIT = 1e12
 #: Label pairs A < B of the compatibility condition.
 _LABEL_PAIRS = np.triu_indices(8, 1)
@@ -188,6 +188,18 @@ def symm_compatibility_residual(m: OctonionicMatrix) -> float:
         raise SingularBase("scalar component is singular") from exc
 
 
+def _guarded_inv(a: np.ndarray, error: type[Exception], message: str) -> np.ndarray:
+    """The LU inverse of ``a``; raises ``error(message)`` when ``a`` is singular
+    or its 1-norm condition number |a|_1 |a^-1|_1 exceeds :data:`COND_LIMIT`."""
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise error(message) from exc
+    if not np.linalg.norm(a, 1) * np.linalg.norm(a_inv, 1) <= COND_LIMIT:
+        raise error(message)
+    return a_inv
+
+
 def oct_inverse(m: OctonionicMatrix) -> OctonionicMatrix:
     """Structured inverse of an octonionic matrix.
 
@@ -206,18 +218,14 @@ def oct_inverse(m: OctonionicMatrix) -> OctonionicMatrix:
     SingularBase, NotSymmCompatible, SingularCore
     """
     comps = m.components
-    if np.linalg.cond(comps[0]) > COND_LIMIT:
-        raise SingularBase("scalar component is singular or near-singular")
-    m0_inv = np.linalg.inv(comps[0])
+    m0_inv = _guarded_inv(comps[0], SingularBase, "scalar component is singular or near-singular")
 
     worst, prod = _compatibility(comps, m0_inv)
     if worst > SYMM_TOL:
         raise NotSymmCompatible(f"compatibility residual {worst:.3e} exceeds {SYMM_TOL:.1e}")
 
     core = sum(prod[c, c] for c in range(8))
-    if np.linalg.cond(core) > COND_LIMIT:
-        raise SingularCore("core sum is singular or near-singular")
-    n0 = np.linalg.inv(core)
+    n0 = _guarded_inv(core, SingularCore, "core sum is singular or near-singular")
     return OctonionicMatrix(np.concatenate((n0[None], -n0 @ comps[1:] @ m0_inv)))
 
 

@@ -65,10 +65,12 @@ class IdentityReport:
         if finite.size:
             self.max_residual = max(self.max_residual, float(finite.max()))
 
-    def check(self, ok: bool) -> None:
-        """One exact case; it leaves ``max_residual`` unchanged."""
-        self.cases += 1
-        self.failures += int(not ok)
+    def check(self, ok) -> None:
+        """One exact case per entry of the boolean array ``ok`` (a bool is one
+        case); it leaves ``max_residual`` unchanged."""
+        ok = np.asarray(ok)
+        self.cases += ok.size
+        self.failures += ok.size - int(np.count_nonzero(ok))
 
     def to_dict(self) -> dict:
         return {

@@ -50,8 +50,8 @@ class SimulationConfig:
     ("a" forces ``n == 2``), which alone judges them; ``t`` is the time
     horizon of the Brownian entries; ``steps`` is the number of increments
     of an Euler path (:func:`euler_path`; the exact sampler ignores it).
-    ``cluster_tol`` is the relative gap threshold separating eigenvalue
-    clusters.
+    ``cluster_tol`` is the positive relative gap threshold separating
+    eigenvalue clusters.
 
     Raises
     ------
@@ -74,6 +74,8 @@ class SimulationConfig:
             raise InvalidConfig("t must be positive")
         if self.steps < 1:
             raise InvalidConfig("steps must be >= 1")
+        if not self.cluster_tol > 0:
+            raise InvalidConfig("cluster_tol must be positive")
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:

@@ -7,18 +7,21 @@ spectra from the explicit quadratic formula, components read back off the
 blocks of a real form, and the compatibility condition pair by pair.  The
 reference constructions at the end are the straightforward forms of the hot
 paths: the sampler one matrix and one triangle at a time, the octonion
-product as the dense contraction with the structure tensor, the structured
-inverse with its three factorisations of M^0, and the finite differences and
-dimension-2 traces one entry or component at a time.  The vectorised library
-code must reproduce them bit for bit.
+product as the dense contraction with the structure tensor and as sign-label
+arithmetic on basis elements, the exact algebra suites and the generator sign
+weights as loops over label tuples, the structured inverse with its three
+factorisations of M^0, and the finite differences and dimension-2 traces one
+entry or component at a time.  The vectorised library code must reproduce
+them bit for bit.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from octodyson.algebra import CANONICAL_LABELS, SIGN_TABLE
-from octodyson.calculus import MODEL_B_ANTISYM_RATE
+from octodyson.algebra import CANONICAL_LABELS, FLOAT_TOL, SIGN_TABLE
+from octodyson.calculus import MODEL_B_ANTISYM_RATE, DiffusionModel
 from octodyson.errors import NotSymmCompatible, SingularBase, SingularCore
 from octodyson.matrices import (
     ANTISYM_UNIT_2,
@@ -29,6 +32,7 @@ from octodyson.matrices import (
     logdet_gradient,
     real_form,
 )
+from octodyson.reporting import IdentityReport
 from octodyson.simulate import GapStatistics, implied_beta
 
 
@@ -236,6 +240,118 @@ def einsum_multiplier(table: np.ndarray):
         return np.einsum("...a,...b,abk->...k", x, y, tensor)
 
     return product
+
+
+def basis_mul(sa: int, a: int, sb: int, b: int, table: np.ndarray) -> tuple[int, int]:
+    """Exact product of signed basis elements as (sign, label) pairs:
+    (sa w_a)(sb w_b) = sa sb sign(a, b) w_{a^b}."""
+    return sa * sb * int(table[a, b]), a ^ b
+
+
+def reference_nonassociativity_witness(table: np.ndarray):
+    """First basis triple, in itertools order, whose two bracketings differ."""
+    for a, b, c in itertools.product(range(8), repeat=3):
+        lhs = basis_mul(*basis_mul(1, a, 1, b, table), 1, c, table)
+        rhs = basis_mul(1, a, *basis_mul(1, b, 1, c, table), table)
+        if lhs != rhs:
+            return a, b, c
+    return None
+
+
+def _cycle_sign(t: np.ndarray, a: int, b: int, c: int, d: int) -> int:
+    return int(t[b ^ c, c] * t[c ^ d, d] * t[d ^ a, a] * t[a ^ b, b])
+
+
+def reference_cyclic_sign_sum(table: np.ndarray) -> tuple[int, int]:
+    """The 4-cycle sign sum and tuple count, one quadruple at a time."""
+    total = 0
+    count = 0
+    for a, b, c, d in itertools.product(range(8), repeat=4):
+        if a != b and c != d and b != c and a != d:
+            total += _cycle_sign(table, a, b, c, d)
+            count += 1
+    return total, count
+
+
+def reference_sign_identities(table: np.ndarray) -> IdentityReport:
+    """The sign-identity suite, one label tuple and one check at a time."""
+    t = table
+    report = IdentityReport("sign-identities")
+    for a, b in itertools.product(range(8), repeat=2):
+        report.check(t[a ^ b, b] == t[a, b] * t[b, b])
+        report.check(t[a ^ b, a] * t[a ^ b, b] == t[a ^ b, a ^ b])
+    for a, b, c in itertools.product(range(8), repeat=3):
+        if a ^ b:
+            report.check(t[a ^ c, a] * t[b ^ c, b] == -t[a ^ c, b] * t[b ^ c, a])
+    for a, b, c, d in itertools.product(range(8), repeat=4):
+        if a ^ b ^ c ^ d == 0:
+            report.check(_cycle_sign(t, a, b, c, d) == t[b ^ d, b ^ d])
+    report.check(reference_cyclic_sign_sum(t)[0] == 392)
+    return report
+
+
+def reference_moufang(trials: int, seed: int, table: np.ndarray) -> IdentityReport:
+    """The Moufang suite with the basis laws in sign-label arithmetic, one
+    triple or pair at a time, and the random laws through the dense contraction."""
+
+    def m(p, q):
+        return basis_mul(p[0], p[1], q[0], q[1], table)
+
+    report = IdentityReport("moufang-alternativity", seed=seed)
+    for a, b, c in itertools.product(range(8), repeat=3):
+        x, y, z = (1, a), (1, b), (1, c)
+        report.check(m(z, m(x, m(z, y))) == m(m(m(z, x), z), y))
+        report.check(m(m(m(x, z), y), z) == m(x, m(m(z, y), z)))
+        report.check(m(m(z, x), m(y, z)) == m(m(z, m(x, y)), z))
+        report.check(m(m(z, x), m(y, z)) == m(z, m(m(x, y), z)))
+    for a, b in itertools.product(range(8), repeat=2):
+        x, y = (1, a), (1, b)
+        report.check(m(m(x, x), y) == m(x, m(x, y)))
+        report.check(m(m(y, x), x) == m(y, m(x, x)))
+
+    f = einsum_multiplier(table)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((trials, 8))
+    y = rng.standard_normal((trials, 8))
+    z = rng.standard_normal((trials, 8))
+    pairs = [
+        (f(z, f(x, f(z, y))), f(f(f(z, x), z), y)),
+        (f(f(f(x, z), y), z), f(x, f(f(z, y), z))),
+        (f(f(z, x), f(y, z)), f(f(z, f(x, y)), z)),
+        (f(f(z, x), f(y, z)), f(z, f(f(x, y), z))),
+        (f(f(x, x), y), f(x, f(x, y))),
+        (f(f(y, x), x), f(y, f(x, x))),
+    ]
+    for lhs, rhs in pairs:
+        report.record_all(np.max(np.abs(lhs - rhs), axis=-1), FLOAT_TOL)
+    return report
+
+
+def reference_imaginary_sum_square(table: np.ndarray) -> IdentityReport:
+    """(sum of the seven imaginary units)^2 == -7, summed over the 49 signed
+    basis products."""
+    square = [0] * 8
+    for a, b in itertools.product(range(1, 8), repeat=2):
+        s, k = basis_mul(1, a, 1, b, table)
+        square[k] += s
+    report = IdentityReport("imaginary-sum-square")
+    report.check(square == [-7, 0, 0, 0, 0, 0, 0, 0])
+    return report
+
+
+def reference_generator_weights(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Generator sign weights accumulated one block quadruple at a time."""
+    model = DiffusionModel(kind, 2)
+    w_elem = np.zeros((8, 8))
+    w_tr = np.zeros((8, 8))
+    for a, b, c, d in itertools.product(range(8), repeat=4):
+        c1, c2 = model.gamma_coefficients(a ^ b, c ^ d)
+        if c1 == 0.0 and c2 == 0.0:
+            continue
+        theta = float(_cycle_sign(SIGN_TABLE, a, b, c, d))
+        w_elem[b ^ c, d ^ a] += theta * c1
+        w_tr[b ^ c, d ^ a] += theta * c2
+    return w_elem, w_tr
 
 
 def _reference_symm_residual(m: OctonionicMatrix) -> float:

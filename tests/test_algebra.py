@@ -13,7 +13,6 @@ from octodyson.algebra import (
     CANONICAL_LABELS,
     SIGN_TABLE,
     basis_element,
-    basis_mul,
     conj,
     cyclic_sign_sum,
     imaginary_sum,
@@ -26,7 +25,14 @@ from octodyson.algebra import (
     tampered_table,
 )
 
-from oracles import einsum_multiplier
+from oracles import (
+    einsum_multiplier,
+    reference_cyclic_sign_sum,
+    reference_imaginary_sum_square,
+    reference_moufang,
+    reference_nonassociativity_witness,
+    reference_sign_identities,
+)
 
 L1 = subset_label([1])
 L2 = subset_label([2])
@@ -86,10 +92,10 @@ def test_cyclic_sign_sum_value():
 
 
 def test_basis_products():
-    assert basis_mul(1, L1, 1, L2) == (1, L12)
-    assert basis_mul(1, L2, 1, L1) == (-1, L12)
     np.testing.assert_array_equal(mul(basis_element(L1), basis_element(L2)),
                                   basis_element(L12))
+    np.testing.assert_array_equal(mul(basis_element(L2), basis_element(L1)),
+                                  -basis_element(L12))
     # identity element
     x = np.arange(8.0)
     np.testing.assert_array_equal(mul(basis_element(0), x), x)
@@ -125,6 +131,17 @@ def test_product_matches_dense_contraction(tamper, shape_x, shape_y):
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert (want == 0.0).any()
+
+
+def test_mul_exact_on_integer_basis():
+    """Integer one-hot inputs give the exact int64 products sign(a, b) w_{a^b}."""
+    eye = np.eye(8, dtype=np.int64)
+    got = mul(eye[:, None, :], eye[None, :, :])  # got[a, b] = w_a w_b
+    assert got.dtype == np.int64
+    a, b = np.indices((8, 8))
+    want = np.zeros((8, 8, 8), dtype=np.int64)
+    want[a, b, a ^ b] = SIGN_TABLE
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=200)
@@ -191,10 +208,8 @@ def test_imaginary_sum_square_is_minus_seven():
 def test_nonassociativity_witness():
     witness = algebra.nonassociativity_witness()
     assert witness is not None
-    a, b, c = witness
-    lhs = basis_mul(*basis_mul(1, a, 1, b), 1, c)
-    rhs = basis_mul(1, a, *basis_mul(1, b, 1, c))
-    assert lhs != rhs
+    a, b, c = (basis_element(label) for label in witness)
+    assert not np.array_equal(mul(mul(a, b), c), mul(a, mul(b, c)))
 
 
 def test_orthogonal_translates_suite():
@@ -220,3 +235,28 @@ def test_antisymmetry_structure():
             assert sign(a, b) == -sign(b, a)
     for a in range(1, 8):
         assert sign(a, a) == -1
+
+
+TABLES = [None] + [(a, b) for a in range(8) for b in range(8)]
+
+
+def _table(cell):
+    return SIGN_TABLE if cell is None else tampered_table(*cell)
+
+
+def _report(report):
+    return {k: v for k, v in report.to_dict().items() if k != "elapsed_ms"}
+
+
+@pytest.mark.parametrize("cell", TABLES, ids=lambda c: "genuine" if c is None else f"{c[0]}-{c[1]}")
+def test_exact_suites_match_loop_references(cell):
+    """The stacked suites report what the per-tuple loops in sign-label
+    arithmetic report, on the genuine table and on every one-cell tamper."""
+    table = _table(cell)
+    assert (_report(algebra.check_moufang(trials=40, seed=3, table=table))
+            == _report(reference_moufang(40, 3, table)))
+    assert _report(algebra.check_sign_identities(table)) == _report(reference_sign_identities(table))
+    assert (_report(algebra.check_imaginary_sum_square(table))
+            == _report(reference_imaginary_sum_square(table)))
+    assert algebra.nonassociativity_witness(table) == reference_nonassociativity_witness(table)
+    assert cyclic_sign_sum(table) == reference_cyclic_sign_sum(table)

@@ -93,6 +93,20 @@ def test_invalid_config_usage_error(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0"])
+@pytest.mark.parametrize("argv", [
+    ["sample-spectrum", "--model", "a", "--samples", "10"],
+    ["simulate-path", "--model", "a", "--paths", "1", "--steps", "3"],
+], ids=lambda argv: argv[0])
+def test_non_positive_cluster_tol_usage_error(argv, tol, capsys):
+    """A clustering threshold of at most 0 splits every eigenvalue off on its
+    own, so it is a usage error, not a run with no clean samples."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cluster-tol", tol])
+    assert exc.value.code == 2
+    assert "cluster_tol must be positive" in capsys.readouterr().err
+
+
 def test_sample_spectrum_files(tmp_path, capsys):
     out_csv = str(tmp_path / "spec.csv")
     code, out = run(capsys, "sample-spectrum", "--model", "a", "--samples", "300",

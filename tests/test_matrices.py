@@ -189,6 +189,20 @@ def test_oct_inverse_error_paths():
         oct_inverse(OctonionicMatrix(comps))
 
 
+@pytest.mark.parametrize("d,singular", [(1e-14, True), (5e-13, True), (1e-11, False)])
+def test_oct_inverse_condition_guard_on_diagonal_base(d, singular):
+    """M^0 = diag(1, d) has condition number 1/d in every norm, so the 1-norm
+    guard draws the line at 1e12 where the reference's 2-norm guard does."""
+    m = OctonionicMatrix.from_scalar_part(np.diag([1.0, d]))
+    if singular:
+        with pytest.raises(SingularBase, match="scalar component is singular or near-singular"):
+            oct_inverse(m)
+        with pytest.raises(SingularBase):
+            reference_oct_inverse(m)
+    else:
+        assert np.array_equal(oct_inverse(m).components, reference_oct_inverse(m).components)
+
+
 @pytest.mark.parametrize("kind,n,draws", [("a", 2, 6), ("b", 2, 6), ("b", 8, 3), ("b", 48, 1)])
 def test_oct_inverse_matches_three_factorisation_reference(kind, n, draws):
     """One inverse of M^0 and stacked products give the bits of the

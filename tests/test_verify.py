@@ -19,6 +19,8 @@ from octodyson import (
 from octodyson.matrices import off_spectrum_points
 from octodyson.verify import check_closed_forms, check_trace_identities
 
+from oracles import reference_generator_weights
+
 
 def test_non_finite_residuals_fail():
     report = IdentityReport("tally")
@@ -29,6 +31,22 @@ def test_non_finite_residuals_fail():
     assert (report.cases, report.failures, report.max_residual) == (5, 3, 0.5)
     assert not report.passed
     json.dumps(report.to_dict(), allow_nan=False)
+
+
+def test_check_array_counts_one_case_per_entry():
+    ok = np.array([[True, False, True], [False, True, True]])
+    whole = IdentityReport("tally")
+    whole.record(0.25, 1.0)
+    whole.check(ok)
+    single = IdentityReport("tally")
+    single.record(0.25, 1.0)
+    for entry in ok.ravel():
+        single.check(entry)
+    assert (whole.cases, whole.failures) == (single.cases, single.failures) == (7, 2)
+    assert whole.max_residual == single.max_residual == 0.25
+    single.check(False)
+    single.check(True)
+    assert (single.cases, single.failures) == (9, 3)
 
 
 def test_charpoly_power_sums_at_n48():
@@ -74,3 +92,27 @@ def test_closed_forms_fail_with_perturbed_antisym_rate(perturb):
     perturb.setattr(calculus, "MODEL_B_ANTISYM_RATE", 1.0 / 13.0)
     assert not check_closed_forms(model_b(3), trials=5).passed
     assert check_closed_forms(model_a(), trials=5).passed
+
+
+def _scale_gamma(patch):
+    stated = DiffusionModel.gamma_coefficients
+    patch.setattr(DiffusionModel, "gamma_coefficients",
+                  lambda self, f, g: tuple(1.01 * c for c in stated(self, f, g)))
+
+
+def _antisym_rate(patch):
+    patch.setattr(calculus, "MODEL_B_ANTISYM_RATE", 1.0 / 13.0)
+
+
+@pytest.mark.parametrize("kind", ["a", "b"])
+@pytest.mark.parametrize("patch", [None, _scale_gamma, _antisym_rate],
+                         ids=["stated", "scaled-gamma", "antisym-rate"])
+def test_generator_weights_match_quadruple_loop(perturb, patch, kind):
+    """The stacked weights equal the quadruple loop's bytes, also under the
+    negative-control patches, which must reach both."""
+    if patch is not None:
+        patch(perturb)
+    got = calculus._generator_weights(kind)
+    want = reference_generator_weights(kind)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
