@@ -91,20 +91,17 @@ def model_b(n: int) -> DiffusionModel:
 
 
 @lru_cache(maxsize=None)
-def _gamma_weights(kind: str) -> tuple[tuple[int, int, float, float], ...]:
-    """Per label pair (f, g): weights of the elementwise and trace pairings
-    in the Gamma quadruple sum, after summing the 64 block pairs mapping to
-    each component pair."""
+def _gamma_weights(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(8, 8) weights of the elementwise and trace pairings of the component
+    pairs (f, g) in the Gamma quadruple sum: the model coefficients times
+    64 sign(f, f) sign(g, g), from the 64 block pairs mapping to each pair."""
     model = DiffusionModel(kind, 2)
-    entries = []
-    for f in range(8):
-        for g in range(8):
-            c1, c2 = model.gamma_coefficients(f, g)
-            if c1 == 0.0 and c2 == 0.0:
-                continue
-            s = 64.0 * float(SIGN_TABLE[f, f] * SIGN_TABLE[g, g])
-            entries.append((f, g, s * c1, s * c2))
-    return tuple(entries)
+    signs = 64.0 * np.multiply.outer(np.diagonal(SIGN_TABLE), np.diagonal(SIGN_TABLE))
+    w_elem, w_tr = np.array([[np.multiply(signs[f, g], model.gamma_coefficients(f, g))
+                              for g in range(8)] for f in range(8)]).transpose(2, 0, 1).copy()
+    w_elem.setflags(write=False)
+    w_tr.setflags(write=False)
+    return w_elem, w_tr
 
 
 @lru_cache(maxsize=None)
@@ -131,22 +128,28 @@ def _generator_weights(kind: str) -> tuple[np.ndarray, np.ndarray]:
     return w_elem, w_tr
 
 
+def _pairing_sum(w_elem: np.ndarray, ux: np.ndarray, uy: np.ndarray,
+                 w_tr: np.ndarray, pairing: np.ndarray) -> float:
+    """sum_fg w_elem[f, g] <ux^f, uy^g> + w_tr[f, g] pairing[f, g], the first
+    pairing read off one Gram product of the flattened components."""
+    gram = ux.reshape(8, -1) @ uy.reshape(8, -1).T
+    return float(np.sum(w_elem * gram) + np.sum(w_tr * pairing))
+
+
 def gamma_log_charpoly(m: OctonionicMatrix, x: float, y: float,
                        model: DiffusionModel) -> float:
     """Carre du champ of (log p(x), log p(y)) from the entry-level rule.
 
     Evaluates the full quadruple sum over real-form entries, reorganized
-    over component labels.  ``x == y`` is allowed (the sum has no
-    singularity there); the closed form's confluent value is
+    over component labels into the elementwise pairings <U^f(x), U^g(y)>
+    and the trace pairings tr[U^f(x) U^g(y)].  ``x == y`` is allowed (the
+    sum has no singularity there); the closed form's confluent value is
     :func:`gamma_closed_form` at equal shifts.
     """
     ucx = resolvent(m, x).components
-    ucy = ucx if y == x else resolvent(m, y).components
-    total = 0.0
-    for f, g, we, wt in _gamma_weights(model.kind):
-        total += we * float(np.sum(ucx[f] * ucy[g]))
-        total += wt * float(np.trace(ucx[f] @ ucy[g]))
-    return total
+    ucy = resolvent(m, y).components
+    w_elem, w_tr = _gamma_weights(model.kind)
+    return _pairing_sum(w_elem, ucx, ucy, w_tr, np.einsum("fij,gji->fg", ucx, ucy))
 
 
 def generator_log_charpoly(m: OctonionicMatrix, x: float,
@@ -154,16 +157,14 @@ def generator_log_charpoly(m: OctonionicMatrix, x: float,
     """Generator applied to log p(x) from the entry-level rule.
 
     The drift part vanishes for both models; the quadratic part is the
-    quadruple sum with aggregated sign weights.
+    quadruple sum with aggregated sign weights, paired as in
+    :func:`gamma_log_charpoly` with the products of component traces in
+    place of the trace pairings.
     """
     uc = resolvent(m, x).components
     w_elem, w_tr = _generator_weights(model.kind)
-    traces = np.array([np.trace(uc[f]) for f in range(8)])
-    total = 0.0
-    for pq in zip(*np.nonzero(w_elem)):
-        total += w_elem[pq] * float(np.sum(uc[pq[0]] * uc[pq[1]]))
-    total += float(traces @ w_tr @ traces)
-    return -total
+    traces = np.trace(uc, axis1=1, axis2=2)
+    return -_pairing_sum(w_elem, uc, uc, w_tr, np.multiply.outer(traces, traces))
 
 
 def generator_charpoly_ratio(m: OctonionicMatrix, x: float,
@@ -250,10 +251,6 @@ class MultiplicityResult:
     residual: float
 
 
-def _quadratic_value(p: ExponentProblem, a: float) -> float:
-    return a * a * (p.alpha1 + p.alpha2) - a * (p.alpha1 + p.alpha3) + p.alpha3
-
-
 def solve_multiplicity(p: ExponentProblem) -> MultiplicityResult:
     """Positive root of a^2 (a1+a2) - a (a1+a3) + a3 = 0.
 
@@ -288,7 +285,7 @@ def solve_multiplicity(p: ExponentProblem) -> MultiplicityResult:
         a=a,
         roots=roots,
         is_positive_integer=abs(a - round(a)) < 1e-9,
-        residual=abs(_quadratic_value(p, a)),
+        residual=abs(a * a * lead + a * b + p.alpha3),
     )
 
 

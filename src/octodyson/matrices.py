@@ -19,6 +19,7 @@ with components given in closed form by :func:`oct_inverse`.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -50,6 +51,13 @@ _LABEL_PAIRS = np.triu_indices(8, 1)
 FD_STEP = 1e-5
 #: Tolerance of the dimension-2 trace identities.
 DIM2_TOL = 1e-10
+#: Bytes of 8n x 8n forms, or of as large products, one stacked batch holds.
+FORM_BATCH_BYTES = 2 ** 20
+
+
+def forms_per_batch(n: int) -> int:
+    """Entries of dimension ``n`` one batch of :data:`FORM_BATCH_BYTES` holds."""
+    return max(1, FORM_BATCH_BYTES // (8 * (8 * n) ** 2))
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ class OctonionicMatrix:
     Raises
     ------
     InvalidArgument
-        If the components do not have shape (8, n, n) with n >= 1.
+        If the components are not finite or not of shape (8, n, n), n >= 1.
     """
 
     components: np.ndarray
@@ -73,6 +81,8 @@ class OctonionicMatrix:
         comps = np.array(self.components, dtype=np.float64)
         if comps.ndim != 3 or comps.shape[0] != 8 or not 0 < comps.shape[1] == comps.shape[2]:
             raise InvalidArgument(f"components need shape (8, n, n), n >= 1, got {comps.shape}")
+        if not np.isfinite(comps).all():
+            raise InvalidArgument("components must be finite")
         comps.setflags(write=False)
         object.__setattr__(self, "components", comps)
 
@@ -119,11 +129,8 @@ class OctonionicMatrix:
         eigs.setflags(write=False)
         return eigs
 
-    def shifted(self, x: float) -> "OctonionicMatrix":
-        """Subtract ``x`` times the identity (acts on the scalar component)."""
-        comps = self.components.copy()
-        comps[0] = comps[0] - x * np.eye(self.n)
-        return OctonionicMatrix(comps)
+    #: :func:`resolvent` results by shift; a failed call stores nothing.
+    _resolvent_memo = cached_property(lambda self: {})
 
 
 @lru_cache(maxsize=16)
@@ -167,13 +174,13 @@ def real_form(components: np.ndarray) -> np.ndarray:
     return np.take(np.concatenate((flat, -flat), axis=-1), _real_form_source(n), axis=-1)
 
 
-def _compatibility(comps: np.ndarray, m0_inv: np.ndarray) -> tuple[float, np.ndarray]:
-    """Worst residual of (*), and the products M^A (M^0)^-1 M^B it is read from."""
-    prod = (comps @ m0_inv)[:, None] @ comps
+def _compatibility(comps: np.ndarray, m0_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Worst residual of (*) per (k, 8, n, n) entry, and the products it is read from."""
+    prod = (comps @ m0_inv[:, None])[:, :, None] @ comps[:, None]
     a, b = _LABEL_PAIRS
-    diff = np.abs(prod[a, b] - prod[b, a]).max(axis=(1, 2))
-    norms = np.linalg.norm(comps, axis=(1, 2))
-    return float(np.max(diff / (1.0 + norms[a] * norms[b]))), prod
+    diff = np.abs(prod[:, a, b] - prod[:, b, a]).max(axis=(-2, -1))
+    norms = np.linalg.norm(comps, axis=(-2, -1))
+    return np.max(diff / (1.0 + norms[:, a] * norms[:, b]), axis=-1), prod
 
 
 def symm_compatibility_residual(m: OctonionicMatrix) -> float:
@@ -183,21 +190,47 @@ def symm_compatibility_residual(m: OctonionicMatrix) -> float:
     is comparable against a fixed tolerance.
     """
     try:
-        return _compatibility(m.components, np.linalg.inv(m.components[0]))[0]
+        m0_inv = np.linalg.inv(m.components[0])
     except np.linalg.LinAlgError as exc:
         raise SingularBase("scalar component is singular") from exc
+    return float(_compatibility(m.components[None], m0_inv[None])[0][0])
 
 
-def _guarded_inv(a: np.ndarray, error: type[Exception], message: str) -> np.ndarray:
-    """The LU inverse of ``a``; raises ``error(message)`` when ``a`` is singular
-    or its 1-norm condition number |a|_1 |a^-1|_1 exceeds :data:`COND_LIMIT`."""
+def _guarded_inv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU inverses of the (k, n, n) stack ``a`` (NaN for a singular entry), and
+    which entries are singular or have |a|_1 |a^-1|_1 above :data:`COND_LIMIT`."""
     try:
         a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise error(message) from exc
-    if not np.linalg.norm(a, 1) * np.linalg.norm(a_inv, 1) <= COND_LIMIT:
-        raise error(message)
-    return a_inv
+    except np.linalg.LinAlgError:
+        a_inv = np.full_like(a, np.nan)
+        for entry, out in zip(a, a_inv):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[...] = np.linalg.inv(entry)
+    cond = np.linalg.norm(a, 1, axis=(1, 2)) * np.linalg.norm(a_inv, 1, axis=(1, 2))
+    return a_inv, ~(cond <= COND_LIMIT)
+
+
+def _oct_inverse_stack(comps: np.ndarray) -> np.ndarray:
+    """:func:`oct_inverse` of each (k, 8, n, n) entry, over batches of :func:`forms_per_batch`;
+    raises what the first failing entry would: singular base, (*), singular core."""
+    out = np.empty_like(comps)
+    step = forms_per_batch(comps.shape[-1])
+    for lo in range(0, len(comps), step):
+        chunk = comps[lo:lo + step]
+        m0_inv, base_bad = _guarded_inv(chunk[:, 0])
+        worst, prod = _compatibility(chunk, m0_inv)
+        n0, core_bad = _guarded_inv(sum(prod[:, c, c] for c in range(8)))
+        first = int(np.argmax(base_bad | (worst > SYMM_TOL) | core_bad))
+        if base_bad[first]:
+            raise SingularBase("scalar component is singular or near-singular")
+        if worst[first] > SYMM_TOL:
+            raise NotSymmCompatible(f"compatibility residual {worst[first]:.3e} exceeds "
+                                    f"{SYMM_TOL:.1e}")
+        if core_bad[first]:
+            raise SingularCore("core sum is singular or near-singular")
+        out[lo:lo + step] = np.concatenate((n0[:, None], -n0[:, None] @ chunk[:, 1:]
+                                            @ m0_inv[:, None]), axis=1)
+    return out
 
 
 def oct_inverse(m: OctonionicMatrix) -> OctonionicMatrix:
@@ -210,23 +243,14 @@ def oct_inverse(m: OctonionicMatrix) -> OctonionicMatrix:
         N^0 = (sum_C M^C (M^0)^-1 M^C)^-1,
         N^A = -N^0 M^A (M^0)^-1              for A != 0.
 
-    M^0 is inverted once; one stacked product serves both the residual of
-    (*) and the core sum, and one more gives the seven N^A.
+    The one-entry case of :func:`_oct_inverse_stack`: M^0 is inverted once,
+    one product serves both (*) and the core sum, one more gives the N^A.
 
     Raises
     ------
     SingularBase, NotSymmCompatible, SingularCore
     """
-    comps = m.components
-    m0_inv = _guarded_inv(comps[0], SingularBase, "scalar component is singular or near-singular")
-
-    worst, prod = _compatibility(comps, m0_inv)
-    if worst > SYMM_TOL:
-        raise NotSymmCompatible(f"compatibility residual {worst:.3e} exceeds {SYMM_TOL:.1e}")
-
-    core = sum(prod[c, c] for c in range(8))
-    n0 = _guarded_inv(core, SingularCore, "core sum is singular or near-singular")
-    return OctonionicMatrix(np.concatenate((n0[None], -n0 @ comps[1:] @ m0_inv)))
+    return OctonionicMatrix(_oct_inverse_stack(m.components[None])[0])
 
 
 def spectral_radius(eigenvalues: np.ndarray) -> float:
@@ -259,22 +283,37 @@ def separated_shifts(eigenvalues: np.ndarray, rng: np.random.Generator):
     return x, y
 
 
-def resolvent(m: OctonionicMatrix, x: float) -> OctonionicMatrix:
-    """Resolvent of the real form at shift ``x``, as the structured inverse
-    of ``m - x Id`` (:func:`oct_inverse`).
+def _resolvents(mats, shifts) -> np.ndarray:
+    """Structured inverses of ``m_i - shifts[i, j] Id``, (k, s, 8, n, n); first raises
+    InvalidArgument for a non-finite shift, NearSingularShift at the first (i, j)
+    within :func:`shift_guard` of the spectrum."""
+    shifts = np.asarray(shifts, dtype=np.float64)
+    if not np.isfinite(shifts).all():
+        raise InvalidArgument("resolvent shifts must be finite")
+    for m, row in zip(mats, shifts):
+        eigs = m.eigenvalues
+        near = np.min(np.abs(eigs - row[:, None]), axis=1) <= shift_guard(eigs, m.n)
+        if near.any():
+            raise NearSingularShift(f"shift {row[near][0]} is within the guard distance "
+                                    "of the spectrum")
+    comps = np.repeat(np.stack([m.components for m in mats])[:, None], shifts.shape[1], axis=1)
+    comps[:, :, 0] -= shifts[..., None, None] * np.eye(comps.shape[-1])
+    return _oct_inverse_stack(comps.reshape((-1,) + comps.shape[2:])).reshape(comps.shape)
 
-    Refuses shifts closer to the spectrum than :func:`shift_guard`.
+
+def resolvent(m: OctonionicMatrix, x: float) -> OctonionicMatrix:
+    """Resolvent of the real form at a finite shift ``x`` beyond :func:`shift_guard`:
+    the structured inverse of ``m - x Id`` (:func:`oct_inverse`), the one-entry
+    case of the stacked resolvent, memoised per matrix and shift.
 
     Raises
     ------
-    NearSingularShift, NotSymmetric
+    InvalidArgument, NearSingularShift, NotSymmetric
     SingularBase, NotSymmCompatible, SingularCore
-        If the shifted matrix fails a condition of :func:`oct_inverse`.
     """
-    eigs = m.eigenvalues
-    if np.min(np.abs(eigs - x)) <= shift_guard(eigs, m.n):
-        raise NearSingularShift(f"shift {x} is within the guard distance of the spectrum")
-    return oct_inverse(m.shifted(x))
+    if x not in m._resolvent_memo:
+        m._resolvent_memo[x] = OctonionicMatrix(_resolvents([m], [[x]])[0, 0])
+    return m._resolvent_memo[x]
 
 
 @dataclass(frozen=True)
@@ -297,9 +336,11 @@ class CharPolyEval:
 
         Raises
         ------
-        NearSingularShift
-            If ``x`` is an eigenvalue, where p'/p has a pole.
+        InvalidArgument, NearSingularShift
+            If ``x`` is not finite, or is an eigenvalue, where p'/p has a pole.
         """
+        if not np.isfinite(x):
+            raise InvalidArgument(f"shift {x} is not finite")
         d = np.asarray(eigenvalues, dtype=np.float64) - x
         if np.any(d == 0.0):
             raise NearSingularShift(f"shift {x} is an eigenvalue")
@@ -315,8 +356,34 @@ def _rel(lhs, rhs):
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
+def _trace_residual_rows(mats, shifts) -> np.ndarray:
+    """:func:`trace_identity_residuals` of k matrices at their (k, 2) shifts,
+    one row per matrix, each trace taken over the stack."""
+    shifts = np.asarray(shifts, dtype=np.float64)
+    ucx, ucy = np.moveaxis(_resolvents(mats, shifts), 1, 0)
+    rf = real_form(np.stack([m.components for m in mats]))
+    dx, dy = (np.linalg.inv(rf - s[:, None, None] * np.eye(rf.shape[-1])) for s in shifts.T)
+    trace_x = np.trace(dx, axis1=1, axis2=2)
+    # sign(C, C) tr[U^C(x) U^C(y)], one stacked product for all eight C
+    signed = CONJUGATION_SIGNS * np.trace(ucx @ ucy, axis1=2, axis2=3)
+    # tr(dx dy) = sum_ij dx_ij dy_ji, so no 8n x 8n product is formed
+    cross_trace = np.sum(dx * dy.transpose(0, 2, 1), axis=(1, 2))
+    # p'/p and the curvature, indexed [shift, matrix]
+    dlog, curvature = np.array([[(p.dlog, p.curvature) for p in (
+        CharPolyEval.from_eigenvalues(m.eigenvalues, x) for x in row.tolist())]
+        for m, row in zip(mats, shifts)]).T
+    return np.stack((
+        _rel(trace_x, 8.0 * np.trace(ucx[:, 0], axis1=1, axis2=2)),
+        np.max(_rel(np.sum(ucx * ucy, axis=(2, 3)), signed), axis=1),
+        _rel(cross_trace, 8.0 * sum(signed[:, c] for c in range(8))),
+        _rel(trace_x, -dlog[0]),
+        _rel(np.sum(dx * dx.transpose(0, 2, 1), axis=(1, 2)), curvature[0]),
+        _rel(cross_trace, (dlog[0] - dlog[1]) / (shifts[:, 1] - shifts[:, 0]))), axis=1)
+
+
 def trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) -> dict[str, float]:
-    """Scaled residuals of the component-trace and charpoly-trace identities.
+    """Scaled residuals of the component-trace and charpoly-trace identities
+    (the one-matrix case of the stacked rows the trace suite takes).
 
     Checks, for resolvents U at off-spectrum shifts x != y, with U the LU
     inverse of the shifted real form and U^C the components of the
@@ -330,31 +397,8 @@ def trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) -> dict[st
     * ``sq``: tr U(x)^2 == (p'/p)^2 - p''/p;
     * ``cross``: tr[U(x)U(y)] == (p'/p(x) - p'/p(y)) / (y - x).
     """
-    ucx = resolvent(m, x).components
-    ucy = resolvent(m, y).components
-    rf = m.real_form()
-    eye = np.eye(rf.shape[0])
-    dx = np.linalg.inv(rf - x * eye)
-    dy = np.linalg.inv(rf - y * eye)
-    trace_x = float(np.trace(dx))
-
-    res: dict[str, float] = {}
-    res["full-trace"] = _rel(trace_x, 8.0 * float(np.trace(ucx[0])))
-
-    # sign(C, C) tr[U^C(x) U^C(y)], one stacked product for all eight C
-    signed = CONJUGATION_SIGNS * np.trace(ucx @ ucy, axis1=1, axis2=2)
-    res["transpose-pairing"] = float(np.max(_rel(np.sum(ucx * ucy, axis=(1, 2)), signed)))
-
-    # tr(dx dy) = sum_ij dx_ij dy_ji, so no 8n x 8n product is formed
-    cross_trace = float(np.sum(dx * dy.T))
-    res["product-trace"] = _rel(cross_trace, 8.0 * sum(signed.tolist()))
-
-    px = CharPolyEval.from_eigenvalues(m.eigenvalues, x)
-    py = CharPolyEval.from_eigenvalues(m.eigenvalues, y)
-    res["dlog"] = _rel(trace_x, -px.dlog)
-    res["sq"] = _rel(float(np.sum(dx * dx.T)), px.curvature)
-    res["cross"] = _rel(cross_trace, (px.dlog - py.dlog) / (y - x))
-    return res
+    names = ("full-trace", "transpose-pairing", "product-trace", "dlog", "sq", "cross")
+    return dict(zip(names, _trace_residual_rows([m], [[x, y]])[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +408,6 @@ def trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) -> dict[st
 def logdet_gradient(matrix: np.ndarray) -> np.ndarray:
     """Analytic d(log det)/dR_ij, i.e. the transposed inverse."""
     return np.linalg.inv(matrix).T
-
-
-def logdet_hessian(matrix: np.ndarray) -> np.ndarray:
-    """Analytic d^2(log det)/dR_ij dR_kl = -(R^-1)_jk (R^-1)_li."""
-    inv = np.linalg.inv(matrix)
-    return -np.einsum("jk,li->ijkl", inv, inv)
 
 
 def _central_differences(fn, matrix: np.ndarray) -> np.ndarray:
@@ -421,7 +459,8 @@ def check_logdet_derivatives(count: int = 100, seed: int = 3) -> IdentityReport:
             g_an = logdet_gradient(matrix)
             g_fd = fd_logdet_gradient(matrix)
             report.record(float(np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an)), 1e-5)
-            h_an = logdet_hessian(matrix)
+            inv = np.linalg.inv(matrix)  # d^2(log det)/dR_ij dR_kl = -(R^-1)_jk (R^-1)_li
+            h_an = -np.einsum("jk,li->ijkl", inv, inv)
             h_fd = fd_logdet_hessian(matrix)
             report.record(float(np.linalg.norm((h_fd - h_an).ravel())
                                 / np.linalg.norm(h_an.ravel())), 1e-5)
@@ -433,13 +472,16 @@ def check_logdet_derivatives(count: int = 100, seed: int = 3) -> IdentityReport:
 
 
 def _dim2_trace_residuals(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
-    """One draw's resolvent-component residuals, one stacked product per trace."""
+    """Resolvent-component residuals of one draw, or one row per draw of a
+    stack, one stacked product per trace.  Squares use libm ``pow`` through
+    ``float_power``, as ``float ** 2`` does; ``x * x`` differs in ~0.1 % of cases."""
     a0 = ANTISYM_UNIT_2
-    t_xa, t_ya, t_xy, t_xx, t_xaxa = (np.trace(p, axis1=1, axis2=2) for p in (
-        ux @ a0, uy @ a0, ux @ uy, ux @ ux, ux @ a0 @ ux @ a0))
-    return np.concatenate((_rel(t_xa[1:] * t_ya[1:], -2.0 * t_xy[1:]),
-                           _rel(t_xaxa[1:], -t_xx[1:]),
-                           [_rel(t_xaxa[0], t_xx[0] - np.trace(ux[0]) ** 2)]))
+    t_x, t_xa, t_ya, t_xy, t_xx, t_xaxa = (np.trace(p, axis1=-2, axis2=-1) for p in (
+        ux, ux @ a0, uy @ a0, ux @ uy, ux @ ux, ux @ a0 @ ux @ a0))
+    return np.concatenate((_rel(t_xa[..., 1:] * t_ya[..., 1:], -2.0 * t_xy[..., 1:]),
+                           _rel(t_xaxa[..., 1:], -t_xx[..., 1:]),
+                           _rel(t_xaxa[..., :1], t_xx[..., :1] - np.float_power(t_x[..., :1], 2))),
+                          axis=-1)
 
 
 def check_dim2_identities(trials: int = 1_000, seed: int = 4) -> IdentityReport:
@@ -453,21 +495,24 @@ def check_dim2_identities(trials: int = 1_000, seed: int = 4) -> IdentityReport:
     * tr(U^0 A0 U^0 A0)           == tr((U^0)^2) - (tr U^0)^2,
 
     plus the scalar 2x2 identity tr(M^2) - (tr M)^2 == -2 det(M), each to
-    :data:`DIM2_TOL`.  Draws follow the model-a law at t = 1.
+    :data:`DIM2_TOL`.  Draws follow the model-a law at t = 1, trial by trial
+    from one stream; traces are taken over batches of :func:`forms_per_batch`.
     """
     from .simulate import _draw_increment
 
     rng = np.random.default_rng(seed)
     with IdentityReport("dim2-trace-identities", seed=seed).timed() as report:
-        for _ in range(trials):
-            m = OctonionicMatrix(_draw_increment(rng, "a", 2, 1.0))
-            x, y = off_spectrum_points(m.eigenvalues, rng, 2)
-            report.record_all(_dim2_trace_residuals(resolvent(m, float(x)).components,
-                                                    resolvent(m, float(y)).components),
-                              DIM2_TOL)
-            mm = rng.standard_normal((2, 2))
-            report.record(_rel(float(np.trace(mm @ mm)) - float(np.trace(mm)) ** 2,
-                               -2.0 * float(np.linalg.det(mm))), DIM2_TOL)
+        for lo in range(0, trials, forms_per_batch(2)):
+            mats, shifts, mm = [], [], []
+            for _ in range(lo, min(trials, lo + forms_per_batch(2))):
+                mats.append(OctonionicMatrix(_draw_increment(rng, "a", 2, 1.0)))
+                shifts.append(off_spectrum_points(mats[-1].eigenvalues, rng, 2))
+                mm.append(rng.standard_normal((2, 2)))
+            ux, uy = np.moveaxis(_resolvents(mats, shifts), 1, 0)
+            report.record_all(_dim2_trace_residuals(ux, uy), DIM2_TOL)
+            mm = np.array(mm)
+            report.record_all(_rel(np.trace(mm @ mm, axis1=1, axis2=2) - np.float_power(
+                np.trace(mm, axis1=1, axis2=2), 2), -2.0 * np.linalg.det(mm)), DIM2_TOL)
     return report
 
 

@@ -30,12 +30,7 @@ import numpy as np
 
 from .calculus import MODEL_B_ANTISYM_RATE, DiffusionModel
 from .errors import InsufficientData, InvalidArgument, InvalidConfig
-from .matrices import OctonionicMatrix, real_form
-
-#: Bytes of real forms one chunk of :func:`sample_spectra` builds at a time
-#: (512 forms at n = 2, 8 at n = 16, one from n = 33 up); this bounds its
-#: scratch memory whatever the chunk size.
-FORM_BATCH_BYTES = 2 ** 20
+from .matrices import OctonionicMatrix, forms_per_batch, real_form
 
 #: Fixed seed of the bootstrap resampler (kept independent of the sampling
 #: seed so identical sample sets always yield identical standard errors).
@@ -259,13 +254,13 @@ def sample_spectra(cfg: SimulationConfig, threads: int = 1,
     Work is split over index chunks.  Each chunk draws all its normals with
     one Philox reset to each index's counter block (see the module
     docstring), builds real forms and eigensolves them in batches of at most
-    :data:`FORM_BATCH_BYTES`, and clusters the whole chunk at once.  Every
-    step acts on each sample alone, so the result is identical for any
-    chunk size and thread count.
+    :data:`~octodyson.matrices.FORM_BATCH_BYTES`, and clusters the whole
+    chunk at once.  Every step acts on each sample alone, so the result is
+    identical for any chunk size and thread count.
     """
     layout = _draw_layout(cfg.kind, cfg.n)
     scale = layout.scale(cfg.t)
-    forms_per_batch = max(1, FORM_BATCH_BYTES // (8 * (8 * cfg.n) ** 2))
+    step = forms_per_batch(cfg.n)
 
     def run_chunk(bounds: tuple[int, int]) -> list[SpectralSample]:
         lo, hi = bounds
@@ -277,9 +272,9 @@ def sample_spectra(cfg: SimulationConfig, threads: int = 1,
             rng.standard_normal(out=row)
         normals *= scale
         eigs = np.empty((hi - lo, 8 * cfg.n))
-        for a in range(0, hi - lo, forms_per_batch):
-            batch = normals[a:a + forms_per_batch]
-            eigs[a:a + forms_per_batch] = np.linalg.eigvalsh(real_form(layout.scatter(batch)))
+        for a in range(0, hi - lo, step):
+            batch = normals[a:a + step]
+            eigs[a:a + step] = np.linalg.eigvalsh(real_form(layout.scatter(batch)))
         return _cluster_rows(eigs, cfg.cluster_tol)
 
     bounds = [(lo, min(lo + chunk, cfg.samples)) for lo in range(0, cfg.samples, chunk)]

@@ -18,7 +18,7 @@ from .calculus import (
     generator_log_charpoly,
 )
 from .errors import Error
-from .matrices import oct_inverse, separated_shifts, trace_identity_residuals
+from .matrices import _trace_residual_rows, forms_per_batch, oct_inverse, separated_shifts
 from .reporting import IdentityReport
 from .simulate import SimulationConfig, sample_matrix
 
@@ -70,14 +70,15 @@ def check_closed_forms(model: DiffusionModel, trials: int = 100, seed: int = 0) 
 
 
 def check_trace_identities(kind: str, n: int, trials: int = 50, seed: int = 0) -> IdentityReport:
-    """Component-trace and charpoly-trace identities on random draws."""
+    """Component-trace and charpoly-trace identities on random draws, drawn trial
+    by trial and evaluated over batches of :func:`~octodyson.matrices.forms_per_batch`."""
     rng = np.random.default_rng(seed)
     with IdentityReport(f"trace-identities-model-{kind}-n{n}", seed=seed).timed() as report:
-        for i in range(trials):
-            m = _draw(kind, n, seed, i)
-            x, y = separated_shifts(m.eigenvalues, rng)
-            for r in trace_identity_residuals(m, float(x), float(y)).values():
-                report.record(r, TRACE_TOL)
+        step = forms_per_batch(n)
+        for lo in range(0, trials, step):
+            mats = [_draw(kind, n, seed, i) for i in range(lo, min(trials, lo + step))]
+            shifts = [separated_shifts(m.eigenvalues, rng) for m in mats]
+            report.record_all(_trace_residual_rows(mats, shifts), TRACE_TOL)
     return report
 
 

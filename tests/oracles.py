@@ -12,7 +12,10 @@ arithmetic on basis elements, the exact algebra suites and the generator sign
 weights as loops over label tuples, the structured inverse with its three
 factorisations of M^0, and the finite differences and dimension-2 traces one
 entry or component at a time.  The vectorised library code must reproduce
-them bit for bit.
+them bit for bit.  The identity suites run one trial, one resolvent and one
+dense inverse at a time, and the Gamma and generator sums one label pair at
+a time; the suites must reproduce their reports, the pairing sums their
+values to rounding.
 """
 
 import itertools
@@ -22,18 +25,24 @@ import numpy as np
 
 from octodyson.algebra import CANONICAL_LABELS, FLOAT_TOL, SIGN_TABLE
 from octodyson.calculus import MODEL_B_ANTISYM_RATE, DiffusionModel
-from octodyson.errors import NotSymmCompatible, SingularBase, SingularCore
+from octodyson.errors import NearSingularShift, NotSymmCompatible, SingularBase, SingularCore
 from octodyson.matrices import (
     ANTISYM_UNIT_2,
     COND_LIMIT,
+    DIM2_TOL,
     FD_STEP,
     SYMM_TOL,
+    CharPolyEval,
     OctonionicMatrix,
     logdet_gradient,
+    off_spectrum_points,
     real_form,
+    separated_shifts,
+    shift_guard,
 )
 from octodyson.reporting import IdentityReport
-from octodyson.simulate import GapStatistics, implied_beta
+from octodyson.simulate import GapStatistics, SimulationConfig, implied_beta, sample_matrix
+from octodyson.verify import TRACE_TOL
 
 
 def entry_gamma_tensor(kind: str, n: int) -> np.ndarray:
@@ -444,3 +453,100 @@ def reference_dim2_trace_residuals(ux: np.ndarray, uy: np.ndarray) -> np.ndarray
 def reference_trace_product(a: np.ndarray, b: np.ndarray) -> float:
     """tr(a b) from the formed product."""
     return float(np.trace(a @ b))
+
+
+def reference_resolvent(m: OctonionicMatrix, x: float) -> OctonionicMatrix:
+    """Resolvent at one shift: the guard, then the three-factorisation
+    structured inverse of ``m - x Id``."""
+    eigs = m.eigenvalues
+    if np.min(np.abs(eigs - x)) <= shift_guard(eigs, m.n):
+        raise NearSingularShift(f"shift {x} is within the guard distance of the spectrum")
+    comps = m.components.copy()
+    comps[0] = comps[0] - x * np.eye(m.n)
+    return reference_oct_inverse(OctonionicMatrix(comps))
+
+
+def reference_trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) -> dict:
+    """The trace identities of one matrix, with one resolvent and one dense
+    inverse per shift and every trace of its own."""
+    ucx = reference_resolvent(m, x).components
+    ucy = reference_resolvent(m, y).components
+    rf = reference_real_form(m.components)
+    eye = np.eye(rf.shape[0])
+    dx = np.linalg.inv(rf - x * eye)
+    dy = np.linalg.inv(rf - y * eye)
+    trace_x = float(np.trace(dx))
+    signed = [float(SIGN_TABLE[c, c]) * float(np.trace(ucx[c] @ ucy[c])) for c in range(8)]
+    pairing = max(_rel(float(np.sum(ucx[c] * ucy[c])), signed[c]) for c in range(8))
+    cross_trace = float(np.sum(dx * dy.T))
+    px = CharPolyEval.from_eigenvalues(m.eigenvalues, x)
+    py = CharPolyEval.from_eigenvalues(m.eigenvalues, y)
+    return {
+        "full-trace": _rel(trace_x, 8.0 * float(np.trace(ucx[0]))),
+        "transpose-pairing": pairing,
+        "product-trace": _rel(cross_trace, 8.0 * sum(signed)),
+        "dlog": _rel(trace_x, -px.dlog),
+        "sq": _rel(float(np.sum(dx * dx.T)), px.curvature),
+        "cross": _rel(cross_trace, (px.dlog - py.dlog) / (y - x)),
+    }
+
+
+def reference_check_trace_identities(kind: str, n: int, trials: int, seed: int) -> IdentityReport:
+    """The trace suite one trial at a time."""
+    rng = np.random.default_rng(seed)
+    cfg = SimulationConfig(kind=kind, n=n, t=1.0, samples=1, seed=seed)
+    report = IdentityReport(f"trace-identities-model-{kind}-n{n}", seed=seed)
+    for i in range(trials):
+        m = sample_matrix(cfg, i)
+        x, y = separated_shifts(m.eigenvalues, rng)
+        for r in reference_trace_identity_residuals(m, float(x), float(y)).values():
+            report.record(r, TRACE_TOL)
+    return report
+
+
+def reference_check_dim2_identities(trials: int, seed: int) -> IdentityReport:
+    """The dimension-2 suite one trial at a time, from the same stream."""
+    rng = np.random.default_rng(seed)
+    report = IdentityReport("dim2-trace-identities", seed=seed)
+    for _ in range(trials):
+        m = OctonionicMatrix(reference_draw_increment(rng, "a", 2, 1.0))
+        x, y = off_spectrum_points(m.eigenvalues, rng, 2)
+        report.record_all(reference_dim2_trace_residuals(
+            reference_resolvent(m, float(x)).components,
+            reference_resolvent(m, float(y)).components), DIM2_TOL)
+        mm = rng.standard_normal((2, 2))
+        report.record(_rel(float(np.trace(mm @ mm)) - float(np.trace(mm)) ** 2,
+                           -2.0 * float(np.linalg.det(mm))), DIM2_TOL)
+    return report
+
+
+def reference_gamma_log_charpoly(m: OctonionicMatrix, x: float, y: float,
+                                 model: DiffusionModel) -> float:
+    """The Gamma quadruple sum one label pair at a time: each nonzero pair
+    (f, g) adds 64 sign(f, f) sign(g, g) times c1 <U^f(x), U^g(y)> and c2
+    tr[U^f(x) U^g(y)]."""
+    ucx = reference_resolvent(m, x).components
+    ucy = reference_resolvent(m, y).components
+    total = 0.0
+    for f in range(8):
+        for g in range(8):
+            c1, c2 = model.gamma_coefficients(f, g)
+            if c1 == 0.0 and c2 == 0.0:
+                continue
+            s = 64.0 * float(SIGN_TABLE[f, f] * SIGN_TABLE[g, g])
+            total += s * c1 * float(np.sum(ucx[f] * ucy[g]))
+            total += s * c2 * float(np.trace(ucx[f] @ ucy[g]))
+    return total
+
+
+def reference_generator_log_charpoly(m: OctonionicMatrix, x: float,
+                                     model: DiffusionModel) -> float:
+    """The generator quadruple sum one nonzero elementwise weight at a time,
+    plus the trace weights contracted with the component traces."""
+    uc = reference_resolvent(m, x).components
+    w_elem, w_tr = reference_generator_weights(model.kind)
+    traces = np.array([np.trace(uc[f]) for f in range(8)])
+    total = 0.0
+    for f, g in zip(*np.nonzero(w_elem)):
+        total += w_elem[f, g] * float(np.sum(uc[f] * uc[g]))
+    return -(total + float(traces @ w_tr @ traces))

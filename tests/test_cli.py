@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from octodyson import algebra, cli, matrices, simulate, verify
+from octodyson import OctonionicMatrix, algebra, cli, matrices, simulate
 from octodyson.cli import main
 from octodyson.reporting import fmt17, write_spectrum_csv, write_stats_json
 
@@ -294,12 +294,14 @@ def _suite_json(capsys, argv):
 def test_suite_json_matches_reference_kernels(argv, capsys, monkeypatch):
     """The stacked kernels print the JSON of the loop and dense references:
     the einsum product, the structured inverse with three factorisations of
-    M^0, per-entry finite differences and per-component dimension-2 traces."""
+    M^0 taken one stack entry at a time, per-entry finite differences and
+    per-component dimension-2 traces of one draw at a time."""
     got = _suite_json(capsys, argv)
     monkeypatch.setattr(algebra, "_multiplier", einsum_multiplier)
-    monkeypatch.setattr(matrices, "oct_inverse", reference_oct_inverse)
-    monkeypatch.setattr(verify, "oct_inverse", reference_oct_inverse)
+    monkeypatch.setattr(matrices, "_oct_inverse_stack", lambda comps: np.array(
+        [reference_oct_inverse(OctonionicMatrix(c)).components for c in comps]))
     monkeypatch.setattr(matrices, "fd_logdet_gradient", reference_fd_logdet_gradient)
     monkeypatch.setattr(matrices, "fd_logdet_hessian", reference_fd_logdet_hessian)
-    monkeypatch.setattr(matrices, "_dim2_trace_residuals", reference_dim2_trace_residuals)
+    monkeypatch.setattr(matrices, "_dim2_trace_residuals", lambda ux, uy: np.array(
+        [reference_dim2_trace_residuals(a, b) for a, b in zip(ux, uy)]))
     assert _suite_json(capsys, argv) == got

@@ -1,9 +1,11 @@
 """Source hygiene: every name a module imports is used by that module, every
 module-level private name is read by its module, every exception the package
-raises is one of its own typed errors, and importing the CLI stays cheap."""
+raises is one of its own typed errors, importing the CLI stays cheap, and the
+package still offers every name the benchmark harness reaches for."""
 
 import ast
 import builtins
+import importlib
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "octodyson"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 MODULES = sorted(PACKAGE.glob("*.py"))
 SOURCES = [p for p in MODULES if p.name != "__init__.py"]
 
@@ -90,3 +93,49 @@ def test_cli_import_stays_numpy_only():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def assigned_literal(path: Path, name: str):
+    """The literal value of the first assignment to ``name`` in ``path``, at
+    any depth, read without importing the file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def benchmark_names() -> list[tuple[str, str]]:
+    """(module, name) pairs the benchmark harness reads from the package: the
+    traced layers, the attributes its setup code uses, and the four calculus
+    functions the closed-form recorder wraps in ``verify``."""
+    pairs = [(module, name) for module, names in
+             assigned_literal(PERFBENCH / "tracing.py", "LAYERS").items() for name in names]
+    setup = ast.parse(assigned_literal(PERFBENCH / "run.py", "SETUP_CODE"))
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(setup)
+               if isinstance(node, ast.ImportFrom) and node.module == "octodyson"
+               for alias in node.names}
+    pairs += [(modules[node.value.id], node.attr) for node in ast.walk(setup)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules]
+    pairs += [("verify", name) for name in
+              assigned_literal(PERFBENCH / "workloads.py", "names")]
+    return pairs
+
+
+BENCHMARK_NAMES = sorted(set(benchmark_names()))
+
+
+def test_benchmark_harness_reads_at_least_the_recorded_names():
+    assert {("matrices", "oct_inverse"), ("simulate", "sample_matrix"),
+            ("calculus", "DiffusionModel"), ("verify", "gamma_closed_form")} <= {
+                *BENCHMARK_NAMES}
+
+
+@pytest.mark.parametrize("module,name", BENCHMARK_NAMES, ids=map(".".join, BENCHMARK_NAMES))
+def test_benchmark_names_exist(module, name):
+    mod = importlib.import_module(f"octodyson.{module}")
+    assert hasattr(mod, name), f"perfbench reads octodyson.{module}.{name}"
+    if module == "verify" and hasattr(importlib.import_module("octodyson.calculus"), name):
+        # the recorder wraps the calculus function as verify binds it
+        assert getattr(mod, name) is getattr(importlib.import_module("octodyson.calculus"), name)

@@ -13,6 +13,7 @@ from octodyson import (
     SimulationConfig,
     SingularBase,
     SingularCore,
+    matrices,
     oct_inverse,
     real_form,
     resolvent,
@@ -23,6 +24,8 @@ from octodyson.algebra import CANONICAL_LABELS, subset_label
 from octodyson.matrices import (
     ANTISYM_UNIT_2,
     _dim2_trace_residuals,
+    _oct_inverse_stack,
+    _resolvents,
     check_dim2_identities,
     check_logdet_derivatives,
     dim3_counterexample,
@@ -37,6 +40,7 @@ from octodyson.matrices import (
 from oracles import (
     components_from_real_form,
     octonionic_residual,
+    reference_check_dim2_identities,
     reference_dim2_trace_residuals,
     reference_fd_logdet_gradient,
     reference_fd_logdet_hessian,
@@ -50,6 +54,13 @@ RNG = np.random.default_rng(2024)
 
 def draw(kind="a", n=2, seed=0, index=0):
     return sample_matrix(SimulationConfig(kind=kind, n=n, t=1.0, samples=1, seed=seed), index)
+
+
+def shifted(m, x):
+    """``m - x Id``: the shift acts on the scalar component."""
+    comps = m.components.copy()
+    comps[0] = comps[0] - x * np.eye(m.n)
+    return OctonionicMatrix(comps)
 
 
 def test_identity_real_form():
@@ -210,7 +221,7 @@ def test_oct_inverse_matches_three_factorisation_reference(kind, n, draws):
     rng = np.random.default_rng(8)
     for index in range(draws):
         m = draw(kind, n=n, seed=21, index=index)
-        for mat in (m, m.shifted(float(off_spectrum_points(m.eigenvalues, rng)[0]))):
+        for mat in (m, shifted(m, float(off_spectrum_points(m.eigenvalues, rng)[0]))):
             assert np.array_equal(oct_inverse(mat).components,
                                   reference_oct_inverse(mat).components)
 
@@ -250,9 +261,9 @@ def spectral_shift(m):
 def test_compatibility_residual_matches_pair_loop(kind, n):
     for index in range(3):
         m = draw(kind, n=n, seed=17, index=index)
-        for shifted in (m, m.shifted(spectral_shift(m))):
-            got = symm_compatibility_residual(shifted)
-            want = symm_compatibility_residual_by_pair(shifted.components)
+        for mat in (m, shifted(m, spectral_shift(m))):
+            got = symm_compatibility_residual(mat)
+            want = symm_compatibility_residual_by_pair(mat.components)
             assert got < 1e-10
             assert abs(got - want) <= 1e-14
     bad = _incompatible_stack(np.random.default_rng(n))
@@ -391,6 +402,15 @@ def test_dim2_trace_residuals_match_component_loop():
                               reference_dim2_trace_residuals(ux, uy))
 
 
+def test_dim2_trace_residuals_of_a_stack_match_component_loop():
+    """Row by row the bits of the one-draw loop, also where libm ``pow``
+    squares a trace differently from ``x * x`` (about one draw in a thousand)."""
+    rng = np.random.default_rng(29)
+    ux, uy = rng.standard_normal((2, 4000, 8, 2, 2))
+    want = np.array([reference_dim2_trace_residuals(a, b) for a, b in zip(ux, uy)])
+    assert np.array_equal(_dim2_trace_residuals(ux, uy), want)
+
+
 def test_dim2_scalar_identity_on_identity_matrix():
     m = np.eye(2)
     assert np.trace(m @ m) - np.trace(m) ** 2 == -2.0 * np.linalg.det(m)
@@ -417,3 +437,128 @@ def test_immutability():
     m = draw("a")
     with pytest.raises(ValueError):
         m.components[0, 0, 0] = 99.0
+
+
+# ---------------------------------------------------------------------------
+# the stacked structured-inverse kernel and the stacked resolvent
+
+
+def _suite_dict(report):
+    """A suite report without its timing."""
+    out = report.to_dict()
+    del out["elapsed_ms"]
+    return out
+
+
+def _shifted_stack(kind, n, draws):
+    """Components of ``draws`` model draws, unshifted then shifted off the spectrum."""
+    rng = np.random.default_rng(31)
+    mats = [draw(kind, n=n, seed=23, index=i) for i in range(draws)]
+    mats += [shifted(m, float(off_spectrum_points(m.eigenvalues, rng)[0])) for m in mats]
+    return np.stack([m.components for m in mats])
+
+
+@pytest.mark.parametrize("kind,n,draws", [("a", 2, 8), ("b", 4, 4), ("b", 48, 2)])
+def test_stacked_kernel_matches_reference_per_entry(kind, n, draws):
+    stack = _shifted_stack(kind, n, draws)
+    got = _oct_inverse_stack(stack)
+    for entry, inverse in zip(stack, got):
+        assert np.array_equal(inverse, reference_oct_inverse(OctonionicMatrix(entry)).components)
+
+
+def test_forced_batches_give_the_same_bits(monkeypatch):
+    stack = _shifted_stack("a", 2, 10)
+    whole = _oct_inverse_stack(stack)
+    report = _suite_dict(check_dim2_identities(trials=20, seed=6))
+    # three entries per batch: the stack splits into seven batches
+    monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", 3 * 8 * 16 ** 2)
+    assert matrices.forms_per_batch(2) == 3
+    assert np.array_equal(_oct_inverse_stack(stack), whole)
+    assert _suite_dict(check_dim2_identities(trials=20, seed=6)) == report
+
+
+def test_stacked_kernel_raises_for_first_failing_entry():
+    """The loop's error and message: the first failing entry wins, whatever
+    the failures of later entries."""
+    good = _shifted_stack("b", 3, 2)[2:]
+    singular = np.zeros((8, 3, 3))
+    incompatible = _incompatible_stack(np.random.default_rng(5)).components
+    with pytest.raises(NotSymmCompatible) as want:
+        reference_oct_inverse(OctonionicMatrix(incompatible))
+    with pytest.raises(NotSymmCompatible) as got:
+        _oct_inverse_stack(np.stack([good[0], incompatible, good[1], singular]))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(SingularBase, match="scalar component is singular or near-singular"):
+        _oct_inverse_stack(np.stack([good[0], singular, good[1], incompatible]))
+
+
+def test_stacked_resolvent_raises_for_first_near_shift():
+    mats = [draw("a", index=i) for i in range(3)]
+    far = [spectral_shift(m) for m in mats]
+    near = [float(m.eigenvalues[k]) for m, k in zip(mats, (0, 3, 9))]
+    with pytest.raises(NearSingularShift) as want:
+        resolvent(mats[1], near[1])
+    with pytest.raises(NearSingularShift) as got:
+        _resolvents(mats, [[far[0], far[0]], [far[1], near[1]], [near[2], far[2]]])
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("trials", [80, 200])
+@pytest.mark.parametrize("seed", [0, 2])
+def test_dim2_suite_matches_trial_loop(trials, seed):
+    assert (_suite_dict(check_dim2_identities(trials, seed))
+            == _suite_dict(reference_check_dim2_identities(trials, seed)))
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_resolvent_rejects_non_finite_shift(x):
+    with pytest.raises(InvalidArgument):
+        resolvent(draw("a"), x)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_stacked_resolvent_rejects_non_finite_shift(x):
+    m = draw("a")
+    with pytest.raises(InvalidArgument):
+        _resolvents([m, m], [[spectral_shift(m)], [x]])
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_charpoly_rejects_non_finite_shift(x):
+    with pytest.raises(InvalidArgument):
+        CharPolyEval.from_eigenvalues(draw("a").eigenvalues, x)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_components_rejected(value):
+    comps = draw("a").components.copy()
+    comps[3, 1, 0] = value
+    with pytest.raises(InvalidArgument):
+        OctonionicMatrix(comps)
+
+
+# ---------------------------------------------------------------------------
+# the per-matrix resolvent memo
+
+
+def test_failed_resolvent_raises_again():
+    bad = _incompatible_stack(np.random.default_rng(3))
+    m = draw("a", index=4)
+    for mat, x, exc in ((bad, spectral_shift(bad), NotSymmCompatible),
+                        (m, float(m.eigenvalues[0]), NearSingularShift)):
+        for _ in range(2):
+            with pytest.raises(exc):
+                resolvent(mat, x)
+        assert mat._resolvent_memo == {}
+
+
+def test_resolvent_memo_returns_the_first_result():
+    m = draw("b", n=3, index=1)
+    x = spectral_shift(m)
+    first = resolvent(m, x)
+    assert resolvent(m, x) is first
+    assert np.array_equal(first.components, _resolvents([m], [[x]])[0, 0])

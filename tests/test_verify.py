@@ -1,5 +1,6 @@
-"""Verification suites: the residual tally, large-n charpoly data, and
-negative controls that must make the closed-form suite fail."""
+"""Verification suites: the residual tally, large-n charpoly data, negative
+controls that must make the closed-form suite fail, the pairing kernel and
+the batched trace suite against their loops, and the resolvent memo."""
 
 import json
 
@@ -12,14 +13,21 @@ from octodyson import (
     IdentityReport,
     SimulationConfig,
     calculus,
+    matrices,
     model_a,
     model_b,
     sample_matrix,
 )
-from octodyson.matrices import off_spectrum_points
+from octodyson.calculus import generator_charpoly_ratio, measure_coefficients
+from octodyson.matrices import OctonionicMatrix, off_spectrum_points, separated_shifts
 from octodyson.verify import check_closed_forms, check_trace_identities
 
-from oracles import reference_generator_weights
+from oracles import (
+    reference_check_trace_identities,
+    reference_gamma_log_charpoly,
+    reference_generator_log_charpoly,
+    reference_generator_weights,
+)
 
 
 def test_non_finite_residuals_fail():
@@ -116,3 +124,74 @@ def test_generator_weights_match_quadruple_loop(perturb, patch, kind):
     want = reference_generator_weights(kind)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["a", "b"])
+@pytest.mark.parametrize("patch", [None, _scale_gamma, _antisym_rate],
+                         ids=["stated", "scaled-gamma", "antisym-rate"])
+def test_pairing_kernel_matches_label_loops(perturb, patch, kind):
+    """Gamma and L from the weighted Gram and trace pairings equal the label
+    loops to rounding, also under the negative-control patches.  The loops'
+    sequential sums are the larger error: about 40 ulp at n = 3, where the
+    pairing kernel is within 2 ulp of the exact sum."""
+    if patch is not None:
+        patch(perturb)
+    model = model_a() if kind == "a" else model_b(3)
+    rng = np.random.default_rng(11)
+    for index in range(4):
+        m = sample_matrix(SimulationConfig(kind=kind, n=model.n, seed=5), index)
+        x, y = separated_shifts(m.eigenvalues, rng)
+        for got, want in (
+                (calculus.gamma_log_charpoly(m, x, y, model),
+                 reference_gamma_log_charpoly(m, x, y, model)),
+                (calculus.gamma_log_charpoly(m, y, y, model),
+                 reference_gamma_log_charpoly(m, y, y, model)),
+                (calculus.generator_log_charpoly(m, x, model),
+                 reference_generator_log_charpoly(m, x, model))):
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("kind,n,trials", [("a", 2, 20), ("b", 3, 20), ("b", 48, 2)])
+def test_trace_suite_matches_trial_loop(kind, n, trials):
+    got = check_trace_identities(kind, n, trials=trials, seed=4).to_dict()
+    want = reference_check_trace_identities(kind, n, trials, seed=4).to_dict()
+    del got["elapsed_ms"], want["elapsed_ms"]
+    assert got == want
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the calls of the stacked structured-inverse kernel."""
+    calls = []
+    kernel = matrices._oct_inverse_stack
+
+    def counted(comps):
+        calls.append(len(comps))
+        return kernel(comps)
+
+    monkeypatch.setattr(matrices, "_oct_inverse_stack", counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", [model_a(), model_b(3)], ids=["a", "b3"])
+def test_closed_form_trial_inverts_once_per_shift(kernel_calls, model):
+    # Gamma(x, y), Gamma(y, x) and L(x) ask for five resolvents at two shifts
+    check_closed_forms(model, trials=1)
+    assert kernel_calls == [1, 1]
+
+
+def test_charpoly_ratio_inverts_once(kernel_calls):
+    m = sample_matrix(SimulationConfig(kind="b", n=3, seed=2), 0)
+    x = float(off_spectrum_points(m.eigenvalues, np.random.default_rng(1))[0])
+    generator_charpoly_ratio(m, x, model_b(3))
+    assert kernel_calls == [1]
+
+
+@pytest.mark.parametrize("model", [model_a(), model_b(4)], ids=["a", "b4"])
+def test_memo_leaves_measured_coefficients_unchanged(monkeypatch, model):
+    m = sample_matrix(SimulationConfig(kind=model.kind, n=model.n, seed=8), 3)
+    memoised = measure_coefficients(model, m, np.random.default_rng(105))
+    monkeypatch.setattr(calculus, "resolvent",
+                        lambda mat, x: OctonionicMatrix(matrices._resolvents([mat], [[x]])[0, 0]))
+    fresh = sample_matrix(SimulationConfig(kind=model.kind, n=model.n, seed=8), 3)
+    assert measure_coefficients(model, fresh, np.random.default_rng(105)) == memoised
