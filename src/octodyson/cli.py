@@ -5,7 +5,8 @@ error, such as a trial count below 1 or model a at n != 2.  With --json,
 stdout is exactly one JSON document.  With --out, every file the command
 writes is recorded with its SHA-256 digest in one manifest,
 <out>.manifest.json.  Outputs are byte-identical for identical (command,
-seed) regardless of --threads.
+seed) regardless of --threads; the manifest and the --json report record
+the thread count that ran.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .calculus import DiffusionModel, ExponentProblem, invariant_exponent, solve
 from .errors import InsufficientData, InvalidConfig
 from .matrices import check_dim2_identities, check_logdet_derivatives, dim3_counterexample
 from .reporting import file_digest, write_spectrum_csv, write_stats_json
-from .simulate import SimulationConfig, euler_path, gap_statistics, sample_spectra
+from .simulate import (SimulationConfig, euler_path, gap_statistics, resolve_threads,
+                       sample_spectra)
 from .verify import check_closed_forms, check_inverse_roundtrip, check_trace_identities
 
 
@@ -31,6 +33,11 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _thread_count(text: str) -> int | str:
+    """argparse type of --threads: "auto" or a count of at least 1."""
+    return text if text == "auto" else _positive_int(text)
 
 
 def _command(sub, name: str, func, summary: str, out: bool = True, threads: bool = False,
@@ -43,8 +50,10 @@ def _command(sub, name: str, func, summary: str, out: bool = True, threads: bool
     if out:
         p.add_argument("--out", type=str, default=None, help="output file path")
     if threads:
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (speed only; output bytes unchanged)")
+        p.add_argument("--threads", type=_thread_count, default="auto",
+                       help="threads, at most the usable CPUs, or auto: every usable "
+                            "CPU for n >= 3 when the BLAS can be held to one thread, "
+                            "else 1 (speed only; output bytes unchanged; default auto)")
     if model:
         p.add_argument("--model", choices=("a", "b"), required=True)
         p.add_argument("--n", type=int, default=2,
@@ -173,6 +182,7 @@ def cmd_verify_identities(args) -> int:
 def cmd_sample_spectrum(args) -> int:
     cfg = SimulationConfig(kind=args.model, n=args.n, t=args.t, samples=args.samples,
                            seed=args.seed, cluster_tol=args.cluster_tol)
+    args.threads = resolve_threads(args.threads, cfg.n)
     spectra = sample_spectra(cfg, threads=args.threads)
     clean = sum(s.multiplicities == (8,) * cfg.n for s in spectra)
     lines = [f"samples: {len(spectra)}; with {cfg.n} clusters of multiplicity 8: {clean}"]
@@ -195,8 +205,8 @@ def cmd_sample_spectrum(args) -> int:
             lines.append(f"gap moment ratio: {gaps.ratio:.6f}  "
                          f"implied beta: {gaps.implied_beta:.4f} +- {gaps.stderr:.4f}")
             writers.append((".stats.json", lambda path: write_stats_json(path, stats)))
-    return _finish(args, {"samples": len(spectra), "clean": clean, "stats": stats}, lines,
-                   writers, ok=clean == len(spectra))
+    return _finish(args, {"samples": len(spectra), "clean": clean, "stats": stats,
+                          "threads": args.threads}, lines, writers, ok=clean == len(spectra))
 
 
 def cmd_simulate_path(args) -> int:

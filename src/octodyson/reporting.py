@@ -100,33 +100,31 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
-def spectrum_csv_row(ids, kind: str, n: int, t: float, sample) -> str:
-    """One CSV row: the integer ``ids``, then the draw; draws with an
-    unexpected cluster count are NaN-padded."""
-    xs = list(sample.distinct)
-    ms = list(sample.multiplicities)
-    xs = xs[:n] + [float("nan")] * max(0, n - len(xs))
-    ms = ms[:n] + [0] * max(0, n - len(ms))
-    cells = [str(i) for i in ids] + [kind, str(n), fmt17(t)]
-    cells += [fmt17(x) for x in xs]
-    cells += [str(int(m)) for m in ms]
-    cells.append(fmt17(sample.spread))
-    return ",".join(cells)
-
-
 def write_spectrum_csv(path: str, samples, kind: str, n: int, t: float,
                        id_names=("sample_id",), ids=None) -> None:
     """Write per-sample spectra, each row led by its integer ``ids`` under the
     ``id_names`` columns (by default the sample's position); byte-deterministic
-    for a fixed sample list."""
+    for a fixed sample list.
+
+    Every row fills one ``%``-format template with ``%d`` ids and
+    multiplicities and ``%.17g`` floats (the text of :func:`fmt17`); a draw
+    with other than ``n`` clusters is cut to ``n`` or padded with NaN
+    eigenvalues of multiplicity 0.
+    """
     if ids is None:
         ids = ((i,) for i in range(len(samples)))
     header = [*id_names, "model", "n", "t", *(f"x{i + 1}" for i in range(n)),
               *(f"mult{i + 1}" for i in range(n)), "spread"]
+    fixed = f"{kind},{n},{fmt17(t)},".replace("%", "%%")
+    template = "%d," * len(id_names) + fixed + "%.17g," * n + "%d," * n + "%.17g\n"
+    nan_pad = (math.nan,) * n
+    zero_pad = (0,) * n
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row_ids, s in zip(ids, samples):
-            fh.write(spectrum_csv_row(row_ids, kind, n, t, s) + "\n")
+        fh.writelines(
+            template % (*row_ids, *(s.distinct + nan_pad)[:n],
+                        *(s.multiplicities + zero_pad)[:n], s.spread)
+            for row_ids, s in zip(ids, samples))
 
 
 def write_stats_json(path: str, payload: dict) -> None:

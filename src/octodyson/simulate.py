@@ -15,19 +15,26 @@ instead and, before each index, resets its counter to ``index * 2**128``
 with an empty output buffer: the generator is then in exactly the state a
 fresh :func:`sample_rng` would have, so each sample's normals, and hence the
 output bytes, cannot depend on the chunk size or on the thread count.  What
-varies with those is only which generator object does the drawing.
+varies with those is only which generator object does the drawing, and on
+which thread.  The thread count is a number or "auto" (the command line's
+default), which :func:`resolve_threads` turns into every usable CPU for
+n >= 3 when the loaded OpenBLAS can be held to one thread while the chunks
+run, and into one thread otherwise; a number is capped at the usable CPUs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .blas import find_openblas
 from .calculus import MODEL_B_ANTISYM_RATE, DiffusionModel
 from .errors import InsufficientData, InvalidArgument, InvalidConfig
 from .matrices import OctonionicMatrix, forms_per_batch, real_form
@@ -246,21 +253,67 @@ def _cluster_rows(eigs: np.ndarray, cluster_tol: float) -> list[SpectralSample]:
             for i in range(rows)]
 
 
-def sample_spectra(cfg: SimulationConfig, threads: int = 1,
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def resolve_threads(threads: int | str, n: int) -> int:
+    """The thread count :func:`sample_spectra` runs with at matrix size ``n``.
+
+    A count is capped at :func:`usable_cpus`, since the output bytes do not
+    depend on it.  "auto" is every usable CPU when n >= 3 and the loaded
+    OpenBLAS can be held to one thread while the chunks run, else 1: a BLAS
+    that spreads each call over the cores as well would compete with the
+    pool for them, and at n = 2 a second thread measured no faster and kept
+    its freed chunk memory in its own malloc arena.
+
+    Raises
+    ------
+    InvalidArgument
+        If ``threads`` is neither "auto" nor a count of at least 1.
+    """
+    if threads == "auto":
+        return usable_cpus() if n >= 3 and find_openblas() is not None else 1
+    if isinstance(threads, str) or threads < 1:
+        raise InvalidArgument(f"threads must be 'auto' or >= 1, got {threads!r}")
+    return min(threads, usable_cpus())
+
+
+def sample_spectra(cfg: SimulationConfig, threads: int | str = 1,
                    chunk: int = 1024) -> list[SpectralSample]:
     """Spectra of all configured samples, equal to clustering the real-form
     eigenvalues of ``sample_components(cfg, i)`` for each index ``i``.
 
-    Work is split over index chunks.  Each chunk draws all its normals with
-    one Philox reset to each index's counter block (see the module
-    docstring), builds real forms and eigensolves them in batches of at most
-    :data:`~octodyson.matrices.FORM_BATCH_BYTES`, and clusters the whole
-    chunk at once.  Every step acts on each sample alone, so the result is
-    identical for any chunk size and thread count.
+    ``threads`` goes through :func:`resolve_threads`.  Work is split into
+    index chunks of at most ``chunk`` samples, and into at least ``threads``
+    chunks.  Each chunk draws all its normals with one Philox reset to each
+    index's counter block (see the module docstring), builds real forms and
+    eigensolves them in batches, and clusters the whole chunk at once.  With
+    more than one thread the chunks run on a thread pool while the loaded
+    OpenBLAS (if found) is held to one thread, and a batch holds 1/threads
+    of :data:`~octodyson.matrices.FORM_BATCH_BYTES`, so that all threads
+    together hold no more forms than a serial run.  Every step acts on each
+    sample alone, so the result is identical for any chunk size and thread
+    count.
+
+    Raises
+    ------
+    InvalidArgument
+        If ``threads`` is invalid or ``chunk`` is below 1.
     """
+    threads = resolve_threads(threads, cfg.n)
+    if chunk < 1:
+        raise InvalidArgument(f"chunk must be >= 1, got {chunk}")
     layout = _draw_layout(cfg.kind, cfg.n)
     scale = layout.scale(cfg.t)
-    step = forms_per_batch(cfg.n)
+    size = min(chunk, -(-cfg.samples // threads))
+    bounds = [(lo, min(lo + size, cfg.samples)) for lo in range(0, cfg.samples, size)]
+    workers = min(threads, len(bounds))
+    step = max(1, forms_per_batch(cfg.n) // workers)
 
     def run_chunk(bounds: tuple[int, int]) -> list[SpectralSample]:
         lo, hi = bounds
@@ -277,11 +330,14 @@ def sample_spectra(cfg: SimulationConfig, threads: int = 1,
             eigs[a:a + step] = np.linalg.eigvalsh(real_form(layout.scatter(batch)))
         return _cluster_rows(eigs, cfg.cluster_tol)
 
-    bounds = [(lo, min(lo + chunk, cfg.samples)) for lo in range(0, cfg.samples, chunk)]
-    if threads <= 1 or len(bounds) == 1:
+    if workers == 1:
         parts = map(run_chunk, bounds)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # a failing chunk cancels the chunks not yet started; the BLAS count
+        # comes back once the pool has shut down
+        blas = find_openblas()
+        with blas.held_at_one() if blas else contextlib.nullcontext(), \
+                ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_chunk, bounds))
     return list(itertools.chain.from_iterable(parts))
 

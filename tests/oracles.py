@@ -15,7 +15,8 @@ entry or component at a time.  The vectorised library code must reproduce
 them bit for bit.  The identity suites run one trial, one resolvent and one
 dense inverse at a time, and the Gamma and generator sums one label pair at
 a time; the suites must reproduce their reports, the pairing sums their
-values to rounding.
+values to rounding.  Spectrum CSV rows are joined cell by cell from
+:func:`~octodyson.reporting.fmt17` and ``str``.
 """
 
 import itertools
@@ -40,7 +41,7 @@ from octodyson.matrices import (
     separated_shifts,
     shift_guard,
 )
-from octodyson.reporting import IdentityReport
+from octodyson.reporting import IdentityReport, fmt17
 from octodyson.simulate import GapStatistics, SimulationConfig, implied_beta, sample_matrix
 from octodyson.verify import TRACE_TOL
 
@@ -235,6 +236,21 @@ def reference_gap_statistics(samples, bootstrap: int, bootstrap_seed: int) -> Ga
     return GapStatistics(count=n, moment2=m2, moment4=m4, ratio=m4 / (m2 * m2),
                          implied_beta=implied_beta(m4 / (m2 * m2)),
                          stderr=float(np.std(betas)) if np.isfinite(betas).all() else math.inf)
+
+
+def reference_spectrum_csv_row(ids, kind: str, n: int, t: float, sample) -> str:
+    """One spectrum CSV row, without its newline, joined cell by cell: the
+    integer ``ids``, then the draw; draws with an unexpected cluster count
+    are cut to ``n`` or NaN-padded."""
+    xs = list(sample.distinct)
+    ms = list(sample.multiplicities)
+    xs = xs[:n] + [float("nan")] * max(0, n - len(xs))
+    ms = ms[:n] + [0] * max(0, n - len(ms))
+    cells = [str(i) for i in ids] + [kind, str(n), fmt17(t)]
+    cells += [fmt17(x) for x in xs]
+    cells += [str(int(m)) for m in ms]
+    cells.append(fmt17(sample.spread))
+    return ",".join(cells)
 
 
 def einsum_multiplier(table: np.ndarray):

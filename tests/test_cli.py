@@ -2,13 +2,17 @@
 
 import functools
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from octodyson import OctonionicMatrix, algebra, cli, matrices, simulate
+from octodyson.blas import BlasThreads
 from octodyson.cli import main
 from octodyson.reporting import fmt17, write_spectrum_csv, write_stats_json
+from octodyson.simulate import SpectralSample
 
 from oracles import (
     einsum_multiplier,
@@ -18,6 +22,7 @@ from oracles import (
     reference_gap_statistics,
     reference_oct_inverse,
     reference_real_form,
+    reference_spectrum_csv_row,
 )
 
 
@@ -141,14 +146,106 @@ def test_sample_spectrum_insufficient_data_still_writes_csv(tmp_path, capsys):
     assert not (tmp_path / "tiny.csv.stats.json").exists()
 
 
-def test_sample_spectrum_threads_byte_identical(tmp_path, capsys):
+def test_sample_spectrum_threads_byte_identical(tmp_path, capsys, monkeypatch):
+    """A run below one 1024-sample chunk still splits over the threads: with
+    --threads 4 on four usable CPUs its 500 samples run as four chunks, two
+    of them at the same time on two threads (each waits at the barrier for
+    the other), and the bytes equal those of --threads 1."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    argv = ["sample-spectrum", "--model", "b", "--n", "2", "--samples", "500", "--seed", "9",
+            "--json"]
     a = tmp_path / "t1.csv"
     b = tmp_path / "t4.csv"
-    run(capsys, "sample-spectrum", "--model", "b", "--n", "2", "--samples", "500",
-        "--seed", "9", "--out", str(a), "--threads", "1")
-    run(capsys, "sample-spectrum", "--model", "b", "--n", "2", "--samples", "500",
-        "--seed", "9", "--out", str(b), "--threads", "4")
+    assert json.loads(run(capsys, *argv, "--out", str(a), "--threads", "1")[1])["threads"] == 1
+    chunk_threads = []
+    barrier = threading.Barrier(2, timeout=10)
+    cluster_rows = simulate._cluster_rows
+
+    def meeting_cluster_rows(eigs, tol):
+        chunk_threads.append(threading.get_ident())
+        if len(chunk_threads) <= 2:
+            barrier.wait()
+        return cluster_rows(eigs, tol)
+
+    monkeypatch.setattr(simulate, "_cluster_rows", meeting_cluster_rows)
+    assert json.loads(run(capsys, *argv, "--out", str(b), "--threads", "4")[1])["threads"] == 4
+    assert len(chunk_threads) == 4
+    assert len(set(chunk_threads)) > 1
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("n,samples", [(3, 300), (16, 40)])
+def test_sample_spectrum_auto_threads_byte_identical(n, samples, tmp_path, capsys):
+    """Model b below 1024 samples: the default (auto), --threads auto, 1 and 4
+    write the same CSV."""
+    written = set()
+    for threads in ([], ["--threads", "auto"], ["--threads", "1"], ["--threads", "4"]):
+        out = tmp_path / f"{len(written)}.csv"
+        code, _ = run(capsys, "sample-spectrum", "--model", "b", "--n", str(n),
+                      "--samples", str(samples), "--seed", "4", "--out", str(out), *threads)
+        assert code == 0
+        written.add(out.read_bytes())
+    assert len(written) == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_threads_below_one_usage_error(threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample-spectrum", "--model", "a", "--samples", "10", "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def _resolved_threads(capsys, tmp_path, *argv):
+    """Threads of one run as its --json report and its manifest record them."""
+    out = tmp_path / "auto.csv"
+    code, text = run(capsys, "sample-spectrum", "--samples", "30", *argv, "--json",
+                     "--out", str(out))
+    assert code == 0
+    manifest = json.loads((tmp_path / "auto.csv.manifest.json").read_text())
+    assert manifest["config"]["threads"] == json.loads(text)["threads"]
+    return json.loads(text)["threads"]
+
+
+def test_auto_threads_resolution(tmp_path, capsys, monkeypatch):
+    """auto: every usable CPU for n >= 3 with a BLAS thread control, else 1;
+    a count is capped at the usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(simulate, "find_openblas", lambda: None)
+    assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3") == 1
+    assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3",
+                             "--threads", "2") == 2
+    assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3",
+                             "--threads", "4") == 3
+    monkeypatch.setattr(simulate, "find_openblas", lambda: BlasThreads(lambda: 1, lambda k: None))
+    assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3") == 3
+    assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3",
+                             "--threads", "auto") == 3
+    assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "2") == 1
+    assert _resolved_threads(capsys, tmp_path, "--model", "a") == 1
+    assert _resolved_threads(capsys, tmp_path, "--model", "a", "--threads", "2") == 2
+
+
+def test_spectrum_csv_template_matches_spectrum_csv_row(tmp_path):
+    """Template rows equal the cell-by-cell reference row, for regular and
+    irregular draws, with one or two id columns."""
+    n = 3
+    samples = [
+        SpectralSample((-1.5, 0.1 + 0.2, 7e300), (8, 8, 8), 2.220446049250313e-16),
+        SpectralSample((-0.0, 5e-324, 1 / 3), (8, 7, 9), 0.0),
+        SpectralSample((np.float64(2.5), np.inf, -np.inf), (8, 8, 8), np.float64(1e-17)),
+        SpectralSample((1.0, 2.0), (16, 8), 1e-3),  # too few clusters: NaN-padded
+        SpectralSample((1.0, 2.0, 3.0, 4.0), (8, 8, 4, 4), 0.5),  # too many: cut
+        SpectralSample((np.nan, 1.0, 2.0), (8, 8, 8), np.nan),
+    ]
+    for id_names, ids in [(("sample_id",), None),
+                          (("path_id", "step"), [(p, s) for p in (0, 12) for s in (0, 1, 99)])]:
+        path = tmp_path / "rows.csv"
+        write_spectrum_csv(str(path), samples, "b", n, 0.1, id_names, ids)
+        rows = path.read_text().split("\n")
+        row_ids = ids or [(i,) for i in range(len(samples))]
+        assert rows[1:] == [reference_spectrum_csv_row(i, "b", n, 0.1, s)
+                            for i, s in zip(row_ids, samples)] + [""]
 
 
 def test_sample_spectrum_model_b_n3(capsys):

@@ -1,6 +1,9 @@
 """Sampling laws, spectrum clustering, gap statistics, Euler paths."""
 
 import dataclasses
+import inspect
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from octodyson import (
     simulate,
     spectrum,
 )
+from octodyson.blas import find_openblas
 from octodyson.simulate import (
     SpectralSample,
     _cluster_rows,
@@ -149,11 +153,118 @@ def test_cluster_eigenvalues_grouping():
     assert s.spread <= 2e-12
 
 
-def test_sample_spectra_thread_invariance():
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    """Eight usable CPUs, so that a thread count up to 8 is not capped."""
+    monkeypatch.setattr(simulate, "usable_cpus", lambda: 8)
+
+
+def test_sample_spectra_thread_invariance(eight_cpus):
     c = cfg(seed=31, samples=400)
     serial = sample_spectra(c, threads=1)
     threaded = sample_spectra(c, threads=4, chunk=64)
     assert serial == threaded
+    # more threads than samples: one chunk per sample
+    assert sample_spectra(cfg(seed=31, samples=3), threads=8) == serial[:3]
+    for threads, chunk in [(0, 1024), (-2, 1024), ("two", 1024), (2, 0)]:
+        with pytest.raises(InvalidArgument):
+            sample_spectra(c, threads=threads, chunk=chunk)
+
+
+def test_thread_count_capped_at_usable_cpus(monkeypatch):
+    """A huge thread count starts no more pool threads than usable CPUs."""
+    monkeypatch.setattr(simulate, "usable_cpus", lambda: 3)
+    started = []
+
+    class Recording(simulate.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
+    c = cfg(kind="b", n=3, seed=66, samples=30)
+    assert simulate.resolve_threads(10**6, 3) == 3
+    assert sample_spectra(c, threads=10**6) == sample_spectra(c)
+    assert started == [3]
+
+
+def test_sample_spectra_pool_stress(eight_cpus):
+    """More threads than cores, one-sample chunks and a short switch
+    interval: a chunk lost or run twice would change the result."""
+    c = cfg(kind="b", n=3, seed=63, samples=120)
+    serial = sample_spectra(c)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: results.append(
+            sample_spectra(c, threads=8, chunk=1)))
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert results == [serial]
+
+
+def test_find_openblas_matches_numpy_build():
+    if "mode" not in inspect.signature(np.show_config).parameters:
+        pytest.skip("numpy.show_config cannot report the BLAS name")
+    blas_name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    assert (find_openblas() is not None) == ("openblas" in blas_name)
+
+
+@pytest.fixture
+def blas_at_three():
+    """The loaded OpenBLAS set to three threads, its count restored after."""
+    blas = find_openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    before = blas.get()
+    blas.set(3)
+    yield blas
+    blas.set(before)
+
+
+def test_pool_holds_blas_at_one_and_restores_it(blas_at_three, eight_cpus, monkeypatch):
+    c = cfg(kind="b", n=3, seed=64, samples=40)
+    serial = sample_spectra(c)
+    counts = []
+    real_form = simulate.real_form
+    monkeypatch.setattr(simulate, "real_form",
+                        lambda comps: counts.append(blas_at_three.get()) or real_form(comps))
+    assert sample_spectra(c, threads=2, chunk=5) == serial
+    assert len(counts) == 8 and set(counts) == {1}
+    assert blas_at_three.get() == 3
+    counts.clear()
+    sample_spectra(c)
+    assert set(counts) == {3}  # a serial run leaves the BLAS alone
+
+
+def test_pool_restores_blas_when_a_chunk_raises(blas_at_three, eight_cpus, monkeypatch):
+    """A failing chunk propagates its exception, and the BLAS thread count
+    comes back, whether one chunk or every chunk fails."""
+    c = cfg(kind="b", n=3, seed=65, samples=40)
+    real_form = simulate.real_form
+    lock = threading.Lock()
+    calls = []
+
+    def fail_third(comps):
+        with lock:
+            calls.append(None)
+            third = len(calls) == 3
+        if third:
+            raise InvalidArgument("chunk failed")
+        return real_form(comps)
+
+    def fail(comps):
+        raise InvalidArgument("chunk failed")
+
+    for patched in (fail_third, fail):
+        monkeypatch.setattr(simulate, "real_form", patched)
+        with pytest.raises(InvalidArgument, match="chunk failed"):
+            sample_spectra(c, threads=2, chunk=5)
+        assert blas_at_three.get() == 3
 
 
 def test_hermitian_reduction():
