@@ -4,9 +4,9 @@ Exit code 0 means every suite run by the invocation passed; 2 means a usage
 error, such as a trial count below 1 or model a at n != 2.  With --json,
 stdout is exactly one JSON document.  With --out, every file the command
 writes is recorded with its SHA-256 digest in one manifest,
-<out>.manifest.json.  Outputs are byte-identical for identical (command,
-seed) regardless of --threads; the manifest and the --json report record
-the thread count that ran.
+<out>.manifest.json.  JSON writes a non-finite number as null.  Outputs are
+byte-identical for identical (command, seed) regardless of the thread count;
+sample-spectrum and simulate-path record it in config.threads and --json.
 """
 
 from __future__ import annotations
@@ -14,15 +14,14 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import sys
 
 from . import __version__, algebra, errors
 from .calculus import DiffusionModel, ExponentProblem, invariant_exponent, solve_multiplicity
 from .errors import InsufficientData, InvalidConfig
 from .matrices import check_dim2_identities, check_logdet_derivatives, dim3_counterexample
-from .reporting import file_digest, write_spectrum_csv, write_stats_json
-from .simulate import (SimulationConfig, euler_path, gap_statistics, resolve_threads,
+from .reporting import file_digest, json_text, write_spectrum_csv, write_stats_json
+from .simulate import (EulerPath, SimulationConfig, gap_statistics, resolve_threads,
                        sample_spectra)
 from .verify import check_closed_forms, check_inverse_roundtrip, check_trace_identities
 
@@ -112,7 +111,7 @@ def _finish(args, payload: dict, lines: list[str], writers=(), ok: bool = True) 
     suffix`` and record every file it wrote in the manifest.  Returns the exit
     code, 0 when ``ok``."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         for line in lines:
             print(line)
@@ -212,8 +211,10 @@ def cmd_sample_spectrum(args) -> int:
 def cmd_simulate_path(args) -> int:
     cfg = SimulationConfig(kind=args.model, n=args.n, t=args.t, samples=args.paths,
                            seed=args.seed, steps=args.steps, cluster_tol=args.cluster_tol)
-    paths = [euler_path(cfg, index) for index in range(cfg.samples)]
-    samples = [s for path in paths for s in path.samples]
+    args.threads = resolve_threads("auto", cfg.n)
+    samples = sample_spectra(cfg, threads=args.threads)
+    paths = [EulerPath.from_samples(samples[lo:lo + cfg.steps], cfg.n)
+             for lo in range(0, len(samples), cfg.steps)]
     crossings = sum(path.crossing_detected for path in paths)
     broken = sum(s.multiplicities != (8,) * cfg.n for s in samples)
     summary = {
@@ -222,7 +223,8 @@ def cmd_simulate_path(args) -> int:
         "min_gap": min(float("inf"), *(path.min_gap for path in paths)),
     }
     ids = list(itertools.product(range(cfg.samples), range(cfg.steps)))
-    return _finish(args, summary, [f"{k}: {v}" for k, v in summary.items()], [
+    return _finish(args, {**summary, "threads": args.threads},
+                   [f"{k}: {v}" for k, v in summary.items()], [
         ("", lambda path: write_spectrum_csv(path, samples, cfg.kind, cfg.n, cfg.t,
                                              ("path_id", "step"), ids)),
     ], ok=crossings == 0 and broken == 0)

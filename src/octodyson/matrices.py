@@ -498,14 +498,16 @@ def check_dim2_identities(trials: int = 1_000, seed: int = 4) -> IdentityReport:
     :data:`DIM2_TOL`.  Draws follow the model-a law at t = 1, trial by trial
     from one stream; traces are taken over batches of :func:`forms_per_batch`.
     """
-    from .simulate import _draw_increment
+    from .simulate import _draw_layout
 
+    layout = _draw_layout("a", 2)
     rng = np.random.default_rng(seed)
     with IdentityReport("dim2-trace-identities", seed=seed).timed() as report:
         for lo in range(0, trials, forms_per_batch(2)):
             mats, shifts, mm = [], [], []
             for _ in range(lo, min(trials, lo + forms_per_batch(2))):
-                mats.append(OctonionicMatrix(_draw_increment(rng, "a", 2, 1.0)))
+                mats.append(OctonionicMatrix(layout.scatter(rng.standard_normal(layout.size)
+                                                            * layout.scale(1.0))))
                 shifts.append(off_spectrum_points(mats[-1].eigenvalues, rng, 2))
                 mm.append(rng.standard_normal((2, 2)))
             ux, uy = np.moveaxis(_resolvents(mats, shifts), 1, 0)

@@ -127,9 +127,13 @@ def write_spectrum_csv(path: str, samples, kind: str, n: int, t: float,
             for row_ids, s in zip(ids, samples))
 
 
+def json_text(payload: dict) -> str:
+    """Indented strict JSON of ``payload``, with null for non-finite floats."""
+    return json.dumps(json.loads(json.dumps(payload), parse_constant=lambda _: None), indent=2)
+
+
 def write_stats_json(path: str, payload: dict) -> None:
-    """Write ``payload`` as indented JSON plus a newline: statistics, suite
-    reports and manifests."""
+    """Write :func:`json_text` of ``payload`` plus a newline: statistics,
+    suite reports and manifests."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json_text(payload) + "\n")

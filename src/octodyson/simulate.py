@@ -3,34 +3,34 @@
 Entries of both models are driftless Brownian motions, so the time-t law is
 exactly Gaussian with variances ``t`` times the carre-du-champ coefficients;
 exact Gaussian sampling carries no discretization error.  Euler paths of
-``steps`` Gaussian increments serve trajectory-level checks only.
+``steps`` increments, for trajectory checks only, share :func:`sample_spectra`.
 
-Randomness is counter-based: sample ``index`` under seed ``s`` draws from a
-Philox stream keyed by ``s`` whose 256-bit counter starts at
+Randomness is counter-based: sample (or path) ``index`` under seed ``s``
+draws from a Philox stream keyed by ``s`` whose 256-bit counter starts at
 ``index * 2**128``, so the stream is a pure function of ``(seed, index)``
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
-:func:`sample_rng` builds that generator for one index.  The batched
-sampler :func:`sample_spectra` builds one Philox per chunk of indices
-instead and, before each index, resets its counter to ``index * 2**128``
-with an empty output buffer: the generator is then in exactly the state a
-fresh :func:`sample_rng` would have, so each sample's normals, and hence the
-output bytes, cannot depend on the chunk size or on the thread count.  What
-varies with those is only which generator object does the drawing, and on
-which thread.  The thread count is a number or "auto" (the command line's
-default), which :func:`resolve_threads` turns into every usable CPU for
-n >= 3 when the loaded OpenBLAS can be held to one thread while the chunks
-run, and into one thread otherwise; a number is capped at the usable CPUs.
+:func:`sample_rng` builds that generator for one index.  The sampler builds
+one Philox per chunk of indices instead and, before each index, resets its
+counter to ``index * 2**128`` with an empty output buffer: the generator is
+then in exactly the state a fresh :func:`sample_rng` would have, so each
+index's normals, and hence the output bytes, cannot depend on the chunk size
+or on the thread count.  What varies with those is only which generator
+object does the drawing, and on which thread.  The thread count is a number
+or "auto" (the command line's default), which :func:`resolve_threads` turns
+into every usable CPU for n >= 3 when the loaded OpenBLAS can be held to one
+thread while the chunks run, and into one thread otherwise; a number is
+capped at the usable CPUs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,9 +51,9 @@ class SimulationConfig:
     ``kind`` and ``n`` must name a :class:`~octodyson.calculus.DiffusionModel`
     ("a" forces ``n == 2``), which alone judges them; ``t`` is the time
     horizon of the Brownian entries; ``steps`` is the number of increments
-    of an Euler path (:func:`euler_path`; the exact sampler ignores it).
-    ``cluster_tol`` is the positive relative gap threshold separating
-    eigenvalue clusters.
+    of each path, with spectra recorded per step (1: the exact time-t law).
+    ``cluster_tol`` is the relative gap threshold separating eigenvalue
+    clusters; it and ``t`` must be positive and finite.
 
     Raises
     ------
@@ -72,12 +72,12 @@ class SimulationConfig:
         DiffusionModel(self.kind, self.n)
         if self.samples < 1:
             raise InvalidConfig("samples must be >= 1")
-        if not self.t > 0:
-            raise InvalidConfig("t must be positive")
+        if not 0 < self.t < math.inf:
+            raise InvalidConfig("t must be positive and finite")
         if self.steps < 1:
             raise InvalidConfig("steps must be >= 1")
-        if not self.cluster_tol > 0:
-            raise InvalidConfig("cluster_tol must be positive")
+        if not 0 < self.cluster_tol < math.inf:
+            raise InvalidConfig("cluster_tol must be positive and finite")
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -136,7 +136,7 @@ class _DrawLayout:
         return comps.reshape(scaled.shape[:-1] + (8, n, n))
 
 
-@lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16)
 def _draw_layout(kind: str, n: int) -> _DrawLayout:
     rows, cols = np.triu_indices(n, 1)
     n_off = len(rows)
@@ -161,20 +161,25 @@ def _draw_layout(kind: str, n: int) -> _DrawLayout:
     return _DrawLayout(n, size, *arrays)
 
 
-def _draw_increment(rng: np.random.Generator, kind: str, n: int, dt: float) -> np.ndarray:
-    """One Gaussian increment of the component stack over time ``dt``.
-
-    One ``standard_normal`` call in the fixed order of :class:`_DrawLayout`
-    keeps streams reproducible across call sites.
-    """
-    layout = _draw_layout(kind, n)
-    return layout.scatter(rng.standard_normal(layout.size) * layout.scale(dt))
+def _draw(cfg: SimulationConfig, indices: range, steps: int) -> np.ndarray:
+    """Scaled normals of ``steps`` increments over ``cfg.t / steps`` per index,
+    shape (len(indices), steps, size).  One Philox, reset to each index's
+    counter block, fills its rows with one ``standard_normal`` call."""
+    layout = _draw_layout(cfg.kind, cfg.n)
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    key = rng.bit_generator.state["state"]["key"]
+    normals = np.empty((len(indices), steps, layout.size))
+    for index, path in zip(indices, normals):
+        _seek(rng, key, index)
+        rng.standard_normal(out=path)
+    normals *= layout.scale(cfg.t / steps)
+    return normals
 
 
 def sample_components(cfg: SimulationConfig, index: int) -> np.ndarray:
-    """Component stack of sample ``index`` under the exact time-t law."""
-    rng = sample_rng(cfg.seed, index)
-    return _draw_increment(rng, cfg.kind, cfg.n, cfg.t)
+    """Component stack of sample ``index`` under the exact time-t law: the
+    one-step draw of :func:`sample_spectra`, whatever ``cfg.steps``."""
+    return _draw_layout(cfg.kind, cfg.n).scatter(_draw(cfg, range(index, index + 1), 1)[0, 0])
 
 
 def sample_matrix(cfg: SimulationConfig, index: int) -> OctonionicMatrix:
@@ -283,62 +288,57 @@ def resolve_threads(threads: int | str, n: int) -> int:
     return min(threads, usable_cpus())
 
 
-def sample_spectra(cfg: SimulationConfig, threads: int | str = 1,
-                   chunk: int = 1024) -> list[SpectralSample]:
-    """Spectra of all configured samples, equal to clustering the real-form
-    eigenvalues of ``sample_components(cfg, i)`` for each index ``i``.
+#: Most rows (path steps) in one chunk of :func:`sample_spectra`, bar a long path.
+CHUNK_ROWS = 1024
+
+
+def _chunk_spectra(cfg: SimulationConfig, batch: int, indices: range) -> list[SpectralSample]:
+    """Spectra of every step of the paths ``indices``: partial sums of their
+    increments, eigensolved ``batch`` real forms at a time, clustered at once."""
+    layout = _draw_layout(cfg.kind, cfg.n)
+    rows = _draw(cfg, indices, cfg.steps)
+    if cfg.steps > 1:
+        np.cumsum(rows, axis=1, out=rows)
+    rows = rows.reshape(-1, layout.size)
+    eigs = np.empty((len(rows), 8 * cfg.n))
+    for a in range(0, len(rows), batch):
+        eigs[a:a + batch] = np.linalg.eigvalsh(real_form(layout.scatter(rows[a:a + batch])))
+    return _cluster_rows(eigs, cfg.cluster_tol)
+
+
+def sample_spectra(cfg: SimulationConfig, threads: int | str = 1) -> list[SpectralSample]:
+    """Spectra of every step of all configured paths, in (index, step) order;
+    at ``steps == 1``, those of ``sample_components(cfg, i)`` for each ``i``.
 
     ``threads`` goes through :func:`resolve_threads`.  Work is split into
-    index chunks of at most ``chunk`` samples, and into at least ``threads``
-    chunks.  Each chunk draws all its normals with one Philox reset to each
-    index's counter block (see the module docstring), builds real forms and
-    eigensolves them in batches, and clusters the whole chunk at once.  With
-    more than one thread the chunks run on a thread pool while the loaded
-    OpenBLAS (if found) is held to one thread, and a batch holds 1/threads
-    of :data:`~octodyson.matrices.FORM_BATCH_BYTES`, so that all threads
-    together hold no more forms than a serial run.  Every step acts on each
-    sample alone, so the result is identical for any chunk size and thread
-    count.
+    chunks of whole paths, at most :data:`CHUNK_ROWS` rows or one path, and
+    into at least ``threads`` chunks, each run by :func:`_chunk_spectra`.
+    With more than one thread the chunks run on a thread pool while the
+    loaded OpenBLAS (if found) is held to one thread, and a batch holds
+    1/threads of :data:`~octodyson.matrices.FORM_BATCH_BYTES`, so that all
+    threads together hold no more forms than a serial run.  Every step acts
+    on each path alone, so the result is identical for any chunk size and
+    thread count.
 
     Raises
     ------
     InvalidArgument
-        If ``threads`` is invalid or ``chunk`` is below 1.
+        If ``threads`` is invalid.
     """
     threads = resolve_threads(threads, cfg.n)
-    if chunk < 1:
-        raise InvalidArgument(f"chunk must be >= 1, got {chunk}")
-    layout = _draw_layout(cfg.kind, cfg.n)
-    scale = layout.scale(cfg.t)
-    size = min(chunk, -(-cfg.samples // threads))
-    bounds = [(lo, min(lo + size, cfg.samples)) for lo in range(0, cfg.samples, size)]
-    workers = min(threads, len(bounds))
-    step = max(1, forms_per_batch(cfg.n) // workers)
-
-    def run_chunk(bounds: tuple[int, int]) -> list[SpectralSample]:
-        lo, hi = bounds
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-        key = rng.bit_generator.state["state"]["key"]
-        normals = np.empty((hi - lo, layout.size))
-        for index, row in zip(range(lo, hi), normals):
-            _seek(rng, key, index)
-            rng.standard_normal(out=row)
-        normals *= scale
-        eigs = np.empty((hi - lo, 8 * cfg.n))
-        for a in range(0, hi - lo, step):
-            batch = normals[a:a + step]
-            eigs[a:a + step] = np.linalg.eigvalsh(real_form(layout.scatter(batch)))
-        return _cluster_rows(eigs, cfg.cluster_tol)
-
+    size = min(max(1, CHUNK_ROWS // cfg.steps), -(-cfg.samples // threads))
+    chunks = [range(lo, min(lo + size, cfg.samples)) for lo in range(0, cfg.samples, size)]
+    workers = min(threads, len(chunks))
+    run_chunk = functools.partial(_chunk_spectra, cfg, max(1, forms_per_batch(cfg.n) // workers))
     if workers == 1:
-        parts = map(run_chunk, bounds)
+        parts = map(run_chunk, chunks)
     else:
         # a failing chunk cancels the chunks not yet started; the BLAS count
         # comes back once the pool has shut down
         blas = find_openblas()
         with blas.held_at_one() if blas else contextlib.nullcontext(), \
                 ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, bounds))
+            parts = list(pool.map(run_chunk, chunks))
     return list(itertools.chain.from_iterable(parts))
 
 
@@ -439,29 +439,21 @@ class EulerPath:
     crossing_detected: bool
     min_gap: float
 
+    @classmethod
+    def from_samples(cls, samples, n: int) -> EulerPath:
+        """The path of per-step spectra ``samples`` at matrix size ``n``; it
+        crosses if distinct values ever collide (fewer than ``n`` clusters)."""
+        gaps = [float(np.min(np.diff(s.distinct))) for s in samples if len(s.distinct) > 1]
+        return cls(tuple(samples), any(len(s.distinct) < n for s in samples),
+                   min([math.inf, *gaps]))
+
 
 def euler_path(cfg: SimulationConfig, index: int = 0) -> EulerPath:
     """One Euler trajectory: ``cfg.steps`` Gaussian increments of variance
     ``(t/steps) x`` the covariance coefficients, spectrum recorded per step.
 
     With ``steps == 1`` the endpoint reproduces :func:`sample_matrix`
-    exactly (same stream, same draw order).  A crossing is flagged if the
-    cluster count ever drops below ``n`` (distinct values collide at step
-    resolution); ``min_gap`` is the smallest distinct-value gap seen.
+    exactly (same stream, same draw order).
     """
-    rng = sample_rng(cfg.seed, index)
-    dt = cfg.t / cfg.steps
-    comps = np.zeros((8, cfg.n, cfg.n))
-    out = []
-    crossing = False
-    min_gap = float("inf")
-    for _ in range(cfg.steps):
-        comps = comps + _draw_increment(rng, cfg.kind, cfg.n, dt)
-        sample = cluster_eigenvalues(OctonionicMatrix(comps).eigenvalues, cfg.cluster_tol)
-        out.append(sample)
-        if len(sample.distinct) < cfg.n:
-            crossing = True
-        if len(sample.distinct) > 1:
-            gaps = np.diff(sample.distinct)
-            min_gap = min(min_gap, float(np.min(gaps)))
-    return EulerPath(tuple(out), crossing, min_gap)
+    return EulerPath.from_samples(
+        _chunk_spectra(cfg, forms_per_batch(cfg.n), range(index, index + 1)), cfg.n)

@@ -6,12 +6,13 @@ moment ratios from quadrature, gap laws from a rejection sampler, 2x2
 spectra from the explicit quadratic formula, components read back off the
 blocks of a real form, and the compatibility condition pair by pair.  The
 reference constructions at the end are the straightforward forms of the hot
-paths: the sampler one matrix and one triangle at a time, the octonion
-product as the dense contraction with the structure tensor and as sign-label
-arithmetic on basis elements, the exact algebra suites and the generator sign
-weights as loops over label tuples, the structured inverse with its three
-factorisations of M^0, and the finite differences and dimension-2 traces one
-entry or component at a time.  The vectorised library code must reproduce
+paths: the sampler one matrix and one triangle at a time, Euler paths one
+step and one eigensolve at a time, the octonion product as the dense
+contraction with the structure tensor and as sign-label arithmetic on basis
+elements, the exact algebra suites and the generator sign weights as loops
+over label tuples, the structured inverse with its three factorisations of
+M^0, and the finite differences and dimension-2 traces one entry or
+component at a time.  The vectorised library code must reproduce
 them bit for bit.  The identity suites run one trial, one resolvent and one
 dense inverse at a time, and the Gamma and generator sums one label pair at
 a time; the suites must reproduce their reports, the pairing sums their
@@ -42,7 +43,15 @@ from octodyson.matrices import (
     shift_guard,
 )
 from octodyson.reporting import IdentityReport, fmt17
-from octodyson.simulate import GapStatistics, SimulationConfig, implied_beta, sample_matrix
+from octodyson.simulate import (
+    EulerPath,
+    GapStatistics,
+    SimulationConfig,
+    cluster_eigenvalues,
+    implied_beta,
+    sample_matrix,
+    sample_rng,
+)
 from octodyson.verify import TRACE_TOL
 
 
@@ -216,6 +225,28 @@ def reference_real_form(components: np.ndarray) -> np.ndarray:
             block = SIGN_TABLE[a ^ b, b] * comps[..., a ^ b, :, :]
             out[..., pa * n:(pa + 1) * n, pb * n:(pb + 1) * n] = block
     return out
+
+
+def reference_euler_path(cfg: SimulationConfig, index: int) -> EulerPath:
+    """Path ``index`` one step at a time: each increment drawn triangle by
+    triangle from ``sample_rng(cfg.seed, index)`` over ``t / steps``, added to
+    the running stack, and its block-by-block real form eigensolved alone."""
+    rng = sample_rng(cfg.seed, index)
+    dt = cfg.t / cfg.steps
+    comps = np.zeros((8, cfg.n, cfg.n))
+    out = []
+    crossing = False
+    min_gap = float("inf")
+    for _ in range(cfg.steps):
+        comps = comps + reference_draw_increment(rng, cfg.kind, cfg.n, dt)
+        sample = cluster_eigenvalues(np.linalg.eigvalsh(reference_real_form(comps)),
+                                     cfg.cluster_tol)
+        out.append(sample)
+        if len(sample.distinct) < cfg.n:
+            crossing = True
+        if len(sample.distinct) > 1:
+            min_gap = min(min_gap, float(np.min(np.diff(sample.distinct))))
+    return EulerPath(tuple(out), crossing, min_gap)
 
 
 def reference_gap_statistics(samples, bootstrap: int, bootstrap_seed: int) -> GapStatistics:

@@ -1,6 +1,6 @@
 """Command-line surface: subcommands, file schemas, determinism, exit codes."""
 
-import functools
+import itertools
 import json
 import os
 import threading
@@ -11,12 +11,13 @@ import pytest
 from octodyson import OctonionicMatrix, algebra, cli, matrices, simulate
 from octodyson.blas import BlasThreads
 from octodyson.cli import main
-from octodyson.reporting import fmt17, write_spectrum_csv, write_stats_json
+from octodyson.reporting import fmt17, json_text, write_spectrum_csv, write_stats_json
 from octodyson.simulate import SpectralSample
 
 from oracles import (
     einsum_multiplier,
     reference_dim2_trace_residuals,
+    reference_euler_path,
     reference_fd_logdet_gradient,
     reference_fd_logdet_hessian,
     reference_gap_statistics,
@@ -89,6 +90,10 @@ def test_model_a_dimension_usage_error():
     ["sample-spectrum", "--model", "b", "--n", "1"],
     ["sample-spectrum", "--model", "a", "--samples", "0"],
     ["sample-spectrum", "--model", "a", "--t", "0"],
+    ["sample-spectrum", "--model", "a", "--t", "inf"],
+    ["simulate-path", "--model", "a", "--t", "inf"],
+    ["sample-spectrum", "--model", "a", "--cluster-tol", "inf"],
+    ["simulate-path", "--model", "a", "--cluster-tol", "inf"],
     ["simulate-path", "--model", "a", "--steps", "0"],
 ], ids=" ".join)
 def test_invalid_config_usage_error(argv, capsys):
@@ -266,6 +271,61 @@ def test_simulate_path(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 20
 
 
+@pytest.mark.parametrize("argv,kind,n", [
+    (["--model", "a"], "a", 2),
+    (["--model", "b", "--n", "3"], "b", 3),
+], ids=["a", "b3"])
+def test_simulate_path_bytes_match_step_loop(argv, kind, n, tmp_path, capsys, monkeypatch):
+    """simulate-path writes the CSV and --json (but for its thread count) of
+    paths drawn and eigensolved one step at a time, on one and two threads,
+    with chunks of all paths, of one path below two and below one path."""
+    steps, paths, seed = 5, 4, 23
+    cfg = simulate.SimulationConfig(kind=kind, n=n, samples=paths, seed=seed, steps=steps)
+    ref = [reference_euler_path(cfg, i) for i in range(paths)]
+    samples = [s for path in ref for s in path.samples]
+    write_spectrum_csv(str(tmp_path / "ref.csv"), samples, kind, n, 1.0, ("path_id", "step"),
+                       list(itertools.product(range(paths), range(steps))))
+    summary = {
+        "paths": paths, "steps": steps,
+        "crossings": sum(path.crossing_detected for path in ref),
+        "steps_with_broken_clusters": sum(s.multiplicities != (8,) * n for s in samples),
+        "min_gap": min(path.min_gap for path in ref),
+    }
+    monkeypatch.setattr(simulate, "usable_cpus", lambda: 8)
+    for threads, chunk in itertools.product((1, 2), (1024, 7, 3)):
+        monkeypatch.setattr(cli, "resolve_threads", lambda *_, k=threads: k)
+        monkeypatch.setattr(simulate, "CHUNK_ROWS", chunk)
+        out = tmp_path / f"t{threads}c{chunk}.csv"
+        code, text = run(capsys, "simulate-path", *argv, "--steps", str(steps), "--paths",
+                         str(paths), "--seed", str(seed), "--json", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert text == json.dumps({**summary, "threads": threads}, indent=2) + "\n"
+
+
+def test_simulate_path_steps_pass_through_chunk_real_form(capsys, monkeypatch):
+    """Every step of every path is one real form built by the chunk pipeline,
+    none through a per-step OctonionicMatrix."""
+    forms = []
+    real_form = simulate.real_form
+    monkeypatch.setattr(simulate, "real_form",
+                        lambda comps: forms.append(len(comps)) or real_form(comps))
+    monkeypatch.setattr(matrices, "real_form", None)
+    code, _ = run(capsys, "simulate-path", "--model", "b", "--n", "3", "--steps", "6",
+                  "--paths", "3")
+    assert code == 0
+    assert sum(forms) == 3 * 6
+
+
+def test_json_text_writes_non_finite_floats_as_null(tmp_path):
+    finite = {"a": 0.1, "b": [1, -0.0, 5e-324], "c": {"d": True, "e": None, "f": "x"}}
+    assert json_text(finite) == json.dumps(finite, indent=2)
+    payload = {"stderr": np.inf, "beta": [-np.inf, np.nan, 2.5], "deep": {"x": np.inf}}
+    write_stats_json(str(tmp_path / "s.json"), payload)
+    assert json.loads((tmp_path / "s.json").read_text()) == {
+        "stderr": None, "beta": [None, None, 2.5], "deep": {"x": None}}
+
+
 def test_solve_exponents(capsys):
     code, out = run(capsys, "solve-exponents", "--alpha1", "-11", "--alpha2", "10.5",
                     "--alpha3", "8", "--json")
@@ -343,8 +403,7 @@ def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples,
         })
     runs = [("1", 1024), ("1", 16), ("2", 16)]
     for threads, chunk in runs:
-        monkeypatch.setattr(cli, "sample_spectra",
-                            functools.partial(simulate.sample_spectra, chunk=chunk))
+        monkeypatch.setattr(simulate, "CHUNK_ROWS", chunk)
         out = tmp_path / f"t{threads}c{chunk}.csv"
         code, _ = run(capsys, "sample-spectrum", *argv, "--seed", str(seed),
                       "--threads", threads, "--out", str(out))
@@ -363,14 +422,25 @@ def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples,
     ["sample-spectrum", "--model", "a", "--samples", "300"],
     ["sample-spectrum", "--model", "b", "--n", "3", "--samples", "20"],
     ["simulate-path", "--model", "a", "--steps", "5", "--paths", "2"],
+    # every step one cluster: min_gap is infinite
+    ["simulate-path", "--model", "a", "--steps", "3", "--paths", "2", "--cluster-tol", "1e9"],
     ["solve-exponents", "--alpha1", "-11", "--alpha2", "10.5", "--alpha3", "8"],
     ["check-dim2", "--trials", "20"],
 ], ids=" ".join)
 def test_json_stdout_is_one_document(argv, tmp_path, capsys):
-    """Under --json stdout parses as one JSON document, also with --out."""
-    json.loads(run(capsys, *argv, "--json")[1])
+    """Under --json stdout parses as one strict JSON document, also with
+    --out: no NaN or Infinity, which JSON does not define."""
+
+    def strict(text):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+        return json.loads(text, parse_constant=reject)
+
+    strict(run(capsys, *argv, "--json")[1])
     if argv[0] != "solve-exponents":
-        json.loads(run(capsys, *argv, "--json", "--out", str(tmp_path / "out"))[1])
+        strict(run(capsys, *argv, "--json", "--out", str(tmp_path / "out"))[1])
+        for path in tmp_path.glob("out*.json"):
+            strict(path.read_text())
 
 
 def _suite_json(capsys, argv):

@@ -29,7 +29,8 @@ from octodyson.blas import find_openblas
 from octodyson.simulate import (
     SpectralSample,
     _cluster_rows,
-    _draw_increment,
+    _draw,
+    _draw_layout,
     _seek,
     cluster_eigenvalues,
     sample_components,
@@ -39,6 +40,7 @@ from oracles import (
     moment_ratio_by_quadrature,
     planar_distinct_eigenvalues,
     reference_draw_increment,
+    reference_euler_path,
     reference_gap_statistics,
     rejection_gap_sampler,
 )
@@ -55,6 +57,14 @@ def test_config_validation():
         cfg(kind="a", n=3)
     with pytest.raises(InvalidConfig):
         cfg(t=0.0)
+    with pytest.raises(InvalidConfig):
+        cfg(t=np.inf)
+    with pytest.raises(InvalidConfig):
+        cfg(t=np.nan)
+    with pytest.raises(InvalidConfig):
+        cfg(cluster_tol=np.inf)
+    with pytest.raises(InvalidConfig):
+        cfg(cluster_tol=np.nan)
     with pytest.raises(InvalidConfig):
         cfg(samples=0)
     with pytest.raises(InvalidConfig):
@@ -159,16 +169,17 @@ def eight_cpus(monkeypatch):
     monkeypatch.setattr(simulate, "usable_cpus", lambda: 8)
 
 
-def test_sample_spectra_thread_invariance(eight_cpus):
+def test_sample_spectra_thread_invariance(eight_cpus, monkeypatch):
     c = cfg(seed=31, samples=400)
     serial = sample_spectra(c, threads=1)
-    threaded = sample_spectra(c, threads=4, chunk=64)
+    monkeypatch.setattr(simulate, "CHUNK_ROWS", 64)
+    threaded = sample_spectra(c, threads=4)
     assert serial == threaded
     # more threads than samples: one chunk per sample
     assert sample_spectra(cfg(seed=31, samples=3), threads=8) == serial[:3]
-    for threads, chunk in [(0, 1024), (-2, 1024), ("two", 1024), (2, 0)]:
+    for threads in (0, -2, "two"):
         with pytest.raises(InvalidArgument):
-            sample_spectra(c, threads=threads, chunk=chunk)
+            sample_spectra(c, threads=threads)
 
 
 def test_thread_count_capped_at_usable_cpus(monkeypatch):
@@ -188,17 +199,18 @@ def test_thread_count_capped_at_usable_cpus(monkeypatch):
     assert started == [3]
 
 
-def test_sample_spectra_pool_stress(eight_cpus):
+def test_sample_spectra_pool_stress(eight_cpus, monkeypatch):
     """More threads than cores, one-sample chunks and a short switch
     interval: a chunk lost or run twice would change the result."""
     c = cfg(kind="b", n=3, seed=63, samples=120)
     serial = sample_spectra(c)
+    monkeypatch.setattr(simulate, "CHUNK_ROWS", 1)
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         runner = threading.Thread(target=lambda: results.append(
-            sample_spectra(c, threads=8, chunk=1)))
+            sample_spectra(c, threads=8)))
         runner.start()
         runner.join(timeout=120)
     finally:
@@ -233,7 +245,8 @@ def test_pool_holds_blas_at_one_and_restores_it(blas_at_three, eight_cpus, monke
     real_form = simulate.real_form
     monkeypatch.setattr(simulate, "real_form",
                         lambda comps: counts.append(blas_at_three.get()) or real_form(comps))
-    assert sample_spectra(c, threads=2, chunk=5) == serial
+    monkeypatch.setattr(simulate, "CHUNK_ROWS", 5)
+    assert sample_spectra(c, threads=2) == serial
     assert len(counts) == 8 and set(counts) == {1}
     assert blas_at_three.get() == 3
     counts.clear()
@@ -260,10 +273,11 @@ def test_pool_restores_blas_when_a_chunk_raises(blas_at_three, eight_cpus, monke
     def fail(comps):
         raise InvalidArgument("chunk failed")
 
+    monkeypatch.setattr(simulate, "CHUNK_ROWS", 5)
     for patched in (fail_third, fail):
         monkeypatch.setattr(simulate, "real_form", patched)
         with pytest.raises(InvalidArgument, match="chunk failed"):
-            sample_spectra(c, threads=2, chunk=5)
+            sample_spectra(c, threads=2)
         assert blas_at_three.get() == 3
 
 
@@ -339,6 +353,19 @@ def test_euler_single_step_equals_exact_sampler():
     assert path.samples[0] == spectrum(sample_matrix(c_exact, 0))
 
 
+@pytest.mark.parametrize("kind,n", [("a", 2), ("b", 3)])
+def test_euler_path_matches_step_loop(kind, n):
+    """A path drawn at once and summed with cumsum equals the step-by-step
+    loop, also at an index past the first and with a crossing."""
+    c = cfg(kind=kind, n=n, seed=42, steps=7)
+    for index in (0, 5):
+        assert euler_path(c, index) == reference_euler_path(c, index)
+    merged = cfg(kind=kind, n=n, seed=42, steps=3, cluster_tol=1e9)
+    path = euler_path(merged, 1)
+    assert path.crossing_detected and path.min_gap == np.inf
+    assert path == reference_euler_path(merged, 1)
+
+
 def test_euler_path_keeps_cluster_structure():
     c = cfg(seed=41, steps=300)
     for idx in range(3):
@@ -361,17 +388,21 @@ def rng_state(rng: np.random.Generator) -> str:
 
 @pytest.mark.parametrize("kind,n", [("a", 2), ("b", 2), ("b", 8), ("b", 16)])
 def test_draw_increment_matches_reference(kind, n):
-    """One normal draw per increment reproduces the triangle-by-triangle
-    draw bit for bit and leaves the generator where the reference leaves it
-    (Euler paths and check_dim2_identities continue the stream)."""
-    for make in (lambda: np.random.default_rng(50 + n), lambda: sample_rng(51, 7)):
-        rng, ref = make(), make()
-        for dt in (1.0, 0.37, 1e-3):
-            got = _draw_increment(rng, kind, n, dt)
-            want = reference_draw_increment(ref, kind, n, dt)
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-            assert rng_state(rng) == rng_state(ref)
+    """Each step row of a path's one normal draw, scattered, reproduces the
+    triangle-by-triangle draw over t / steps from a fresh sample_rng bit for
+    bit, the reference continuing its stream from step to step.  (The
+    dimension-2 suite's own stream is covered by
+    test_suite_json_matches_reference_kernels.)"""
+    layout = _draw_layout(kind, n)
+    for t, steps in [(1.0, 1), (0.37, 3), (1e-3, 5)]:
+        c = cfg(kind=kind, n=n, t=t, seed=51, steps=steps)
+        got = layout.scatter(_draw(c, range(6, 9), steps))
+        for index, path in zip(range(6, 9), got):
+            ref = sample_rng(51, index)
+            for row in path:
+                want = reference_draw_increment(ref, kind, n, t / steps)
+                np.testing.assert_array_equal(row, want)
+                np.testing.assert_array_equal(np.signbit(row), np.signbit(want))
 
 
 @pytest.mark.parametrize("index", [0, 1, 1023, 1024, 2 ** 64 + 3])
