@@ -174,11 +174,12 @@ def generator_charpoly_ratio(m: OctonionicMatrix, x: float,
     return generator_log_charpoly(m, x, model) + gamma_log_charpoly(m, x, x, model)
 
 
-def gamma_closed_form(px: CharPolyEval, py: CharPolyEval, alpha3: float = 8.0) -> float:
-    """Closed form alpha3/(y-x) (p'/p(x) - p'/p(y)); analytic limit at x == y."""
+def gamma_closed_form(px: CharPolyEval, py: CharPolyEval) -> float:
+    """Closed form a3/(y-x) (p'/p(x) - p'/p(y)) with a3 = 8, as both models
+    state it; analytic limit at x == y."""
     if px.x == py.x:
-        return alpha3 * px.curvature
-    return alpha3 / (py.x - px.x) * (px.dlog - py.dlog)
+        return 8.0 * px.curvature
+    return 8.0 / (py.x - px.x) * (px.dlog - py.dlog)
 
 
 def generator_closed_form(px: CharPolyEval, model: DiffusionModel) -> float:

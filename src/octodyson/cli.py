@@ -5,8 +5,10 @@ error, such as a trial count below 1 or model a at n != 2.  With --json,
 stdout is exactly one JSON document.  With --out, every file the command
 writes is recorded with its SHA-256 digest in one manifest,
 <out>.manifest.json.  JSON writes a non-finite number as null.  Outputs are
-byte-identical for identical (command, seed) regardless of the thread count;
-sample-spectrum and simulate-path record it in config.threads and --json.
+byte-identical for identical (command, seed) regardless of the thread count.
+sample-spectrum and simulate-path run on every usable CPU for n >= 3 when
+the BLAS can be held to one thread, else on one (taskset -c 0 gives a
+one-thread run), and record the count in config.threads and --json.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from .calculus import DiffusionModel, ExponentProblem, invariant_exponent, solve
 from .errors import InsufficientData, InvalidConfig
 from .matrices import check_dim2_identities, check_logdet_derivatives, dim3_counterexample
 from .reporting import file_digest, json_text, write_spectrum_csv, write_stats_json
-from .simulate import (EulerPath, SimulationConfig, gap_statistics, resolve_threads,
-                       sample_spectra)
+from .simulate import EulerPath, SimulationConfig, gap_statistics, sample_spectra, thread_count
 from .verify import check_closed_forms, check_inverse_roundtrip, check_trace_identities
 
 
@@ -34,12 +35,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _thread_count(text: str) -> int | str:
-    """argparse type of --threads: "auto" or a count of at least 1."""
-    return text if text == "auto" else _positive_int(text)
-
-
-def _command(sub, name: str, func, summary: str, out: bool = True, threads: bool = False,
+def _command(sub, name: str, func, summary: str, out: bool = True,
              model: bool = False) -> argparse.ArgumentParser:
     """A subcommand running ``func``, with the options its kind of command shares."""
     p = sub.add_parser(name, help=summary)
@@ -48,11 +44,6 @@ def _command(sub, name: str, func, summary: str, out: bool = True, threads: bool
     p.add_argument("--json", action="store_true", help="emit a JSON report to stdout")
     if out:
         p.add_argument("--out", type=str, default=None, help="output file path")
-    if threads:
-        p.add_argument("--threads", type=_thread_count, default="auto",
-                       help="threads, at most the usable CPUs, or auto: every usable "
-                            "CPU for n >= 3 when the BLAS can be held to one thread, "
-                            "else 1 (speed only; output bytes unchanged; default auto)")
     if model:
         p.add_argument("--model", choices=("a", "b"), required=True)
         p.add_argument("--n", type=int, default=2,
@@ -81,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=100)
 
     p = _command(sub, "sample-spectrum", cmd_sample_spectrum,
-                 "Monte Carlo spectra: CSV + statistics JSON", threads=True, model=True)
+                 "Monte Carlo spectra: CSV + statistics JSON", model=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--cluster-tol", type=float, default=1e-6)
@@ -181,8 +172,8 @@ def cmd_verify_identities(args) -> int:
 def cmd_sample_spectrum(args) -> int:
     cfg = SimulationConfig(kind=args.model, n=args.n, t=args.t, samples=args.samples,
                            seed=args.seed, cluster_tol=args.cluster_tol)
-    args.threads = resolve_threads(args.threads, cfg.n)
-    spectra = sample_spectra(cfg, threads=args.threads)
+    args.threads = thread_count(cfg.n)
+    spectra = sample_spectra(cfg)
     clean = sum(s.multiplicities == (8,) * cfg.n for s in spectra)
     lines = [f"samples: {len(spectra)}; with {cfg.n} clusters of multiplicity 8: {clean}"]
     writers = [("", lambda path: write_spectrum_csv(path, spectra, cfg.kind, cfg.n, cfg.t))]
@@ -211,8 +202,8 @@ def cmd_sample_spectrum(args) -> int:
 def cmd_simulate_path(args) -> int:
     cfg = SimulationConfig(kind=args.model, n=args.n, t=args.t, samples=args.paths,
                            seed=args.seed, steps=args.steps, cluster_tol=args.cluster_tol)
-    args.threads = resolve_threads("auto", cfg.n)
-    samples = sample_spectra(cfg, threads=args.threads)
+    args.threads = thread_count(cfg.n)
+    samples = sample_spectra(cfg)
     paths = [EulerPath.from_samples(samples[lo:lo + cfg.steps], cfg.n)
              for lo in range(0, len(samples), cfg.steps)]
     crossings = sum(path.crossing_detected for path in paths)

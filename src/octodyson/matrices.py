@@ -105,11 +105,10 @@ class OctonionicMatrix:
     def real_form(self) -> np.ndarray:
         return real_form(self.components)
 
-    def is_symmetric(self, tol: float = 0.0) -> bool:
+    def is_symmetric(self) -> bool:
         """True iff the scalar component is symmetric and the rest antisymmetric."""
         comps = self.components
-        mirrored = CONJUGATION_SIGNS[:, None, None] * comps.transpose(0, 2, 1)
-        return not np.max(np.abs(comps - mirrored)) > tol
+        return np.array_equal(comps, CONJUGATION_SIGNS[:, None, None] * comps.transpose(0, 2, 1))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

@@ -15,16 +15,13 @@ counter to ``index * 2**128`` with an empty output buffer: the generator is
 then in exactly the state a fresh :func:`sample_rng` would have, so each
 index's normals, and hence the output bytes, cannot depend on the chunk size
 or on the thread count.  What varies with those is only which generator
-object does the drawing, and on which thread.  The thread count is a number
-or "auto" (the command line's default), which :func:`resolve_threads` turns
-into every usable CPU for n >= 3 when the loaded OpenBLAS can be held to one
-thread while the chunks run, and into one thread otherwise; a number is
-capped at the usable CPUs.
+object does the drawing, and on which thread.  The thread count is not an
+input: :func:`thread_count` derives it from the matrix size, the usable CPUs
+and the BLAS that numpy loaded.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -37,11 +34,13 @@ import numpy as np
 from .blas import find_openblas
 from .calculus import MODEL_B_ANTISYM_RATE, DiffusionModel
 from .errors import InsufficientData, InvalidArgument, InvalidConfig
-from .matrices import OctonionicMatrix, forms_per_batch, real_form
+from .matrices import OctonionicMatrix, forms_per_batch, real_form, spectral_radius
 
 #: Fixed seed of the bootstrap resampler (kept independent of the sampling
 #: seed so identical sample sets always yield identical standard errors).
 BOOTSTRAP_SEED = 0x5EED_B007
+#: Bootstrap replicates behind the standard error of the implied exponent.
+BOOTSTRAP_REPLICATES = 1000
 
 
 @dataclass(frozen=True)
@@ -208,8 +207,7 @@ def cluster_eigenvalues(eigenvalues: np.ndarray, cluster_tol: float) -> Spectral
     ``cluster_tol * (1 + spectral radius)``.
     """
     eigs = np.sort(np.asarray(eigenvalues, dtype=np.float64))
-    radius = float(np.max(np.abs(eigs))) if len(eigs) else 0.0
-    threshold = cluster_tol * (1.0 + radius)
+    threshold = cluster_tol * (1.0 + spectral_radius(eigs))
     distinct = []
     mults = []
     spread = 0.0
@@ -266,26 +264,17 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_threads(threads: int | str, n: int) -> int:
+def thread_count(n: int) -> int:
     """The thread count :func:`sample_spectra` runs with at matrix size ``n``.
 
-    A count is capped at :func:`usable_cpus`, since the output bytes do not
-    depend on it.  "auto" is every usable CPU when n >= 3 and the loaded
-    OpenBLAS can be held to one thread while the chunks run, else 1: a BLAS
-    that spreads each call over the cores as well would compete with the
-    pool for them, and at n = 2 a second thread measured no faster and kept
-    its freed chunk memory in its own malloc arena.
-
-    Raises
-    ------
-    InvalidArgument
-        If ``threads`` is neither "auto" nor a count of at least 1.
+    Every usable CPU when n >= 3 and the loaded OpenBLAS can be held to one
+    thread while the chunks run, else 1: a BLAS that spreads each call over
+    the cores as well would compete with the pool for them, and at n = 2 a
+    second thread measured no faster and kept its freed chunk memory in its
+    own malloc arena.  The output bytes do not depend on it; a CPU affinity
+    mask (``taskset``) bounds it.
     """
-    if threads == "auto":
-        return usable_cpus() if n >= 3 and find_openblas() is not None else 1
-    if isinstance(threads, str) or threads < 1:
-        raise InvalidArgument(f"threads must be 'auto' or >= 1, got {threads!r}")
-    return min(threads, usable_cpus())
+    return usable_cpus() if n >= 3 and find_openblas() is not None else 1
 
 
 #: Most rows (path steps) in one chunk of :func:`sample_spectra`, bar a long path.
@@ -306,26 +295,20 @@ def _chunk_spectra(cfg: SimulationConfig, batch: int, indices: range) -> list[Sp
     return _cluster_rows(eigs, cfg.cluster_tol)
 
 
-def sample_spectra(cfg: SimulationConfig, threads: int | str = 1) -> list[SpectralSample]:
+def sample_spectra(cfg: SimulationConfig) -> list[SpectralSample]:
     """Spectra of every step of all configured paths, in (index, step) order;
     at ``steps == 1``, those of ``sample_components(cfg, i)`` for each ``i``.
 
-    ``threads`` goes through :func:`resolve_threads`.  Work is split into
-    chunks of whole paths, at most :data:`CHUNK_ROWS` rows or one path, and
-    into at least ``threads`` chunks, each run by :func:`_chunk_spectra`.
-    With more than one thread the chunks run on a thread pool while the
-    loaded OpenBLAS (if found) is held to one thread, and a batch holds
-    1/threads of :data:`~octodyson.matrices.FORM_BATCH_BYTES`, so that all
-    threads together hold no more forms than a serial run.  Every step acts
-    on each path alone, so the result is identical for any chunk size and
-    thread count.
-
-    Raises
-    ------
-    InvalidArgument
-        If ``threads`` is invalid.
+    Work is split into chunks of whole paths, at most :data:`CHUNK_ROWS`
+    rows or one path, and into at least ``thread_count(cfg.n)`` chunks, each
+    run by :func:`_chunk_spectra`.  With more than one thread the chunks run
+    on a thread pool while the loaded OpenBLAS is held to one thread, and a
+    batch holds 1/threads of :data:`~octodyson.matrices.FORM_BATCH_BYTES`, so
+    that all threads together hold no more forms than a serial run.  Every
+    step acts on each path alone, so the result is identical for any chunk
+    size and thread count.
     """
-    threads = resolve_threads(threads, cfg.n)
+    threads = thread_count(cfg.n)
     size = min(max(1, CHUNK_ROWS // cfg.steps), -(-cfg.samples // threads))
     chunks = [range(lo, min(lo + size, cfg.samples)) for lo in range(0, cfg.samples, size)]
     workers = min(threads, len(chunks))
@@ -333,11 +316,10 @@ def sample_spectra(cfg: SimulationConfig, threads: int | str = 1) -> list[Spectr
     if workers == 1:
         parts = map(run_chunk, chunks)
     else:
-        # a failing chunk cancels the chunks not yet started; the BLAS count
-        # comes back once the pool has shut down
-        blas = find_openblas()
-        with blas.held_at_one() if blas else contextlib.nullcontext(), \
-                ThreadPoolExecutor(max_workers=workers) as pool:
+        # more than one thread means an OpenBLAS was found; a failing chunk
+        # cancels the chunks not yet started, and the BLAS count comes back
+        # once the pool has shut down
+        with find_openblas().held_at_one(), ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_chunk, chunks))
     return list(itertools.chain.from_iterable(parts))
 
@@ -388,12 +370,17 @@ class GapStatistics:
     stderr: float
 
 
-def gap_statistics(samples, bootstrap: int = 1000,
-                   bootstrap_seed: int = BOOTSTRAP_SEED) -> GapStatistics:
+def gap_statistics(samples) -> GapStatistics:
     """Moments of the eigenvalue gap s = x2 - x1 over two-cluster samples.
 
-    ``stderr`` is a bootstrap standard error of the implied exponent; it is
-    infinite when some replicate implies an infinite exponent.
+    The moments are taken of the gaps divided by a power of two near the
+    largest, which is exact, so that the fourth powers do not overflow at
+    large ``t``; only the reported ``moment2`` and ``moment4`` are scaled
+    back, and ``moment4`` alone may then be infinite.  ``stderr`` is the
+    standard deviation of the implied exponent over
+    :data:`BOOTSTRAP_REPLICATES` bootstrap replicates drawn with
+    :data:`BOOTSTRAP_SEED`; it is infinite when some replicate implies an
+    infinite exponent.
 
     Raises
     ------
@@ -405,26 +392,29 @@ def gap_statistics(samples, bootstrap: int = 1000,
     ])
     if len(gaps) < 100:
         raise InsufficientData(f"need >= 100 two-cluster samples, got {len(gaps)}")
-    g2 = gaps ** 2
+    scale = 2.0 ** int(np.frexp(gaps.max())[1])
+    g2 = (gaps / scale) ** 2
     g4 = g2 ** 2
     m2 = float(np.mean(g2))
     m4 = float(np.mean(g4))
     ratio = m4 / (m2 * m2)
-    rng = np.random.Generator(np.random.Philox(key=bootstrap_seed))
-    betas = np.empty(bootstrap)
+    rng = np.random.Generator(np.random.Philox(key=BOOTSTRAP_SEED))
+    betas = np.empty(BOOTSTRAP_REPLICATES)
     n = len(gaps)
     # blocks of at most 64 replicates bound the index scratch at 64 n
     # integers; one block draw gives the indices of its rows drawn one by
     # one, and a row mean sums in the same order as np.mean of that row alone
-    for lo in range(0, bootstrap, 64):
-        idx = rng.integers(0, n, (min(64, bootstrap - lo), n))
+    for lo in range(0, BOOTSTRAP_REPLICATES, 64):
+        idx = rng.integers(0, n, (min(64, BOOTSTRAP_REPLICATES - lo), n))
         r2 = g2[idx].mean(axis=1)
         ratios = g4[idx].mean(axis=1) / (r2 * r2)
         betas[lo:lo + len(idx)] = [implied_beta(r) for r in ratios.tolist()]
+    # float products overflow to inf, where ** and ldexp would raise
+    s2 = scale * scale
     return GapStatistics(
         count=n,
-        moment2=m2,
-        moment4=m4,
+        moment2=m2 * s2,
+        moment4=m4 * s2 * s2,
         ratio=ratio,
         implied_beta=implied_beta(ratio),
         stderr=float(np.std(betas)) if np.isfinite(betas).all() else math.inf,

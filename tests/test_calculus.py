@@ -98,7 +98,7 @@ def test_gamma_closed_form_invariant_in_dimension_for_shared_model():
         gam = gamma_log_charpoly(m, x, y, model)
         px = CharPolyEval.from_eigenvalues(eigs, x)
         py = CharPolyEval.from_eigenvalues(eigs, y)
-        assert abs(gam - gamma_closed_form(px, py, alpha3=8.0)) < 1e-8 * abs(gam)
+        assert abs(gam - gamma_closed_form(px, py)) < 1e-8 * abs(gam)
 
 
 def test_scalar_multiple_closed_form():

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from octodyson import OctonionicMatrix, algebra, cli, matrices, simulate
+from octodyson import OctonionicMatrix, algebra, matrices, simulate
 from octodyson.blas import BlasThreads
 from octodyson.cli import main
 from octodyson.reporting import fmt17, json_text, write_spectrum_csv, write_stats_json
@@ -151,17 +151,33 @@ def test_sample_spectrum_insufficient_data_still_writes_csv(tmp_path, capsys):
     assert not (tmp_path / "tiny.csv.stats.json").exists()
 
 
-def test_sample_spectrum_threads_byte_identical(tmp_path, capsys, monkeypatch):
-    """A run below one 1024-sample chunk still splits over the threads: with
-    --threads 4 on four usable CPUs its 500 samples run as four chunks, two
-    of them at the same time on two threads (each waits at the barrier for
-    the other), and the bytes equal those of --threads 1."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    argv = ["sample-spectrum", "--model", "b", "--n", "2", "--samples", "500", "--seed", "9",
+def test_sample_spectrum_statistics_finite_at_huge_t(capsys):
+    """At t = 1e300 the fourth powers of the gaps lie beyond the float range:
+    the gap statistics warn of nothing (a numpy RuntimeWarning fails the
+    test), the ratio, exponent and standard error are those of t = 1 up to
+    rounding, and only moment4, near 1e600, is written as null."""
+    argv = ["sample-spectrum", "--model", "a", "--samples", "300", "--json"]
+    code, out = run(capsys, *argv, "--t", "1e300")
+    assert code == 0
+    huge = json.loads(out)["stats"]
+    unit = json.loads(run(capsys, *argv)[1])["stats"]
+    assert huge["moment4"] is None
+    assert huge["moment2"] == pytest.approx(1e300 * unit["moment2"], rel=1e-12)
+    for key in ("ratio", "implied_beta", "stderr"):
+        assert huge[key] == pytest.approx(unit[key], rel=1e-9)
+
+
+def test_sample_spectrum_threads_byte_identical(tmp_path, capsys, monkeypatch, cpus):
+    """A run below one 1024-sample chunk still splits over the threads: on
+    four usable CPUs its 500 samples run as four chunks, two of them at the
+    same time on two threads (each waits at the barrier for the other), and
+    the bytes equal those of a run on one CPU."""
+    argv = ["sample-spectrum", "--model", "b", "--n", "3", "--samples", "500", "--seed", "9",
             "--json"]
     a = tmp_path / "t1.csv"
     b = tmp_path / "t4.csv"
-    assert json.loads(run(capsys, *argv, "--out", str(a), "--threads", "1")[1])["threads"] == 1
+    cpus(1)
+    assert json.loads(run(capsys, *argv, "--out", str(a))[1])["threads"] == 1
     chunk_threads = []
     barrier = threading.Barrier(2, timeout=10)
     cluster_rows = simulate._cluster_rows
@@ -173,32 +189,36 @@ def test_sample_spectrum_threads_byte_identical(tmp_path, capsys, monkeypatch):
         return cluster_rows(eigs, tol)
 
     monkeypatch.setattr(simulate, "_cluster_rows", meeting_cluster_rows)
-    assert json.loads(run(capsys, *argv, "--out", str(b), "--threads", "4")[1])["threads"] == 4
+    cpus(4)
+    assert json.loads(run(capsys, *argv, "--out", str(b))[1])["threads"] == 4
     assert len(chunk_threads) == 4
     assert len(set(chunk_threads)) > 1
     assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize("n,samples", [(3, 300), (16, 40)])
-def test_sample_spectrum_auto_threads_byte_identical(n, samples, tmp_path, capsys):
-    """Model b below 1024 samples: the default (auto), --threads auto, 1 and 4
-    write the same CSV."""
+def test_sample_spectrum_auto_threads_byte_identical(n, samples, tmp_path, capsys, cpus):
+    """Model b below 1024 samples: runs on this machine's CPUs and on 1, 2
+    and 4 usable CPUs write the same CSV."""
     written = set()
-    for threads in ([], ["--threads", "auto"], ["--threads", "1"], ["--threads", "4"]):
+    for count in (None, 1, 2, 4):
+        if count is not None:
+            cpus(count)
         out = tmp_path / f"{len(written)}.csv"
         code, _ = run(capsys, "sample-spectrum", "--model", "b", "--n", str(n),
-                      "--samples", str(samples), "--seed", "4", "--out", str(out), *threads)
+                      "--samples", str(samples), "--seed", "4", "--out", str(out))
         assert code == 0
         written.add(out.read_bytes())
     assert len(written) == 1
 
 
-@pytest.mark.parametrize("threads", ["0", "-3", "two"])
-def test_threads_below_one_usage_error(threads, capsys):
+@pytest.mark.parametrize("command", ["sample-spectrum", "simulate-path"])
+def test_threads_option_is_gone(command, capsys):
+    """The thread count is derived, not chosen: --threads is a usage error."""
     with pytest.raises(SystemExit) as exc:
-        main(["sample-spectrum", "--model", "a", "--samples", "10", "--threads", threads])
+        main([command, "--model", "a", "--threads", "2"])
     assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def _resolved_threads(capsys, tmp_path, *argv):
@@ -213,22 +233,30 @@ def _resolved_threads(capsys, tmp_path, *argv):
 
 
 def test_auto_threads_resolution(tmp_path, capsys, monkeypatch):
-    """auto: every usable CPU for n >= 3 with a BLAS thread control, else 1;
-    a count is capped at the usable CPUs."""
+    """Every usable CPU for n >= 3 with a BLAS thread control, else 1."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(simulate, "find_openblas", lambda: None)
     assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3") == 1
-    assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3",
-                             "--threads", "2") == 2
-    assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3",
-                             "--threads", "4") == 3
     monkeypatch.setattr(simulate, "find_openblas", lambda: BlasThreads(lambda: 1, lambda k: None))
     assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3") == 3
-    assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3",
-                             "--threads", "auto") == 3
     assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "2") == 1
     assert _resolved_threads(capsys, tmp_path, "--model", "a") == 1
-    assert _resolved_threads(capsys, tmp_path, "--model", "a", "--threads", "2") == 2
+
+
+def test_recorded_threads_equal_pool_workers(tmp_path, capsys, monkeypatch, cpus):
+    """The thread count in --json and in the manifest is the number of
+    workers the pool was started with."""
+    started = []
+
+    class Recording(simulate.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
+    cpus(3)
+    assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3") == 3
+    assert started == [3]
 
 
 def test_spectrum_csv_template_matches_spectrum_csv_row(tmp_path):
@@ -275,10 +303,12 @@ def test_simulate_path(tmp_path, capsys):
     (["--model", "a"], "a", 2),
     (["--model", "b", "--n", "3"], "b", 3),
 ], ids=["a", "b3"])
-def test_simulate_path_bytes_match_step_loop(argv, kind, n, tmp_path, capsys, monkeypatch):
+def test_simulate_path_bytes_match_step_loop(argv, kind, n, tmp_path, capsys, monkeypatch,
+                                             cpus):
     """simulate-path writes the CSV and --json (but for its thread count) of
-    paths drawn and eigensolved one step at a time, on one and two threads,
-    with chunks of all paths, of one path below two and below one path."""
+    paths drawn and eigensolved one step at a time, on one and two usable
+    CPUs (one thread at n = 2), with chunks of all paths, of one path below
+    two and below one path."""
     steps, paths, seed = 5, 4, 23
     cfg = simulate.SimulationConfig(kind=kind, n=n, samples=paths, seed=seed, steps=steps)
     ref = [reference_euler_path(cfg, i) for i in range(paths)]
@@ -291,15 +321,15 @@ def test_simulate_path_bytes_match_step_loop(argv, kind, n, tmp_path, capsys, mo
         "steps_with_broken_clusters": sum(s.multiplicities != (8,) * n for s in samples),
         "min_gap": min(path.min_gap for path in ref),
     }
-    monkeypatch.setattr(simulate, "usable_cpus", lambda: 8)
-    for threads, chunk in itertools.product((1, 2), (1024, 7, 3)):
-        monkeypatch.setattr(cli, "resolve_threads", lambda *_, k=threads: k)
+    for count, chunk in itertools.product((1, 2), (1024, 7, 3)):
+        cpus(count)
         monkeypatch.setattr(simulate, "CHUNK_ROWS", chunk)
-        out = tmp_path / f"t{threads}c{chunk}.csv"
+        out = tmp_path / f"t{count}c{chunk}.csv"
         code, text = run(capsys, "simulate-path", *argv, "--steps", str(steps), "--paths",
                          str(paths), "--seed", str(seed), "--json", "--out", str(out))
         assert code == 0
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        threads = count if n >= 3 else 1
         assert text == json.dumps({**summary, "threads": threads}, indent=2) + "\n"
 
 
@@ -381,9 +411,9 @@ def test_report_out_file_with_manifest(tmp_path, capsys):
     (["--model", "b", "--n", "5", "--samples", "60"], "b", 5, 60),
 ], ids=["a", "b5"])
 def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples, tmp_path,
-                                                         capsys, monkeypatch):
+                                                         capsys, monkeypatch, cpus):
     """The batched sampler writes the bytes of a one-sample-at-a-time
-    pipeline, for any thread count and for chunks smaller than the run."""
+    pipeline, on one and two usable CPUs and for chunks smaller than the run."""
     seed = 17
     cfg = simulate.SimulationConfig(kind=kind, n=n, samples=samples, seed=seed)
     spectra = [
@@ -395,21 +425,22 @@ def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples,
     write_spectrum_csv(str(tmp_path / "ref.csv"), spectra, kind, n, 1.0)
     expected_csv = (tmp_path / "ref.csv").read_bytes()
     if n == 2:
-        stats = reference_gap_statistics(spectra, 1000, simulate.BOOTSTRAP_SEED)
+        stats = reference_gap_statistics(spectra, simulate.BOOTSTRAP_REPLICATES,
+                                         simulate.BOOTSTRAP_SEED)
         write_stats_json(str(tmp_path / "ref.json"), {
             "model": kind, "n": n, "t": 1.0, "samples": samples,
             "moment2": stats.moment2, "moment4": stats.moment4, "ratio": stats.ratio,
             "implied_beta": stats.implied_beta, "stderr": stats.stderr, "seed": seed,
         })
-    runs = [("1", 1024), ("1", 16), ("2", 16)]
-    for threads, chunk in runs:
+    runs = [(1, 1024), (1, 16), (2, 16)]
+    for count, chunk in runs:
+        cpus(count)
         monkeypatch.setattr(simulate, "CHUNK_ROWS", chunk)
-        out = tmp_path / f"t{threads}c{chunk}.csv"
-        code, _ = run(capsys, "sample-spectrum", *argv, "--seed", str(seed),
-                      "--threads", threads, "--out", str(out))
+        out = tmp_path / f"t{count}c{chunk}.csv"
+        code, _ = run(capsys, "sample-spectrum", *argv, "--seed", str(seed), "--out", str(out))
         assert code == 0
         assert out.read_bytes() == expected_csv
-        stats_path = tmp_path / f"t{threads}c{chunk}.csv.stats.json"
+        stats_path = tmp_path / f"t{count}c{chunk}.csv.stats.json"
         if n == 2:
             assert stats_path.read_bytes() == (tmp_path / "ref.json").read_bytes()
         else:

@@ -163,54 +163,32 @@ def test_cluster_eigenvalues_grouping():
     assert s.spread <= 2e-12
 
 
-@pytest.fixture
-def eight_cpus(monkeypatch):
-    """Eight usable CPUs, so that a thread count up to 8 is not capped."""
-    monkeypatch.setattr(simulate, "usable_cpus", lambda: 8)
-
-
-def test_sample_spectra_thread_invariance(eight_cpus, monkeypatch):
-    c = cfg(seed=31, samples=400)
-    serial = sample_spectra(c, threads=1)
+def test_sample_spectra_thread_invariance(cpus, monkeypatch):
+    c = cfg(kind="b", n=3, seed=31, samples=400)
+    cpus(1)
+    serial = sample_spectra(c)
     monkeypatch.setattr(simulate, "CHUNK_ROWS", 64)
-    threaded = sample_spectra(c, threads=4)
+    cpus(4)
+    threaded = sample_spectra(c)
     assert serial == threaded
     # more threads than samples: one chunk per sample
-    assert sample_spectra(cfg(seed=31, samples=3), threads=8) == serial[:3]
-    for threads in (0, -2, "two"):
-        with pytest.raises(InvalidArgument):
-            sample_spectra(c, threads=threads)
+    cpus(8)
+    assert sample_spectra(cfg(kind="b", n=3, seed=31, samples=3)) == serial[:3]
 
 
-def test_thread_count_capped_at_usable_cpus(monkeypatch):
-    """A huge thread count starts no more pool threads than usable CPUs."""
-    monkeypatch.setattr(simulate, "usable_cpus", lambda: 3)
-    started = []
-
-    class Recording(simulate.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
-    c = cfg(kind="b", n=3, seed=66, samples=30)
-    assert simulate.resolve_threads(10**6, 3) == 3
-    assert sample_spectra(c, threads=10**6) == sample_spectra(c)
-    assert started == [3]
-
-
-def test_sample_spectra_pool_stress(eight_cpus, monkeypatch):
+def test_sample_spectra_pool_stress(cpus, monkeypatch):
     """More threads than cores, one-sample chunks and a short switch
     interval: a chunk lost or run twice would change the result."""
     c = cfg(kind="b", n=3, seed=63, samples=120)
+    cpus(1)
     serial = sample_spectra(c)
     monkeypatch.setattr(simulate, "CHUNK_ROWS", 1)
+    cpus(8)
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runner = threading.Thread(target=lambda: results.append(
-            sample_spectra(c, threads=8)))
+        runner = threading.Thread(target=lambda: results.append(sample_spectra(c)))
         runner.start()
         runner.join(timeout=120)
     finally:
@@ -238,23 +216,26 @@ def blas_at_three():
     blas.set(before)
 
 
-def test_pool_holds_blas_at_one_and_restores_it(blas_at_three, eight_cpus, monkeypatch):
+def test_pool_holds_blas_at_one_and_restores_it(blas_at_three, cpus, monkeypatch):
     c = cfg(kind="b", n=3, seed=64, samples=40)
+    cpus(1)
     serial = sample_spectra(c)
     counts = []
     real_form = simulate.real_form
     monkeypatch.setattr(simulate, "real_form",
                         lambda comps: counts.append(blas_at_three.get()) or real_form(comps))
     monkeypatch.setattr(simulate, "CHUNK_ROWS", 5)
-    assert sample_spectra(c, threads=2) == serial
+    cpus(2)
+    assert sample_spectra(c) == serial
     assert len(counts) == 8 and set(counts) == {1}
     assert blas_at_three.get() == 3
     counts.clear()
+    cpus(1)
     sample_spectra(c)
     assert set(counts) == {3}  # a serial run leaves the BLAS alone
 
 
-def test_pool_restores_blas_when_a_chunk_raises(blas_at_three, eight_cpus, monkeypatch):
+def test_pool_restores_blas_when_a_chunk_raises(blas_at_three, cpus, monkeypatch):
     """A failing chunk propagates its exception, and the BLAS thread count
     comes back, whether one chunk or every chunk fails."""
     c = cfg(kind="b", n=3, seed=65, samples=40)
@@ -274,10 +255,11 @@ def test_pool_restores_blas_when_a_chunk_raises(blas_at_three, eight_cpus, monke
         raise InvalidArgument("chunk failed")
 
     monkeypatch.setattr(simulate, "CHUNK_ROWS", 5)
+    cpus(2)
     for patched in (fail_third, fail):
         monkeypatch.setattr(simulate, "real_form", patched)
         with pytest.raises(InvalidArgument, match="chunk failed"):
-            sample_spectra(c, threads=2)
+            sample_spectra(c)
         assert blas_at_three.get() == 3
 
 
@@ -448,19 +430,33 @@ def test_cluster_rows_match_cluster_eigenvalues(monkeypatch):
     assert _cluster_rows(rows3, 1e-6) == [cluster_eigenvalues(r, 1e-6) for r in rows3]
 
 
-def test_gap_statistics_matches_replicate_loop():
+def test_gap_statistics_matches_replicate_loop(monkeypatch):
     spectra = sample_spectra(cfg(seed=61, samples=400))
+    seed = simulate.BOOTSTRAP_SEED
+    monkeypatch.setattr(simulate, "BOOTSTRAP_SEED", 9)
     for bootstrap in (1, 64, 130):
-        assert (gap_statistics(spectra, bootstrap=bootstrap, bootstrap_seed=9)
-                == reference_gap_statistics(spectra, bootstrap, 9))
+        monkeypatch.setattr(simulate, "BOOTSTRAP_REPLICATES", bootstrap)
+        assert gap_statistics(spectra) == reference_gap_statistics(spectra, bootstrap, 9)
     # replicates that draw only the equal gaps have moment ratio 1 and an
     # infinite implied exponent, so the standard error is infinite
     equal = [SpectralSample((0.0, 1.0), (8, 8), 0.0)] * 150
     equal.append(SpectralSample((0.0, 2.0), (8, 8), 0.0))
-    got = gap_statistics(equal, bootstrap=100)
-    want = reference_gap_statistics(equal, 100, simulate.BOOTSTRAP_SEED)
+    monkeypatch.setattr(simulate, "BOOTSTRAP_SEED", seed)
+    monkeypatch.setattr(simulate, "BOOTSTRAP_REPLICATES", 100)
+    got = gap_statistics(equal)
+    want = reference_gap_statistics(equal, 100, seed)
     assert got.stderr == np.inf
     np.testing.assert_equal(dataclasses.astuple(got), dataclasses.astuple(want))
+
+
+@pytest.mark.parametrize("t", [1e-6, 0.37, 1e3, 1e40])
+def test_gap_statistics_scaling_changes_no_finite_value(t, monkeypatch):
+    """Dividing the gaps by a power of two is exact: the statistics equal
+    those of the unscaled gaps."""
+    monkeypatch.setattr(simulate, "BOOTSTRAP_REPLICATES", 130)
+    spectra = sample_spectra(cfg(kind="b", seed=67, samples=300, t=t))
+    assert gap_statistics(spectra) == reference_gap_statistics(spectra, 130,
+                                                               simulate.BOOTSTRAP_SEED)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 101, 150, 19_999, 20_000])
