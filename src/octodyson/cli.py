@@ -5,20 +5,23 @@ error, such as a trial count below 1 or model a at n != 2.  With --json,
 stdout is exactly one JSON document.  With --out, every file the command
 writes is recorded with its SHA-256 digest in one manifest,
 <out>.manifest.json.  JSON writes a non-finite number as null.  Outputs are
-byte-identical for identical (command, seed) regardless of the thread count.
-sample-spectrum and simulate-path run on every usable CPU for n >= 3 when
-the BLAS can be held to one thread, else on one (taskset -c 0 gives a
-one-thread run), and record the count in config.threads and --json.
+byte-identical for identical (command, seed) regardless of the thread count,
+as every command holds the loaded OpenBLAS to one thread.  sample-spectrum
+and simulate-path run on every usable CPU for n >= 3 when the BLAS can be
+held, else on one (taskset -c 0 gives a one-thread run), and record the
+count in config.threads and --json.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import sys
 
 from . import __version__, algebra, errors
+from .blas import find_openblas
 from .calculus import DiffusionModel, ExponentProblem, invariant_exponent, solve_multiplicity
 from .errors import InsufficientData, InvalidConfig
 from .matrices import check_dim2_identities, check_logdet_derivatives, dim3_counterexample
@@ -261,7 +264,9 @@ def main(argv=None) -> int:
     args.argv = list(argv) if argv is not None else sys.argv[1:]
     if args.seed < 0:
         parser.error("--seed must be a nonnegative integer")
-    try:
-        return args.func(args)
-    except InvalidConfig as exc:
-        parser.error(str(exc))
+    blas = find_openblas()
+    with blas.held_at_one() if blas else contextlib.nullcontext():
+        try:
+            return args.func(args)
+        except InvalidConfig as exc:
+            parser.error(str(exc))

@@ -256,9 +256,10 @@ def spectral_radius(eigenvalues: np.ndarray) -> float:
     return float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0
 
 
-def shift_guard(eigenvalues: np.ndarray, n: int) -> float:
-    """Minimum allowed distance from a resolvent shift to the spectrum."""
-    return 0.5 * (1.0 + spectral_radius(eigenvalues)) / (8 * n)
+def shift_guard(eigenvalues: np.ndarray):
+    """Minimum allowed distance from a resolvent shift to the spectrum of
+    length 8n, (1 + spectral radius) / 16n; one per row of a stack of spectra."""
+    return 0.5 * (1.0 + np.max(np.abs(eigenvalues), axis=-1)) / eigenvalues.shape[-1]
 
 
 def off_spectrum_points(eigenvalues: np.ndarray, rng: np.random.Generator,
@@ -282,20 +283,20 @@ def separated_shifts(eigenvalues: np.ndarray, rng: np.random.Generator):
     return x, y
 
 
-def _resolvents(mats, shifts) -> np.ndarray:
-    """Structured inverses of ``m_i - shifts[i, j] Id``, (k, s, 8, n, n); first raises
+def _resolvents(comps: np.ndarray, eigs: np.ndarray, shifts) -> np.ndarray:
+    """Structured inverses of ``comps[i] - shifts[i, j] Id`` for a (k, 8, n, n) stack
+    with (k, 8n) spectra ``eigs``, shape (k, s, 8, n, n); first raises
     InvalidArgument for a non-finite shift, NearSingularShift at the first (i, j)
     within :func:`shift_guard` of the spectrum."""
     shifts = np.asarray(shifts, dtype=np.float64)
     if not np.isfinite(shifts).all():
         raise InvalidArgument("resolvent shifts must be finite")
-    for m, row in zip(mats, shifts):
-        eigs = m.eigenvalues
-        near = np.min(np.abs(eigs - row[:, None]), axis=1) <= shift_guard(eigs, m.n)
-        if near.any():
-            raise NearSingularShift(f"shift {row[near][0]} is within the guard distance "
-                                    "of the spectrum")
-    comps = np.repeat(np.stack([m.components for m in mats])[:, None], shifts.shape[1], axis=1)
+    near = (np.min(np.abs(eigs[:, None] - shifts[..., None]), axis=-1)
+            <= shift_guard(eigs)[:, None])
+    if near.any():
+        raise NearSingularShift(f"shift {shifts[near][0]} is within the guard distance "
+                                "of the spectrum")
+    comps = np.repeat(comps[:, None], shifts.shape[1], axis=1)
     comps[:, :, 0] -= shifts[..., None, None] * np.eye(comps.shape[-1])
     return _oct_inverse_stack(comps.reshape((-1,) + comps.shape[2:])).reshape(comps.shape)
 
@@ -311,7 +312,8 @@ def resolvent(m: OctonionicMatrix, x: float) -> OctonionicMatrix:
     SingularBase, NotSymmCompatible, SingularCore
     """
     if x not in m._resolvent_memo:
-        m._resolvent_memo[x] = OctonionicMatrix(_resolvents([m], [[x]])[0, 0])
+        m._resolvent_memo[x] = OctonionicMatrix(
+            _resolvents(m.components[None], m.eigenvalues[None], [[x]])[0, 0])
     return m._resolvent_memo[x]
 
 
@@ -355,29 +357,29 @@ def _rel(lhs, rhs):
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
-def _trace_residual_rows(mats, shifts) -> np.ndarray:
-    """:func:`trace_identity_residuals` of k matrices at their (k, 2) shifts,
-    one row per matrix, each trace taken over the stack."""
+def _trace_residual_rows(comps: np.ndarray, eigs: np.ndarray, shifts) -> np.ndarray:
+    """:func:`trace_identity_residuals` of a (k, 8, n, n) stack with (k, 8n) spectra
+    ``eigs`` at its (k, 2) shifts, one row per entry, each trace taken over the stack."""
     shifts = np.asarray(shifts, dtype=np.float64)
-    ucx, ucy = np.moveaxis(_resolvents(mats, shifts), 1, 0)
-    rf = real_form(np.stack([m.components for m in mats]))
+    ucx, ucy = np.moveaxis(_resolvents(comps, eigs, shifts), 1, 0)
+    rf = real_form(comps)
     dx, dy = (np.linalg.inv(rf - s[:, None, None] * np.eye(rf.shape[-1])) for s in shifts.T)
     trace_x = np.trace(dx, axis1=1, axis2=2)
     # sign(C, C) tr[U^C(x) U^C(y)], one stacked product for all eight C
     signed = CONJUGATION_SIGNS * np.trace(ucx @ ucy, axis1=2, axis2=3)
     # tr(dx dy) = sum_ij dx_ij dy_ji, so no 8n x 8n product is formed
     cross_trace = np.sum(dx * dy.transpose(0, 2, 1), axis=(1, 2))
-    # p'/p and the curvature, indexed [shift, matrix]
-    dlog, curvature = np.array([[(p.dlog, p.curvature) for p in (
-        CharPolyEval.from_eigenvalues(m.eigenvalues, x) for x in row.tolist())]
-        for m, row in zip(mats, shifts)]).T
+    # p'/p = -sum r and the curvature sum r^2, r = 1/(lam - x), indexed [entry, shift]
+    r = 1.0 / (eigs[:, None] - shifts[..., None])
+    dlog = -np.sum(r, axis=-1)
+    curvature = np.sum(r * r, axis=-1)
     return np.stack((
         _rel(trace_x, 8.0 * np.trace(ucx[:, 0], axis1=1, axis2=2)),
         np.max(_rel(np.sum(ucx * ucy, axis=(2, 3)), signed), axis=1),
         _rel(cross_trace, 8.0 * sum(signed[:, c] for c in range(8))),
-        _rel(trace_x, -dlog[0]),
-        _rel(np.sum(dx * dx.transpose(0, 2, 1), axis=(1, 2)), curvature[0]),
-        _rel(cross_trace, (dlog[0] - dlog[1]) / (shifts[:, 1] - shifts[:, 0]))), axis=1)
+        _rel(trace_x, -dlog[:, 0]),
+        _rel(np.sum(dx * dx.transpose(0, 2, 1), axis=(1, 2)), curvature[:, 0]),
+        _rel(cross_trace, (dlog[:, 0] - dlog[:, 1]) / (shifts[:, 1] - shifts[:, 0]))), axis=1)
 
 
 def trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) -> dict[str, float]:
@@ -397,7 +399,8 @@ def trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) -> dict[st
     * ``cross``: tr[U(x)U(y)] == (p'/p(x) - p'/p(y)) / (y - x).
     """
     names = ("full-trace", "transpose-pairing", "product-trace", "dlog", "sq", "cross")
-    return dict(zip(names, _trace_residual_rows([m], [[x, y]])[0].tolist()))
+    rows = _trace_residual_rows(m.components[None], m.eigenvalues[None], [[x, y]])
+    return dict(zip(names, rows[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -494,25 +497,25 @@ def check_dim2_identities(trials: int = 1_000, seed: int = 4) -> IdentityReport:
     * tr(U^0 A0 U^0 A0)           == tr((U^0)^2) - (tr U^0)^2,
 
     plus the scalar 2x2 identity tr(M^2) - (tr M)^2 == -2 det(M), each to
-    :data:`DIM2_TOL`.  Draws follow the model-a law at t = 1, trial by trial
-    from one stream; traces are taken over batches of :func:`forms_per_batch`.
+    :data:`DIM2_TOL`.  Draw i is the model-a sample i at t = 1 of the counter
+    stream under ``seed`` (:func:`~octodyson.simulate.sample_stack`); its two
+    shifts and then the scalar 2x2 matrix come trial by trial from
+    ``default_rng(seed)``.  Draws are taken in batches of :func:`forms_per_batch`.
     """
-    from .simulate import _draw_layout
+    from .simulate import SimulationConfig, sample_stack
 
-    layout = _draw_layout("a", 2)
+    cfg = SimulationConfig("a", 2, seed=seed)
     rng = np.random.default_rng(seed)
     with IdentityReport("dim2-trace-identities", seed=seed).timed() as report:
         for lo in range(0, trials, forms_per_batch(2)):
-            mats, shifts, mm = [], [], []
-            for _ in range(lo, min(trials, lo + forms_per_batch(2))):
-                mats.append(OctonionicMatrix(layout.scatter(rng.standard_normal(layout.size)
-                                                            * layout.scale(1.0))))
-                shifts.append(off_spectrum_points(mats[-1].eigenvalues, rng, 2))
-                mm.append(rng.standard_normal((2, 2)))
-            ux, uy = np.moveaxis(_resolvents(mats, shifts), 1, 0)
-            report.record_all(_dim2_trace_residuals(ux, uy), DIM2_TOL)
+            comps = sample_stack(cfg, range(lo, min(trials, lo + forms_per_batch(2))))
+            eigs = np.linalg.eigvalsh(real_form(comps))
+            shifts, mm = zip(*((off_spectrum_points(e, rng, 2), rng.standard_normal((2, 2)))
+                               for e in eigs))
+            ux, uy = np.moveaxis(_resolvents(comps, eigs, shifts), 1, 0)
+            report.record(_dim2_trace_residuals(ux, uy), DIM2_TOL)
             mm = np.array(mm)
-            report.record_all(_rel(np.trace(mm @ mm, axis1=1, axis2=2) - np.float_power(
+            report.record(_rel(np.trace(mm @ mm, axis1=1, axis2=2) - np.float_power(
                 np.trace(mm, axis1=1, axis2=2), 2), -2.0 * np.linalg.det(mm)), DIM2_TOL)
     return report
 

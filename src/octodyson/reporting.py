@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,9 +27,10 @@ class IdentityReport:
 
     ``failures == 0`` means the suite passed; ``max_residual`` is the largest
     finite residual seen (0.0 for exact integer suites), so the report stays
-    valid JSON.  A suite runs inside :meth:`timed` and adds each case with
-    :meth:`record`, :meth:`record_all` or :meth:`check`; a residual passes
-    only when it is at most its tolerance, so NaN and infinity fail.
+    valid JSON.  A suite runs inside :meth:`timed` and adds its numeric
+    cases with :meth:`record`, one per residual of a float or an array, and
+    its exact cases with :meth:`check`; a residual passes only when it is at
+    most its tolerance, so NaN and infinity fail.
     """
 
     suite: str
@@ -50,17 +51,10 @@ class IdentityReport:
         yield self
         self.elapsed_ms = int((time.perf_counter() - start) * 1000)
 
-    def record(self, residual: float, tol: float) -> None:
-        """One numeric case."""
-        self.cases += 1
-        self.failures += int(not residual <= tol)
-        if math.isfinite(residual):
-            self.max_residual = max(self.max_residual, residual)
-
-    def record_all(self, residuals: np.ndarray, tol: float) -> None:
-        """One numeric case per entry of ``residuals``."""
-        self.cases += residuals.size
-        self.failures += residuals.size - int(np.count_nonzero(residuals <= tol))
+    def record(self, residuals, tol: float) -> None:
+        """One numeric case per entry of the array ``residuals`` (a float is one case)."""
+        residuals = np.asarray(residuals, dtype=np.float64)
+        self.check(residuals <= tol)
         finite = residuals[np.isfinite(residuals)]
         if finite.size:
             self.max_residual = max(self.max_residual, float(finite.max()))
@@ -73,14 +67,7 @@ class IdentityReport:
         self.failures += ok.size - int(np.count_nonzero(ok))
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases": self.cases,
-            "failures": self.failures,
-            "max_residual": self.max_residual,
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"

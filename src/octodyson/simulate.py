@@ -175,10 +175,15 @@ def _draw(cfg: SimulationConfig, indices: range, steps: int) -> np.ndarray:
     return normals
 
 
+def sample_stack(cfg: SimulationConfig, indices: range) -> np.ndarray:
+    """Component stacks of the samples ``indices``, shape (len(indices), 8, n, n):
+    the exact time-t draws of :func:`sample_spectra`, whatever ``cfg.steps``."""
+    return _draw_layout(cfg.kind, cfg.n).scatter(_draw(cfg, indices, 1)[:, 0])
+
+
 def sample_components(cfg: SimulationConfig, index: int) -> np.ndarray:
-    """Component stack of sample ``index`` under the exact time-t law: the
-    one-step draw of :func:`sample_spectra`, whatever ``cfg.steps``."""
-    return _draw_layout(cfg.kind, cfg.n).scatter(_draw(cfg, range(index, index + 1), 1)[0, 0])
+    """Component stack of sample ``index``: the one-entry :func:`sample_stack`."""
+    return sample_stack(cfg, range(index, index + 1))[0]
 
 
 def sample_matrix(cfg: SimulationConfig, index: int) -> OctonionicMatrix:

@@ -18,20 +18,22 @@ from .calculus import (
     generator_log_charpoly,
 )
 from .errors import Error
-from .matrices import _trace_residual_rows, forms_per_batch, oct_inverse, separated_shifts
+from .matrices import (
+    OctonionicMatrix,
+    _trace_residual_rows,
+    forms_per_batch,
+    oct_inverse,
+    real_form,
+    separated_shifts,
+)
 from .reporting import IdentityReport
-from .simulate import SimulationConfig, sample_matrix
+from .simulate import SimulationConfig, sample_matrix, sample_stack
 
 #: Suite tolerances, and the condition number above which the round trip redraws.
 CLOSED_FORM_TOL = 1e-8
 TRACE_TOL = 1e-9
 ROUNDTRIP_TOL = 1e-9
 ROUNDTRIP_COND_LIMIT = 1e8
-
-
-def _draw(kind: str, n: int, seed: int, index: int):
-    cfg = SimulationConfig(kind=kind, n=n, t=1.0, samples=1, seed=seed)
-    return sample_matrix(cfg, index)
 
 
 def check_closed_forms(model: DiffusionModel, trials: int = 100, seed: int = 0) -> IdentityReport:
@@ -41,44 +43,49 @@ def check_closed_forms(model: DiffusionModel, trials: int = 100, seed: int = 0) 
     ``a3/(y-x) (p'/p(x) - p'/p(y))``, its symmetry in (x, y), and the
     generator of log p(x) against the model closed form.  Residuals are
     relative to the closed-form magnitude (term-wise, so a cancellation in
-    the closed form cannot inflate the measure).
+    the closed form cannot inflate the measure).  Draws are taken from the
+    sampler in batches of :func:`~octodyson.matrices.forms_per_batch`.
     """
+    cfg = SimulationConfig(model.kind, model.n, seed=seed)
     rng = np.random.default_rng(seed)
+    step = forms_per_batch(model.n)
     suite = f"closed-forms-model-{model.kind}-n{model.n}"
     with IdentityReport(suite, seed=seed).timed() as report:
-        for i in range(trials):
-            m = _draw(model.kind, model.n, seed, i)
-            x, y = separated_shifts(m.eigenvalues, rng)
-            px = CharPolyEval.from_eigenvalues(m.eigenvalues, x)
-            py = CharPolyEval.from_eigenvalues(m.eigenvalues, y)
+        for lo in range(0, trials, step):
+            for comps in sample_stack(cfg, range(lo, min(trials, lo + step))):
+                m = OctonionicMatrix(comps)
+                x, y = separated_shifts(m.eigenvalues, rng)
+                px = CharPolyEval.from_eigenvalues(m.eigenvalues, x)
+                py = CharPolyEval.from_eigenvalues(m.eigenvalues, y)
 
-            gam = gamma_log_charpoly(m, x, y, model)
-            closed = gamma_closed_form(px, py)
-            report.record(abs(gam - closed) / abs(closed), CLOSED_FORM_TOL)
-            gam_sym = gamma_log_charpoly(m, y, x, model)
-            report.record(abs(gam - gam_sym) / (1.0 + abs(gam)), CLOSED_FORM_TOL)
-
-            gen = generator_log_charpoly(m, x, model)
-            closed_gen = generator_closed_form(px, model)
-            if model.kind == "a":
-                scale = 3.0 * abs(px.curvature) + 0.5 * px.dlog ** 2
-            else:
-                scale = abs(closed_gen)
-            report.record(abs(gen - closed_gen) / max(abs(closed_gen), 1e-3 * scale),
-                          CLOSED_FORM_TOL)
+                gam = gamma_log_charpoly(m, x, y, model)
+                closed = gamma_closed_form(px, py)
+                gam_sym = gamma_log_charpoly(m, y, x, model)
+                gen = generator_log_charpoly(m, x, model)
+                closed_gen = generator_closed_form(px, model)
+                if model.kind == "a":
+                    scale = 3.0 * abs(px.curvature) + 0.5 * px.dlog ** 2
+                else:
+                    scale = abs(closed_gen)
+                report.record([abs(gam - closed) / abs(closed),
+                               abs(gam - gam_sym) / (1.0 + abs(gam)),
+                               abs(gen - closed_gen) / max(abs(closed_gen), 1e-3 * scale)],
+                              CLOSED_FORM_TOL)
     return report
 
 
 def check_trace_identities(kind: str, n: int, trials: int = 50, seed: int = 0) -> IdentityReport:
-    """Component-trace and charpoly-trace identities on random draws, drawn trial
-    by trial and evaluated over batches of :func:`~octodyson.matrices.forms_per_batch`."""
+    """Component-trace and charpoly-trace identities on random draws, drawn,
+    eigensolved and evaluated over batches of :func:`~octodyson.matrices.forms_per_batch`."""
+    cfg = SimulationConfig(kind, n, seed=seed)
     rng = np.random.default_rng(seed)
+    step = forms_per_batch(n)
     with IdentityReport(f"trace-identities-model-{kind}-n{n}", seed=seed).timed() as report:
-        step = forms_per_batch(n)
         for lo in range(0, trials, step):
-            mats = [_draw(kind, n, seed, i) for i in range(lo, min(trials, lo + step))]
-            shifts = [separated_shifts(m.eigenvalues, rng) for m in mats]
-            report.record_all(_trace_residual_rows(mats, shifts), TRACE_TOL)
+            comps = sample_stack(cfg, range(lo, min(trials, lo + step)))
+            eigs = np.linalg.eigvalsh(real_form(comps))
+            shifts = [separated_shifts(e, rng) for e in eigs]
+            report.record(_trace_residual_rows(comps, eigs, shifts), TRACE_TOL)
     return report
 
 
@@ -91,14 +98,13 @@ def check_inverse_roundtrip(kind: str, n: int, trials: int = 1000,
     real form is symmetric, so its 2-norm condition number is
     max|lam| / min|lam| over the cached spectrum.
     """
+    cfg = SimulationConfig(kind, n, seed=seed)
     index = 0
-    attempts = 0
     with IdentityReport(f"inverse-roundtrip-model-{kind}-n{n}", seed=seed).timed() as report:
         while report.cases < trials:
-            attempts += 1
-            if attempts > 20 * trials + 100:
+            if index >= 20 * trials + 100:
                 raise Error("too many ill-conditioned draws; check the sampler")
-            m = _draw(kind, n, seed, index)
+            m = sample_matrix(cfg, index)
             index += 1
             moduli = np.abs(m.eigenvalues)
             if moduli.max() > ROUNDTRIP_COND_LIMIT * moduli.min():

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from octodyson.algebra import CANONICAL_LABELS, FLOAT_TOL, SIGN_TABLE
+from octodyson.algebra import _TABLE_ROWS, CANONICAL_LABELS, FLOAT_TOL, SIGN_TABLE
 from octodyson.calculus import MODEL_B_ANTISYM_RATE, DiffusionModel
 from octodyson.errors import NearSingularShift, NotSymmCompatible, SingularBase, SingularCore
 from octodyson.matrices import (
@@ -329,6 +329,24 @@ def reference_cyclic_sign_sum(table: np.ndarray) -> tuple[int, int]:
     return total, count
 
 
+def reference_table_structure(table: np.ndarray) -> IdentityReport:
+    """The table-structure suite, one cell and one check at a time."""
+    t = table
+    report = IdentityReport("table-structure")
+    for b in range(8):
+        report.check(t[0, b] == 1)
+        report.check(t[b, 0] == 1)
+    report.check(t[0, 0] == 1)
+    for a in range(1, 8):
+        report.check(t[a, a] == -1)
+    for a, b in itertools.product(range(1, 8), repeat=2):
+        if a != b:
+            report.check(t[a, b] == -t[b, a])
+    for (row, a), (col, b) in itertools.product(enumerate(CANONICAL_LABELS), repeat=2):
+        report.check(int(t[a, b]) == _TABLE_ROWS[row][col])
+    return report
+
+
 def reference_sign_identities(table: np.ndarray) -> IdentityReport:
     """The sign-identity suite, one label tuple and one check at a time."""
     t = table
@@ -379,7 +397,7 @@ def reference_moufang(trials: int, seed: int, table: np.ndarray) -> IdentityRepo
         (f(f(y, x), x), f(y, f(x, x))),
     ]
     for lhs, rhs in pairs:
-        report.record_all(np.max(np.abs(lhs - rhs), axis=-1), FLOAT_TOL)
+        report.record(np.max(np.abs(lhs - rhs), axis=-1), FLOAT_TOL)
     return report
 
 
@@ -506,7 +524,7 @@ def reference_resolvent(m: OctonionicMatrix, x: float) -> OctonionicMatrix:
     """Resolvent at one shift: the guard, then the three-factorisation
     structured inverse of ``m - x Id``."""
     eigs = m.eigenvalues
-    if np.min(np.abs(eigs - x)) <= shift_guard(eigs, m.n):
+    if np.min(np.abs(eigs - x)) <= shift_guard(eigs):
         raise NearSingularShift(f"shift {x} is within the guard distance of the spectrum")
     comps = m.components.copy()
     comps[0] = comps[0] - x * np.eye(m.n)
@@ -552,13 +570,16 @@ def reference_check_trace_identities(kind: str, n: int, trials: int, seed: int) 
 
 
 def reference_check_dim2_identities(trials: int, seed: int) -> IdentityReport:
-    """The dimension-2 suite one trial at a time, from the same stream."""
+    """The dimension-2 suite one trial at a time: draw i is model-a sample i
+    of the counter stream; its shifts, then its scalar 2x2 matrix, come from
+    ``default_rng(seed)``."""
+    cfg = SimulationConfig(kind="a", n=2, seed=seed)
     rng = np.random.default_rng(seed)
     report = IdentityReport("dim2-trace-identities", seed=seed)
-    for _ in range(trials):
-        m = OctonionicMatrix(reference_draw_increment(rng, "a", 2, 1.0))
+    for i in range(trials):
+        m = sample_matrix(cfg, i)
         x, y = off_spectrum_points(m.eigenvalues, rng, 2)
-        report.record_all(reference_dim2_trace_residuals(
+        report.record(reference_dim2_trace_residuals(
             reference_resolvent(m, float(x)).components,
             reference_resolvent(m, float(y)).components), DIM2_TOL)
         mm = rng.standard_normal((2, 2))

@@ -3,13 +3,16 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from octodyson import OctonionicMatrix, algebra, matrices, simulate
-from octodyson.blas import BlasThreads
+from octodyson.blas import BlasThreads, find_openblas
 from octodyson.cli import main
 from octodyson.reporting import fmt17, json_text, write_spectrum_csv, write_stats_json
 from octodyson.simulate import SpectralSample
@@ -257,6 +260,27 @@ def test_recorded_threads_equal_pool_workers(tmp_path, capsys, monkeypatch, cpus
     cpus(3)
     assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3") == 3
     assert started == [3]
+
+
+@pytest.mark.skipif(find_openblas() is None, reason="no OpenBLAS thread control is loaded")
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    """At n = 48 a BLAS on two threads sums the dense products in another
+    order than on one; every command holds the BLAS at one thread, so runs
+    under OPENBLAS_NUM_THREADS=1 and =2 write the same report bar timings."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = tmp_path / f"blas{threads}.json"
+        subprocess.run([sys.executable, "-m", "octodyson", "verify-identities", "--model", "b",
+                        "--n", "48", "--trials", "4", "--seed", "0", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        payload = json.loads(out.read_text())
+        for report in payload["reports"]:
+            del report["elapsed_ms"]
+        reports.append(payload)
+    assert reports[0] == reports[1]
 
 
 def test_spectrum_csv_template_matches_spectrum_csv_row(tmp_path):

@@ -107,8 +107,9 @@ def assigned_literal(path: Path, name: str):
 
 def benchmark_names() -> list[tuple[str, str]]:
     """(module, name) pairs the benchmark harness reads from the package: the
-    traced layers, the attributes its setup code uses, and the four calculus
-    functions the closed-form recorder wraps in ``verify``."""
+    traced layers, the attributes its setup code uses, the four calculus
+    functions the closed-form recorder wraps in ``verify``, and every name a
+    harness file imports from a package module."""
     pairs = [(module, name) for module, names in
              assigned_literal(PERFBENCH / "tracing.py", "LAYERS").items() for name in names]
     setup = ast.parse(assigned_literal(PERFBENCH / "run.py", "SETUP_CODE"))
@@ -120,6 +121,10 @@ def benchmark_names() -> list[tuple[str, str]]:
               and node.value.id in modules]
     pairs += [("verify", name) for name in
               assigned_literal(PERFBENCH / "workloads.py", "names")]
+    pairs += [(node.module.split(".", 1)[1], alias.name) for path in PERFBENCH.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("octodyson.")
+              for alias in node.names]
     return pairs
 
 
@@ -128,7 +133,8 @@ BENCHMARK_NAMES = sorted(set(benchmark_names()))
 
 def test_benchmark_harness_reads_at_least_the_recorded_names():
     assert {("matrices", "oct_inverse"), ("simulate", "sample_matrix"),
-            ("calculus", "DiffusionModel"), ("verify", "gamma_closed_form")} <= {
+            ("calculus", "DiffusionModel"), ("verify", "gamma_closed_form"),
+            ("simulate", "SimulationConfig"), ("simulate", "sample_components")} <= {
                 *BENCHMARK_NAMES}
 
 

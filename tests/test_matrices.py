@@ -56,6 +56,11 @@ def draw(kind="a", n=2, seed=0, index=0):
     return sample_matrix(SimulationConfig(kind=kind, n=n, t=1.0, samples=1, seed=seed), index)
 
 
+def stacked(mats):
+    """Components and spectra of ``mats``, stacked as the array kernels take them."""
+    return np.stack([m.components for m in mats]), np.stack([m.eigenvalues for m in mats])
+
+
 def shifted(m, x):
     """``m - x Id``: the shift acts on the scalar component."""
     comps = m.components.copy()
@@ -499,7 +504,7 @@ def test_stacked_resolvent_raises_for_first_near_shift():
     with pytest.raises(NearSingularShift) as want:
         resolvent(mats[1], near[1])
     with pytest.raises(NearSingularShift) as got:
-        _resolvents(mats, [[far[0], far[0]], [far[1], near[1]], [near[2], far[2]]])
+        _resolvents(*stacked(mats), [[far[0], far[0]], [far[1], near[1]], [near[2], far[2]]])
     assert str(got.value) == str(want.value)
 
 
@@ -524,7 +529,7 @@ def test_resolvent_rejects_non_finite_shift(x):
 def test_stacked_resolvent_rejects_non_finite_shift(x):
     m = draw("a")
     with pytest.raises(InvalidArgument):
-        _resolvents([m, m], [[spectral_shift(m)], [x]])
+        _resolvents(*stacked([m, m]), [[spectral_shift(m)], [x]])
 
 
 @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -561,4 +566,4 @@ def test_resolvent_memo_returns_the_first_result():
     x = spectral_shift(m)
     first = resolvent(m, x)
     assert resolvent(m, x) is first
-    assert np.array_equal(first.components, _resolvents([m], [[x]])[0, 0])
+    assert np.array_equal(first.components, _resolvents(*stacked([m]), [[x]])[0, 0])

@@ -35,7 +35,7 @@ def test_non_finite_residuals_fail():
     report.record(0.5, 1.0)
     report.record(float("nan"), 1.0)
     report.record(float("inf"), 1.0)
-    report.record_all(np.array([0.0, np.nan]), 1.0)
+    report.record(np.array([0.0, np.nan]), 1.0)
     assert (report.cases, report.failures, report.max_residual) == (5, 3, 0.5)
     assert not report.passed
     json.dumps(report.to_dict(), allow_nan=False)
@@ -192,6 +192,7 @@ def test_memo_leaves_measured_coefficients_unchanged(monkeypatch, model):
     m = sample_matrix(SimulationConfig(kind=model.kind, n=model.n, seed=8), 3)
     memoised = measure_coefficients(model, m, np.random.default_rng(105))
     monkeypatch.setattr(calculus, "resolvent",
-                        lambda mat, x: OctonionicMatrix(matrices._resolvents([mat], [[x]])[0, 0]))
+                        lambda mat, x: OctonionicMatrix(matrices._resolvents(
+                            mat.components[None], mat.eigenvalues[None], [[x]])[0, 0]))
     fresh = sample_matrix(SimulationConfig(kind=model.kind, n=model.n, seed=8), 3)
     assert measure_coefficients(model, fresh, np.random.default_rng(105)) == memoised
