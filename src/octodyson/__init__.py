@@ -10,7 +10,7 @@ The package has four layers:
 * :mod:`octodyson.calculus` — carre-du-champ calculus on log det, model
   closed forms, eigenvalue multiplicity, and invariant-density exponents;
 * :mod:`octodyson.simulate` — reproducible Monte Carlo sampling, spectrum
-  clustering, and gap-exponent estimation.
+  clustering, and spectral-exponent estimation.
 
 ``python -m octodyson --help`` lists the verification CLI.
 """

@@ -26,6 +26,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -35,13 +36,6 @@ from .blas import find_openblas
 from .calculus import MODEL_B_ANTISYM_RATE, DiffusionModel
 from .errors import InsufficientData, InvalidArgument, InvalidConfig
 from .matrices import OctonionicMatrix, forms_per_batch, real_form, spectral_radius
-
-#: Fixed seed of the bootstrap resampler (kept independent of the sampling
-#: seed so identical sample sets always yield identical standard errors).
-BOOTSTRAP_SEED = 0x5EED_B007
-#: Bootstrap replicates behind the standard error of the implied exponent.
-BOOTSTRAP_REPLICATES = 1000
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -85,19 +79,35 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
 
 
+#: Each thread's Philox state dict, which :func:`_seek` rewrites in place.
+_philox_state = threading.local()
+
+
 def _seek(rng: np.random.Generator, key: np.ndarray, index: int) -> None:
     """Put a Philox generator keyed by ``key`` into the state of a fresh
-    ``sample_rng(seed, index)``: counter ``index << 128``, buffer empty."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([0, 0, index & 0xFFFF_FFFF_FFFF_FFFF, index >> 64],
-                                      dtype=np.uint64),
-                  "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    ``sample_rng(seed, index)``: counter ``index << 128``, buffer empty.
+
+    Each thread builds its state dict once; a call writes the index into its
+    counter array in place, sets the key and assigns the dict, which the
+    generator copies.  Every other field keeps its initial value, so no call
+    depends on an earlier one.
+    """
+    state = getattr(_philox_state, "dict", None)
+    if state is None:
+        state = _philox_state.dict = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    inner = state["state"]
+    counter = inner["counter"]
+    counter[2] = index & 0xFFFF_FFFF_FFFF_FFFF
+    counter[3] = index >> 64
+    inner["key"] = key
+    rng.bit_generator.state = state
 
 
 @dataclass(frozen=True)
@@ -352,20 +362,30 @@ def hermitian_reduction_residual(m: OctonionicMatrix) -> float:
     return float(np.max(np.abs(m.eigenvalues - np.repeat(herm, 8))))
 
 
-def implied_beta(ratio: float) -> float:
-    """Gap exponent implied by the moment ratio E[s^4]/E[s^2]^2.
+def implied_beta(ratio: float, n: int) -> float:
+    """Spectral exponent implied by the moment ratio R = E[T^2] / E[T]^2 of
+    the radial statistic T = sum_{i<j} (x_j - x_i)^2 of n distinct eigenvalues.
 
-    Under the gap law s^beta exp(-c s^2 / 2) the ratio equals
-    1 + 2/(beta + 1) independently of the scale c.
+    Under the spectral law prod |x_i - x_j|^beta exp(-sum x_i^2 / 2t), T / nt
+    is chi-square with d = (n - 1) + beta n (n - 1) / 2 degrees of freedom,
+    so R = 1 + 2/d independently of t, and
+    beta = 2 (2/(R - 1) - (n - 1)) / (n (n - 1)).  At n = 2, T is the squared
+    gap and this is 2/(R - 1) - 1 exactly.  Infinite when R <= 1.
     """
     if ratio <= 1.0:
-        return float("inf")
-    return 2.0 / (ratio - 1.0) - 1.0
+        return math.inf
+    return 2.0 * (2.0 / (ratio - 1.0) - (n - 1)) / (n * (n - 1))
 
 
 @dataclass(frozen=True)
 class GapStatistics:
-    """Scale-free gap moments for two-cluster samples."""
+    """Radial spectral moments over the ``count`` samples with n clusters.
+
+    ``moment2`` and ``moment4`` are E[T] and E[T^2] of the radial statistic
+    T = sum_{i<j} (x_j - x_i)^2 (at n = 2, E[s^2] and E[s^4] of the gap s);
+    ``ratio`` is E[T^2] / E[T]^2 and ``implied_beta`` its exponent, with the
+    delta-method standard error ``stderr``.
+    """
 
     count: int
     moment2: float
@@ -375,55 +395,56 @@ class GapStatistics:
     stderr: float
 
 
-def gap_statistics(samples) -> GapStatistics:
-    """Moments of the eigenvalue gap s = x2 - x1 over two-cluster samples.
+def _ratio_statistics(x: np.ndarray, n: int, unit: float) -> GapStatistics:
+    """Moments, ratio, exponent and standard error from ``x``, the radial
+    statistics divided by ``unit`` ** 0.5 (the moments are scaled back by
+    ``unit`` and its square).
 
-    The moments are taken of the gaps divided by a power of two near the
-    largest, which is exact, so that the fourth powers do not overflow at
-    large ``t``; only the reported ``moment2`` and ``moment4`` are scaled
-    back, and ``moment4`` alone may then be infinite.  ``stderr`` is the
-    standard deviation of the implied exponent over
-    :data:`BOOTSTRAP_REPLICATES` bootstrap replicates drawn with
-    :data:`BOOTSTRAP_SEED`; it is infinite when some replicate implies an
-    infinite exponent.
+    The ratio R = b / a^2 of the means a of x and b of x^2 has, by the delta
+    method, the variance of (x^2 - 2 (b/a) x) / a^2 over the count, which is
+    the gradient of R contracted with the sample covariance of (x, x^2); the
+    exponent's error is that times |d beta / d R| = 4 / ((R - 1)^2 n (n - 1)).
+    """
+    count = len(x)
+    a = float(np.mean(x))
+    b = float(np.mean(x ** 2))
+    ratio = b / (a * a)
+    beta = implied_beta(ratio, n)
+    stderr = math.inf
+    if math.isfinite(beta):
+        spread = math.sqrt(float(np.var(x * (x - 2.0 * b / a), ddof=1)) / count) / (a * a)
+        stderr = 4.0 * spread / ((ratio - 1.0) ** 2 * (n * (n - 1)))
+    # float products overflow to inf, where ** and ldexp would raise
+    return GapStatistics(count=count, moment2=a * unit, moment4=b * unit * unit, ratio=ratio,
+                         implied_beta=beta, stderr=stderr)
+
+
+def gap_statistics(samples, n: int) -> GapStatistics:
+    """Spectral exponent of the samples with exactly ``n`` clusters, from the
+    moments of T = sum_{i<j} (x_j - x_i)^2 over their distinct values (see
+    :func:`implied_beta`); O(count n^2) work and O(count n) memory.
+
+    The pairwise differences are divided by a power of two near the largest
+    spread x_n - x_1, which is exact, so that the squares of T do not
+    overflow at large ``t``; only the reported ``moment2`` and ``moment4`` are
+    scaled back, and ``moment4`` alone may then be infinite.  ``stderr`` is
+    the delta-method standard error of the exponent (van der Vaart,
+    *Asymptotic Statistics*, ch. 3), infinite when the exponent is.
 
     Raises
     ------
     InsufficientData
-        If fewer than 100 samples have exactly two clusters.
+        If fewer than 100 samples have exactly ``n`` clusters.
     """
-    gaps = np.array([
-        s.distinct[1] - s.distinct[0] for s in samples if len(s.distinct) == 2
-    ])
-    if len(gaps) < 100:
-        raise InsufficientData(f"need >= 100 two-cluster samples, got {len(gaps)}")
-    scale = 2.0 ** int(np.frexp(gaps.max())[1])
-    g2 = (gaps / scale) ** 2
-    g4 = g2 ** 2
-    m2 = float(np.mean(g2))
-    m4 = float(np.mean(g4))
-    ratio = m4 / (m2 * m2)
-    rng = np.random.Generator(np.random.Philox(key=BOOTSTRAP_SEED))
-    betas = np.empty(BOOTSTRAP_REPLICATES)
-    n = len(gaps)
-    # blocks of at most 64 replicates bound the index scratch at 64 n
-    # integers; one block draw gives the indices of its rows drawn one by
-    # one, and a row mean sums in the same order as np.mean of that row alone
-    for lo in range(0, BOOTSTRAP_REPLICATES, 64):
-        idx = rng.integers(0, n, (min(64, BOOTSTRAP_REPLICATES - lo), n))
-        r2 = g2[idx].mean(axis=1)
-        ratios = g4[idx].mean(axis=1) / (r2 * r2)
-        betas[lo:lo + len(idx)] = [implied_beta(r) for r in ratios.tolist()]
-    # float products overflow to inf, where ** and ldexp would raise
-    s2 = scale * scale
-    return GapStatistics(
-        count=n,
-        moment2=m2 * s2,
-        moment4=m4 * s2 * s2,
-        ratio=ratio,
-        implied_beta=implied_beta(ratio),
-        stderr=float(np.std(betas)) if np.isfinite(betas).all() else math.inf,
-    )
+    rows = [s.distinct for s in samples if len(s.distinct) == n]
+    if len(rows) < 100:
+        raise InsufficientData(f"need >= 100 samples with {n} clusters, got {len(rows)}")
+    values = np.array(rows)
+    scale = 2.0 ** int(np.frexp(np.max(values[:, -1] - values[:, 0]))[1])
+    radial = np.zeros(len(rows))
+    for i in range(n - 1):
+        radial += np.sum(((values[:, i + 1:] - values[:, i, None]) / scale) ** 2, axis=1)
+    return _ratio_statistics(radial, n, scale * scale)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately built by a different route than the library
 code it checks: quadruple sums from the raw entry-level covariance tensor,
-moment ratios from quadrature, gap laws from a rejection sampler, 2x2
+moment ratios from quadrature, gap laws from a rejection sampler,
+spectral laws from the tridiagonal beta-Hermite model, radial moments
+without scaling and their standard error from ``np.cov``, 2x2
 spectra from the explicit quadratic formula, components read back off the
 blocks of a real form, and the compatibility condition pair by pair.  The
 reference constructions at the end are the straightforward forms of the hot
@@ -48,7 +50,6 @@ from octodyson.simulate import (
     GapStatistics,
     SimulationConfig,
     cluster_eigenvalues,
-    implied_beta,
     sample_matrix,
     sample_rng,
 )
@@ -249,24 +250,41 @@ def reference_euler_path(cfg: SimulationConfig, index: int) -> EulerPath:
     return EulerPath(tuple(out), crossing, min_gap)
 
 
-def reference_gap_statistics(samples, bootstrap: int, bootstrap_seed: int) -> GapStatistics:
-    """Gap moments with the bootstrap run one replicate at a time."""
-    gaps = np.array([s.distinct[1] - s.distinct[0] for s in samples if len(s.distinct) == 2])
-    g2 = gaps ** 2
-    g4 = g2 ** 2
-    m2 = float(np.mean(g2))
-    m4 = float(np.mean(g4))
-    rng = np.random.Generator(np.random.Philox(key=bootstrap_seed))
-    betas = np.empty(bootstrap)
-    n = len(gaps)
-    for b in range(bootstrap):
-        idx = rng.integers(0, n, n)
-        r2 = float(np.mean(g2[idx]))
-        r4 = float(np.mean(g4[idx]))
-        betas[b] = implied_beta(r4 / (r2 * r2))
-    return GapStatistics(count=n, moment2=m2, moment4=m4, ratio=m4 / (m2 * m2),
-                         implied_beta=implied_beta(m4 / (m2 * m2)),
-                         stderr=float(np.std(betas)) if np.isfinite(betas).all() else math.inf)
+def reference_gap_statistics(samples, n: int) -> GapStatistics:
+    """Radial moments of the samples with ``n`` clusters without any scaling,
+    T summed one pair of distinct values at a time, and the standard error as
+    the gradient of the exponent in (E T, E T^2) contracted with the
+    ``np.cov`` matrix of (T, T^2)."""
+    x = np.array([s.distinct for s in samples if len(s.distinct) == n])
+    t = np.zeros(len(x))
+    for i, j in itertools.combinations(range(n), 2):
+        t += (x[:, j] - x[:, i]) ** 2
+    m2 = float(np.mean(t))
+    m4 = float(np.mean(t ** 2))
+    ratio = m4 / (m2 * m2)
+    if ratio <= 1.0:
+        return GapStatistics(len(t), m2, m4, ratio, math.inf, math.inf)
+    pairs = n * (n - 1) / 2
+    beta = (2.0 / (ratio - 1.0) - (n - 1)) / pairs
+    # d beta / d R times d R / d (m2, m4)
+    grad = -2.0 / (ratio - 1.0) ** 2 / pairs * np.array([-2.0 * m4 / m2 ** 3, 1.0 / m2 ** 2])
+    stderr = math.sqrt(grad @ np.cov(np.vstack([t, t ** 2])) @ grad / len(t))
+    return GapStatistics(len(t), m2, m4, ratio, beta, stderr)
+
+
+def beta_hermite_spectra(beta: float, n: int, size: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Ascending eigenvalues, shape (size, n), of the Dumitriu-Edelman
+    tridiagonal beta-Hermite model (J. Math. Phys. 43, 5830, 2002): N(0, 2)
+    diagonal and chi_{beta (n-1)}, ..., chi_beta off the diagonal, times
+    1/sqrt(2); its eigenvalue density is prod |x_i - x_j|^beta exp(-sum x^2/2)."""
+    h = np.zeros((size, n, n))
+    k = np.arange(n)
+    h[:, k, k] = rng.normal(0.0, math.sqrt(2.0), (size, n))
+    off = np.sqrt(rng.chisquare(beta * np.arange(n - 1, 0, -1), (size, n - 1)))
+    h[:, k[1:], k[:-1]] = off
+    h[:, k[:-1], k[1:]] = off
+    return np.linalg.eigvalsh(h / math.sqrt(2.0))
 
 
 def reference_spectrum_csv_row(ids, kind: str, n: int, t: float, sample) -> str:

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, file schemas, determinism, exit codes."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 from octodyson import OctonionicMatrix, algebra, matrices, simulate
 from octodyson.blas import BlasThreads, find_openblas
 from octodyson.cli import main
+from octodyson.errors import InsufficientData
 from octodyson.reporting import fmt17, json_text, write_spectrum_csv, write_stats_json
 from octodyson.simulate import SpectralSample
 
@@ -23,7 +25,6 @@ from oracles import (
     reference_euler_path,
     reference_fd_logdet_gradient,
     reference_fd_logdet_hessian,
-    reference_gap_statistics,
     reference_oct_inverse,
     reference_real_form,
     reference_spectrum_csv_row,
@@ -149,9 +150,54 @@ def test_sample_spectrum_insufficient_data_still_writes_csv(tmp_path, capsys):
     code, out = run(capsys, "sample-spectrum", "--model", "a", "--samples", "10",
                     "--seed", "1", "--out", out_csv)
     assert code == 0
-    assert "statistics skipped" in out
+    assert "statistics skipped: need >= 100 samples with 2 clusters, got 10" in out
     assert len((tmp_path / "tiny.csv").read_text().splitlines()) == 11
     assert not (tmp_path / "tiny.csv.stats.json").exists()
+
+
+def test_sample_spectrum_estimates_beta_2_at_n3(tmp_path, capsys):
+    """Model b at n = 3 writes its exponent, within 5 standard errors of 2
+    and more than 5 from model a's 8, to --json and to the stats file."""
+    out_csv = tmp_path / "b3.csv"
+    code, out = run(capsys, "sample-spectrum", "--model", "b", "--n", "3", "--samples", "2000",
+                    "--seed", "0", "--json", "--out", str(out_csv))
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert stats == json.loads((tmp_path / "b3.csv.stats.json").read_text())
+    assert stats["n"] == 3 and np.isfinite(stats["stderr"])
+    assert abs(stats["implied_beta"] - 2.0) < 5.0 * stats["stderr"]
+    assert abs(stats["implied_beta"] - 8.0) > 5.0 * stats["stderr"]
+
+
+#: Recorded outputs of seed 7: the SHA-256 of two spectrum CSVs, and the
+#: n = 2 statistics other than the standard error.
+GOLDEN_CSV = {
+    "a": "88ec84df7cf8f5938d711df2fa8e8f59eb71748f43b013897f3f029221fd34e1",
+    "b16": "7879852f0ed8773b75be2678a7177d1ddac3b77103baf24dc40e52609731949c",
+}
+GOLDEN_STATS_A = {
+    "moment2": "17.618734564004026",
+    "moment4": "387.59129267784823",
+    "ratio": "1.2486036107956857",
+    "implied_beta": "7.044935444013705",
+}
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("a", ["--model", "a", "--samples", "300"]),
+    ("b16", ["--model", "b", "--n", "16", "--samples", "40"]),
+])
+def test_sample_spectrum_output_bytes_unchanged(name, argv, tmp_path, capsys):
+    """Seed 7 writes the recorded CSV bytes; at n = 2 every statistic but
+    the standard error keeps its recorded value, bit for bit."""
+    out_csv = tmp_path / f"{name}.csv"
+    code, _ = run(capsys, "sample-spectrum", *argv, "--seed", "7", "--out", str(out_csv))
+    assert code == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == GOLDEN_CSV[name]
+    if name == "a":
+        stats = json.loads((tmp_path / "a.csv.stats.json").read_text())
+        assert {k: repr(stats[k]) for k in GOLDEN_STATS_A} == GOLDEN_STATS_A
+        assert repr(stats["stderr"]) != "0.5946410924433032"  # the bootstrap's
 
 
 def test_sample_spectrum_statistics_finite_at_huge_t(capsys):
@@ -448,9 +494,11 @@ def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples,
     ]
     write_spectrum_csv(str(tmp_path / "ref.csv"), spectra, kind, n, 1.0)
     expected_csv = (tmp_path / "ref.csv").read_bytes()
-    if n == 2:
-        stats = reference_gap_statistics(spectra, simulate.BOOTSTRAP_REPLICATES,
-                                         simulate.BOOTSTRAP_SEED)
+    try:
+        stats = simulate.gap_statistics(spectra, n)
+    except InsufficientData:
+        stats = None
+    else:
         write_stats_json(str(tmp_path / "ref.json"), {
             "model": kind, "n": n, "t": 1.0, "samples": samples,
             "moment2": stats.moment2, "moment4": stats.moment4, "ratio": stats.ratio,
@@ -465,7 +513,7 @@ def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples,
         assert code == 0
         assert out.read_bytes() == expected_csv
         stats_path = tmp_path / f"t{count}c{chunk}.csv.stats.json"
-        if n == 2:
+        if stats is not None:
             assert stats_path.read_bytes() == (tmp_path / "ref.json").read_bytes()
         else:
             assert not stats_path.exists()
@@ -476,6 +524,7 @@ def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples,
     ["verify-identities", "--model", "a", "--trials", "3"],
     ["sample-spectrum", "--model", "a", "--samples", "300"],
     ["sample-spectrum", "--model", "b", "--n", "3", "--samples", "20"],
+    ["sample-spectrum", "--model", "b", "--n", "3", "--samples", "200"],
     ["simulate-path", "--model", "a", "--steps", "5", "--paths", "2"],
     # every step one cluster: min_gap is infinite
     ["simulate-path", "--model", "a", "--steps", "3", "--paths", "2", "--cluster-tol", "1e9"],

@@ -1,6 +1,7 @@
 """Sampling laws, spectrum clustering, gap statistics, Euler paths."""
 
 import dataclasses
+import functools
 import inspect
 import sys
 import threading
@@ -38,6 +39,7 @@ from octodyson.simulate import (
 )
 
 from oracles import (
+    beta_hermite_spectra,
     moment_ratio_by_quadrature,
     planar_distinct_eigenvalues,
     reference_draw_increment,
@@ -289,22 +291,29 @@ def test_hermitian_reduction():
 
 
 def test_implied_beta_inverts_ratio():
-    for beta in (1.0, 2.0, 8.0):
-        assert abs(implied_beta(1.0 + 2.0 / (beta + 1.0)) - beta) < 1e-12
-    assert implied_beta(1.0) == float("inf")
+    """R = 1 + 2/d with d = (n - 1) + beta n (n - 1) / 2 degrees of freedom."""
+    for n in (2, 3, 8):
+        for beta in (1.0, 2.0, 4.0, 8.0):
+            dof = (n - 1) + beta * n * (n - 1) / 2
+            assert implied_beta(1.0 + 2.0 / dof, n) == pytest.approx(beta, rel=1e-12)
+        assert implied_beta(1.0, n) == float("inf")
+        assert implied_beta(0.5, n) == float("inf")
 
 
 def test_gap_statistics_requires_samples():
     c = cfg(seed=33, samples=20)
     with pytest.raises(InsufficientData):
-        gap_statistics(sample_spectra(c))
+        gap_statistics(sample_spectra(c), 2)
+    # samples with another cluster count do not count
+    with pytest.raises(InsufficientData):
+        gap_statistics(sample_spectra(cfg(kind="b", n=3, seed=33, samples=200)), 2)
 
 
 def test_gap_statistics_deterministic():
     c = cfg(seed=34, samples=300)
     spectra = sample_spectra(c)
-    s1 = gap_statistics(spectra)
-    s2 = gap_statistics(spectra)
+    s1 = gap_statistics(spectra, 2)
+    s2 = gap_statistics(spectra, 2)
     assert s1 == s2
 
 
@@ -314,7 +323,7 @@ def test_gap_statistics_on_rejection_sampler():
     for beta in (2.0, 8.0):
         gaps = rejection_gap_sampler(beta, 20000, rng)
         samples = [SpectralSample((0.0, float(g)), (8, 8), 0.0) for g in gaps]
-        stats = gap_statistics(samples)
+        stats = gap_statistics(samples, 2)
         assert abs(stats.implied_beta - beta) < max(2.0 * stats.stderr, 0.2)
 
 
@@ -336,6 +345,53 @@ def test_gap_law_at_n2_is_chi_square(kind, beta):
         assert stats.kstest(scaled, "chi2", args=(df,)).pvalue < 1e-3
 
 
+@functools.cache
+def model_b_distinct(n: int, samples: int) -> np.ndarray:
+    """Distinct eigenvalues, shape (samples, n), of model b at t = 1, seed 0."""
+    spectra = sample_spectra(cfg(kind="b", n=n, samples=samples, seed=0))
+    assert all(len(s.distinct) == n for s in spectra)
+    return np.array([s.distinct for s in spectra])
+
+
+def radial(x: np.ndarray) -> np.ndarray:
+    """T = sum_{i<j} (x_j - x_i)^2 = n sum_i (x_i - mean)^2 of each row."""
+    return x.shape[1] * np.sum((x - x.mean(axis=1, keepdims=True)) ** 2, axis=1)
+
+
+@pytest.mark.parametrize("n,samples", [(3, 20_000), (8, 4_000)])
+def test_radial_law_of_model_b_is_chi_square(n, samples):
+    """Under the density prod |x_i - x_j|^beta exp(-sum x^2 / 2t), T / nt is
+    chi-square with d = (n - 1) + beta n (n - 1) / 2 degrees of freedom; model
+    b has beta = 2.  Kolmogorov-Smirnov at level 1e-3 on seed 0 at t = 1
+    (settings fixed before the first run); d with beta + 1 must be rejected."""
+    from scipy import stats
+
+    scaled = radial(model_b_distinct(n, samples)) / n
+    dof = [(n - 1) + beta * n * (n - 1) / 2 for beta in (2, 3)]
+    assert stats.kstest(scaled, "chi2", args=(dof[0],)).pvalue > 1e-3
+    assert stats.kstest(scaled, "chi2", args=(dof[1],)).pvalue < 1e-3
+
+
+@pytest.mark.parametrize("n,samples", [(3, 20_000), (8, 4_000)])
+def test_local_law_of_model_b_is_beta_2(n, samples):
+    """The scale-free smallest gap g / sqrt(T) sees the shape of the
+    Vandermonde factor, which the radial law does not.  Two-sample
+    Kolmogorov-Smirnov at level 1e-3 against as many Dumitriu-Edelman
+    beta-Hermite spectra (reference seed 1; settings fixed before the first
+    run): beta = 2 must be accepted, beta = 1 and beta = 4 rejected."""
+    from scipy import stats
+
+    def smallest_gap(x):
+        return np.min(np.diff(x, axis=1), axis=1) / np.sqrt(radial(x))
+
+    got = smallest_gap(model_b_distinct(n, samples))
+    rng = np.random.default_rng(1)
+    for beta in (2, 1, 4):
+        want = smallest_gap(beta_hermite_spectra(beta, n, samples, rng))
+        pvalue = stats.ks_2samp(got, want).pvalue
+        assert pvalue > 1e-3 if beta == 2 else pvalue < 1e-3, (beta, pvalue)
+
+
 def test_quadrature_ratio_oracle():
     assert abs(moment_ratio_by_quadrature(8.0) - 11.0 / 9.0) < 1e-6
     assert abs(moment_ratio_by_quadrature(2.0) - 5.0 / 3.0) < 1e-6
@@ -343,8 +399,8 @@ def test_quadrature_ratio_oracle():
 
 def test_moment_ratio_scale_free_in_time():
     """Ratios at t = 1 and t = 4 agree within combined uncertainty."""
-    s1 = gap_statistics(sample_spectra(cfg(seed=36, t=1.0, samples=8000)))
-    s4 = gap_statistics(sample_spectra(cfg(seed=37, t=4.0, samples=8000)))
+    s1 = gap_statistics(sample_spectra(cfg(seed=36, t=1.0, samples=8000)), 2)
+    s4 = gap_statistics(sample_spectra(cfg(seed=37, t=4.0, samples=8000)), 2)
     # moment2 scales by t, the ratio does not
     assert abs(s4.moment2 / s1.moment2 - 4.0) < 0.5
     db = abs(s1.implied_beta - s4.implied_beta)
@@ -352,9 +408,9 @@ def test_moment_ratio_scale_free_in_time():
 
 
 def test_implied_beta_smallish_samples():
-    sa = gap_statistics(sample_spectra(cfg(seed=38, samples=12000)))
+    sa = gap_statistics(sample_spectra(cfg(seed=38, samples=12000)), 2)
     assert 7.0 < sa.implied_beta < 9.0
-    sb = gap_statistics(sample_spectra(cfg(kind="b", seed=39, samples=12000)))
+    sb = gap_statistics(sample_spectra(cfg(kind="b", seed=39, samples=12000)), 2)
     assert 1.6 < sb.implied_beta < 2.4
 
 
@@ -460,43 +516,55 @@ def test_cluster_rows_match_cluster_eigenvalues(monkeypatch):
     assert _cluster_rows(rows3, 1e-6) == [cluster_eigenvalues(r, 1e-6) for r in rows3]
 
 
-def test_gap_statistics_matches_replicate_loop(monkeypatch):
-    spectra = sample_spectra(cfg(seed=61, samples=400))
-    seed = simulate.BOOTSTRAP_SEED
-    monkeypatch.setattr(simulate, "BOOTSTRAP_SEED", 9)
-    for bootstrap in (1, 64, 130):
-        monkeypatch.setattr(simulate, "BOOTSTRAP_REPLICATES", bootstrap)
-        assert gap_statistics(spectra) == reference_gap_statistics(spectra, bootstrap, 9)
-    # replicates that draw only the equal gaps have moment ratio 1 and an
-    # infinite implied exponent, so the standard error is infinite
+def assert_matches_reference(got, want, exact: bool):
+    """``got`` equals the reference statistics: bit for bit in everything but
+    the standard error when ``exact``, else to rounding."""
+    if exact:
+        np.testing.assert_equal(dataclasses.astuple(got)[:-1], dataclasses.astuple(want)[:-1])
+    else:
+        np.testing.assert_allclose(dataclasses.astuple(got)[:-1],
+                                   dataclasses.astuple(want)[:-1], rtol=1e-12)
+    assert got.stderr == pytest.approx(want.stderr, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind,n", [("a", 2), ("b", 2), ("b", 3), ("b", 5)])
+def test_gap_statistics_matches_reference(kind, n):
+    """The scaled, column-at-a-time statistic and the influence-function
+    variance give the unscaled pairwise moments and the np.cov standard error;
+    at n = 2, T is one squared gap, so every moment is exact."""
+    spectra = sample_spectra(cfg(kind=kind, n=n, seed=61, samples=400))
+    assert_matches_reference(gap_statistics(spectra, n), reference_gap_statistics(spectra, n),
+                             exact=n == 2)
+
+
+def test_equal_gaps_have_infinite_exponent_and_stderr():
+    """Equal gaps have moment ratio exactly 1: the exponent and its
+    standard error are infinite."""
     equal = [SpectralSample((0.0, 1.0), (8, 8), 0.0)] * 150
-    equal.append(SpectralSample((0.0, 2.0), (8, 8), 0.0))
-    monkeypatch.setattr(simulate, "BOOTSTRAP_SEED", seed)
-    monkeypatch.setattr(simulate, "BOOTSTRAP_REPLICATES", 100)
-    got = gap_statistics(equal)
-    want = reference_gap_statistics(equal, 100, seed)
-    assert got.stderr == np.inf
-    np.testing.assert_equal(dataclasses.astuple(got), dataclasses.astuple(want))
+    got = gap_statistics(equal, 2)
+    assert got.ratio == 1.0 and got.implied_beta == np.inf and got.stderr == np.inf
+    np.testing.assert_equal(dataclasses.astuple(got),
+                            dataclasses.astuple(reference_gap_statistics(equal, 2)))
+
+
+@pytest.mark.parametrize("n,dof", [(2, 9), (3, 8)])
+def test_delta_stderr_matches_spread_of_estimates(n, dof):
+    """T / nt ~ chi-square(d): d = 9 is model a (n = 2, beta = 8), d = 8 is
+    model b at n = 3 (beta = 2).  Over 400 independent sets of 2000 draws
+    (seed 0; settings and bound fixed before the first run) the standard
+    deviation of the estimates is within 15 % of the mean reported stderr,
+    so a standard error off by a factor sqrt(2) fails."""
+    sets = np.random.default_rng(0).chisquare(dof, (400, 2000))
+    stats = [simulate._ratio_statistics(x, n, 1.0) for x in sets]
+    spread = np.std([s.implied_beta for s in stats], ddof=1)
+    reported = np.mean([s.stderr for s in stats])
+    assert abs(spread / reported - 1.0) < 0.15
 
 
 @pytest.mark.parametrize("t", [1e-6, 0.37, 1e3, 1e40])
-def test_gap_statistics_scaling_changes_no_finite_value(t, monkeypatch):
+def test_gap_statistics_scaling_changes_no_finite_value(t):
     """Dividing the gaps by a power of two is exact: the statistics equal
     those of the unscaled gaps."""
-    monkeypatch.setattr(simulate, "BOOTSTRAP_REPLICATES", 130)
     spectra = sample_spectra(cfg(kind="b", seed=67, samples=300, t=t))
-    assert gap_statistics(spectra) == reference_gap_statistics(spectra, 130,
-                                                               simulate.BOOTSTRAP_SEED)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 101, 150, 19_999, 20_000])
-def test_bootstrap_block_draw_matches_row_draws(n):
-    """One (rows, n) integer draw gives the indices of ``rows`` draws of n,
-    and leaves the counter generator in the same state."""
-    rows = 64
-    by_row = np.random.Generator(np.random.Philox(key=5))
-    block = np.random.Generator(np.random.Philox(key=5))
-    want = np.array([by_row.integers(0, n, n) for _ in range(rows)])
-    got = block.integers(0, n, (rows, n))
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_equal(block.bit_generator.state, by_row.bit_generator.state)
+    assert_matches_reference(gap_statistics(spectra, 2), reference_gap_statistics(spectra, 2),
+                             exact=True)
