@@ -10,10 +10,13 @@ where ``sign`` is the hard-coded 8x8 table below and the xor of bitmasks is
 the symmetric difference of the subsets.  A general element is a vector of 8
 real coordinates on this basis, carrying the Euclidean norm.
 
-There is one product, the 8-term gather (xy)_k = sum_a sign(a, a^k) x_a y_{a^k},
-computed in the dtype of its inputs.  On integer one-hot basis stacks it is
-exact, so the basis-level suites check it in +-1 integer arithmetic; on
-real-coefficient elements it runs in floating point.
+There is one product, (xy)_k = sum_a sign(a, a^k) x_a y_{a^k}, summed over
+a = 0..7 from zero in the dtype of its inputs.  It runs coordinate first: both
+factors are copied to shape (8, ...) so that each of the 64 terms is one
+multiply of two contiguous coordinate rows, added to or subtracted from its
+output row.  On integer one-hot basis stacks it is exact, so the basis-level
+suites check it in +-1 integer arithmetic; on real-coefficient elements it
+runs in floating point and gives the dense contraction's bits.
 """
 
 from __future__ import annotations
@@ -58,18 +61,43 @@ CONJUGATION_SIGNS.setflags(write=False)
 
 
 def _multiplier(table: np.ndarray):
-    """The product of ``table``: integer signs sign(a, a^k) gathered once, terms
-    summed over a = 0..7 into C-ordered zeros of the inputs' dtype, so exact on
-    integers and the dense contraction's bits on floats."""
-    xor = np.bitwise_xor.outer(np.arange(8), np.arange(8))  # xor[a, k] = a ^ k
-    signs = table[np.arange(8)[:, None], xor]
+    """The product of ``table``, a +-1 sign table, in coordinate-first layout.
+
+    Each output row ``out[k]`` starts at zero and takes, for a = 0..7 in
+    order, the term x_a y_{a^k}, added where sign(a, a^k) is +1 and
+    subtracted where it is -1.  Products are sign-symmetric and ``o - t`` is
+    ``o + (-t)``, so every partial sum has the bits of sum_a (sign x_a) y_{a^k}
+    taken term by term: exact on integers, the dense contraction's bits on
+    floats, signed zeros included.  The result is C-ordered, of shape
+    broadcast(x, y) and dtype result_type(x, y, table).
+
+    Raises
+    ------
+    InvalidArgument
+        If the leading axes of ``x`` and ``y`` do not broadcast.
+    """
+    plan = [[(a, a ^ k, np.add if table[a, a ^ k] > 0 else np.subtract) for a in range(8)]
+            for k in range(8)]
 
     def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y, signs))
-        s = signs.astype(out.dtype)  # float signs keep the float terms in one-dtype loops
-        for a in range(8):
-            out += s[a] * x[..., a, None] * y[..., xor[a]]
-        return out
+        try:
+            shape = np.broadcast_shapes(x.shape, y.shape)
+        except ValueError:
+            raise InvalidArgument(f"leading axes of shapes {x.shape} and {y.shape} "
+                                  "do not broadcast") from None
+        dtype = np.result_type(x, y, table)
+        xs, ys = (np.ascontiguousarray(np.moveaxis(np.broadcast_to(v, shape), -1, 0),
+                                       dtype=dtype)
+                  for v in (x, y))
+        out = np.zeros_like(xs)
+        term = np.empty_like(xs[0, ...])
+        for k, terms in enumerate(plan):
+            row = out[k, ...]  # a view also when the inputs are single elements
+            for a, b, accumulate in terms:
+                np.multiply(xs[a], ys[b], out=term)
+                accumulate(row, term, out=row)
+        # a strided view would change the order in which norms of its rows sum
+        return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
     return product
 
@@ -139,13 +167,33 @@ def mul(x, y) -> np.ndarray:
     -------
     ndarray, shape (..., 8)
         In the dtype of the inputs: integer coordinates multiply exactly.
+
+    Raises
+    ------
+    InvalidArgument
+        If the last axis of ``x`` or ``y`` is not 8, or their leading axes do
+        not broadcast.
     """
-    return _multiplier(SIGN_TABLE)(np.asarray(x), np.asarray(y))
+    return _multiplier(SIGN_TABLE)(_coordinates(x), _coordinates(y))
 
 
 def conj(x) -> np.ndarray:
-    """Conjugate: negates every coordinate except the identity one."""
-    return np.asarray(x, dtype=np.float64) * CONJUGATION_SIGNS
+    """Conjugate: negates every coordinate except the identity one.
+
+    Raises
+    ------
+    InvalidArgument
+        If the last axis of ``x`` is not 8.
+    """
+    return np.asarray(_coordinates(x), dtype=np.float64) * CONJUGATION_SIGNS
+
+
+def _coordinates(x) -> np.ndarray:
+    """``x`` as an array of coordinate vectors, shape (..., 8)."""
+    x = np.asarray(x)
+    if x.shape[-1:] != (8,):
+        raise InvalidArgument(f"coordinates need a last axis of 8, got shape {x.shape}")
+    return x
 
 
 def norm(x) -> np.ndarray:

@@ -27,7 +27,8 @@ class IdentityReport:
 
     ``failures == 0`` means the suite passed; ``max_residual`` is the largest
     finite residual seen (0.0 for exact integer suites), so the report stays
-    valid JSON.  A suite runs inside :meth:`timed` and adds its numeric
+    valid JSON, and ``nonfinite`` counts the NaN and infinite residuals it
+    leaves out.  A suite runs inside :meth:`timed` and adds its numeric
     cases with :meth:`record`, one per residual of a float or an array, and
     its exact cases with :meth:`check`; a residual passes only when it is at
     most its tolerance, so NaN and infinity fail.
@@ -37,6 +38,7 @@ class IdentityReport:
     cases: int = 0
     failures: int = 0
     max_residual: float = 0.0
+    nonfinite: int = 0
     seed: int = 0
     elapsed_ms: int = 0
 
@@ -56,6 +58,7 @@ class IdentityReport:
         residuals = np.asarray(residuals, dtype=np.float64)
         self.check(residuals <= tol)
         finite = residuals[np.isfinite(residuals)]
+        self.nonfinite += residuals.size - finite.size
         if finite.size:
             self.max_residual = max(self.max_residual, float(finite.max()))
 
@@ -74,7 +77,7 @@ class IdentityReport:
         return (
             f"[{status}] {self.suite}: cases={self.cases} "
             f"failures={self.failures} max_residual={self.max_residual:.3e} "
-            f"({self.elapsed_ms} ms)"
+            f"nonfinite={self.nonfinite} ({self.elapsed_ms} ms)"
         )
 
 

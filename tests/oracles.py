@@ -10,16 +10,16 @@ blocks of a real form, and the compatibility condition pair by pair.  The
 reference constructions at the end are the straightforward forms of the hot
 paths: the sampler one matrix and one triangle at a time, Euler paths one
 step and one eigensolve at a time, the octonion product as the dense
-contraction with the structure tensor and as sign-label arithmetic on basis
-elements, the exact algebra suites and the generator sign weights as loops
-over label tuples, the structured inverse with its three factorisations of
-M^0, and the finite differences and dimension-2 traces one entry or
-component at a time.  The vectorised library code must reproduce
-them bit for bit.  The identity suites run one trial, one resolvent and one
-dense inverse at a time, and the Gamma and generator sums one label pair at
-a time; the suites must reproduce their reports, the pairing sums their
-values to rounding.  Spectrum CSV rows are joined cell by cell from
-:func:`~octodyson.reporting.fmt17` and ``str``.
+contraction with the structure tensor, term by term and as sign-label
+arithmetic on basis elements, the exact algebra suites and the generator
+sign weights as loops over label tuples, the structured inverse with its
+three factorisations of M^0, and the finite differences and dimension-2
+traces one entry or component at a time.  The vectorised library code must
+reproduce them bit for bit.  The identity suites run one trial, one
+resolvent and one dense inverse at a time, and the Gamma and generator sums
+one label pair at a time; the suites must reproduce their reports, the
+pairing sums their values to rounding.  Spectrum CSV rows are joined cell
+by cell from :func:`~octodyson.reporting.fmt17` and ``str``.
 """
 
 import itertools
@@ -312,6 +312,22 @@ def einsum_multiplier(table: np.ndarray):
 
     def product(x, y):
         return np.einsum("...a,...b,abk->...k", x, y, tensor)
+
+    return product
+
+
+def term_multiplier(table: np.ndarray):
+    """The algebra product of ``table`` one output coordinate and one term at
+    a time: (xy)_k = 0 + sum over a = 0..7 of sign(a, a^k) (x_a y_{a^k}), in
+    float64.  Unlike the dense contraction it multiplies no coordinate by a
+    zero structure entry, so an infinite coordinate gives infinities, not NaN."""
+
+    def product(x, y):
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+        for k in range(8):
+            for a in range(8):
+                out[..., k] += table[a, a ^ k] * (x[..., a] * y[..., a ^ k])
+        return out
 
     return product
 

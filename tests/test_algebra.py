@@ -33,6 +33,7 @@ from oracles import (
     reference_nonassociativity_witness,
     reference_sign_identities,
     reference_table_structure,
+    term_multiplier,
 )
 
 L1 = subset_label([1])
@@ -132,6 +133,70 @@ def test_product_matches_dense_contraction(tamper, shape_x, shape_y):
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert (want == 0.0).any()
+
+
+def _kernel_cases():
+    """Named (x, y) inputs for the product's edge cases."""
+    rng = np.random.default_rng(47)
+    eye = np.eye(8, dtype=np.int64)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    # signed zeros, subnormals and two normals: products of two subnormals
+    # underflow to signed zeros, a subnormal times a normal stays subnormal
+    finite = np.array([0.0, -0.0, tiny, -tiny, 7 * tiny, -0.5 * np.finfo(np.float64).tiny,
+                       1.5, -2.0])
+    special = np.append(finite, [np.inf, -np.inf, np.nan])
+    return {
+        "8x8": (rng.standard_normal(8), rng.standard_normal(8)),
+        # the right translates of check_orthogonal_translates
+        "translates": (rng.standard_normal((1000, 1, 8)), np.eye(8)),
+        "one-hot-int64": (eye[:, None, :], eye[None, :, :]),
+        "zeros-subnormals": (rng.choice(finite, (2000, 8)), rng.choice(finite, (2000, 8))),
+        "inf-nan": (rng.choice(special, (2000, 8)), rng.choice(special, (2000, 8))),
+    }
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("tamper", [False, True], ids=["genuine", "tampered"])
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_product_edge_cases_match_references(tamper, case):
+    """The coordinate-first product equals the dense contraction in value
+    and sign bit, NaN compared as NaN, in a C-ordered array.  With infinite
+    coordinates the dense contraction's zero structure entries give NaN, so
+    that case is checked against the term-by-term sum."""
+    table = tampered_table() if tamper else SIGN_TABLE
+    x, y = KERNEL_CASES[case]
+    oracle = term_multiplier if case == "inf-nan" else einsum_multiplier
+    with np.errstate(all="ignore"):
+        got = algebra._multiplier(table)(x, y)
+        want = oracle(table)(x, y)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want, equal_nan=True)
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got)[number], np.signbit(want)[number])
+
+
+@pytest.mark.parametrize("x,y", [
+    (np.ones(7), np.ones(7)),
+    (np.ones((3, 8)), np.ones((3, 7))),
+    (np.float64(2.0), np.ones(8)),
+    (np.ones((3, 8)), np.ones((4, 8))),
+    (np.ones((2, 1, 8)), np.ones((3, 2, 8))),
+], ids=["7x7", "8x7", "scalar", "3x4-rows", "stack-mismatch"])
+def test_mul_rejects_bad_shapes(x, y):
+    """A last axis other than 8, or leading axes that do not broadcast, is
+    the caller's error, raised as InvalidArgument."""
+    with pytest.raises(InvalidArgument):
+        mul(x, y)
+    with pytest.raises(InvalidArgument):
+        mul(y, x)
+
+
+@pytest.mark.parametrize("x", [np.ones(7), np.ones((8, 3)), 2.0], ids=["7", "8x3", "scalar"])
+def test_conj_rejects_bad_shapes(x):
+    with pytest.raises(InvalidArgument):
+        conj(x)
 
 
 def test_mul_exact_on_integer_basis():

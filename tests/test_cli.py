@@ -52,6 +52,7 @@ def test_verify_algebra_json(capsys):
     assert payload["cases"] >= 4096
     suites = {r["suite"] for r in payload["reports"]}
     assert "sign-identities" in suites and "moufang-alternativity" in suites
+    assert all(r["nonfinite"] == 0 for r in payload["reports"])
     assert payload["nonassociativity_witness"] is not None
 
 
@@ -559,6 +560,9 @@ def _suite_json(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["verify-algebra", "--trials", "400", "--norm-pairs", "3000", "--seed", "3"],
     ["verify-algebra", "--trials", "400", "--norm-pairs", "3000", "--seed", "3", "--tamper"],
+    # the sizes of the identities-small benchmark workload
+    ["verify-algebra", "--trials", "2000", "--norm-pairs", "20000", "--seed", "0"],
+    ["verify-algebra", "--trials", "2000", "--norm-pairs", "20000", "--seed", "0", "--tamper"],
     ["check-dim2", "--trials", "80", "--seed", "2"],
     ["verify-identities", "--model", "a", "--trials", "15", "--seed", "5"],
 ], ids=" ".join)

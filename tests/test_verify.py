@@ -37,8 +37,20 @@ def test_non_finite_residuals_fail():
     report.record(float("inf"), 1.0)
     report.record(np.array([0.0, np.nan]), 1.0)
     assert (report.cases, report.failures, report.max_residual) == (5, 3, 0.5)
+    assert report.nonfinite == 3
     assert not report.passed
     json.dumps(report.to_dict(), allow_nan=False)
+
+
+def test_nan_residual_is_a_failure_and_nonfinite():
+    """A NaN residual fails its case and is counted as non-finite, in the
+    report's dict and its summary line; max_residual keeps the finite ones."""
+    report = IdentityReport("tally")
+    report.record(np.array([0.25, np.nan]), 1.0)
+    assert (report.cases, report.failures, report.nonfinite) == (2, 1, 1)
+    assert report.max_residual == 0.25
+    assert report.to_dict()["nonfinite"] == 1
+    assert "failures=1 " in report.summary() and "nonfinite=1 " in report.summary()
 
 
 def test_check_array_counts_one_case_per_entry():
