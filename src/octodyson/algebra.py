@@ -80,11 +80,7 @@ def _multiplier(table: np.ndarray):
             for k in range(8)]
 
     def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        try:
-            shape = np.broadcast_shapes(x.shape, y.shape)
-        except ValueError:
-            raise InvalidArgument(f"leading axes of shapes {x.shape} and {y.shape} "
-                                  "do not broadcast") from None
+        shape = _broadcast_shape(x, y)
         dtype = np.result_type(x, y, table)
         xs, ys = (np.ascontiguousarray(np.moveaxis(np.broadcast_to(v, shape), -1, 0),
                                        dtype=dtype)
@@ -196,15 +192,38 @@ def _coordinates(x) -> np.ndarray:
     return x
 
 
+def _broadcast_shape(x: np.ndarray, y: np.ndarray) -> tuple[int, ...]:
+    """The shape ``x`` and ``y`` broadcast to; InvalidArgument if none."""
+    try:
+        return np.broadcast_shapes(x.shape, y.shape)
+    except ValueError:
+        raise InvalidArgument(f"leading axes of shapes {x.shape} and {y.shape} "
+                              "do not broadcast") from None
+
+
 def norm(x) -> np.ndarray:
-    """Euclidean norm of the coordinate vector(s)."""
-    return np.linalg.norm(np.asarray(x, dtype=np.float64), axis=-1)
+    """Euclidean norm of the coordinate vector(s).
+
+    Raises
+    ------
+    InvalidArgument
+        If the last axis of ``x`` is not 8.
+    """
+    return np.linalg.norm(np.asarray(_coordinates(x), dtype=np.float64), axis=-1)
 
 
 def inner(x, y) -> np.ndarray:
-    """Euclidean inner product of coordinate vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    """Euclidean inner product of coordinate vectors; leading axes broadcast.
+
+    Raises
+    ------
+    InvalidArgument
+        If the last axis of ``x`` or ``y`` is not 8, or their leading axes do
+        not broadcast.
+    """
+    x = np.asarray(_coordinates(x), dtype=np.float64)
+    y = np.asarray(_coordinates(y), dtype=np.float64)
+    _broadcast_shape(x, y)
     return np.sum(x * y, axis=-1)
 
 

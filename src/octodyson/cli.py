@@ -14,12 +14,24 @@ exponent beta (8 for model a, 2 for model b) at every n from the radial
 moments of the samples with n clusters, with its delta-method standard
 error; with fewer than 100 such samples it prints "statistics skipped" and
 writes no <out>.stats.json and a null --json stats block.
+
+Both sampling commands solve each spectrum from the draw's structure: the
+Hermitian matrix M^0 + i sqrt(7) S for model b, the planar closed form for
+model a.  Each value is written with multiplicity 8 and the CSV spread
+column reads 0.  Every 64th row (by index * steps + step) is also
+eigensolved in the dense 8n x 8n real form; the cross_check block of --json
+and of the manifest gives the rows checked, the failures (rows whose dense
+spectrum differs by more than 1e-10 (1 + spectral radius) or in its
+multiplicities), the largest such scaled difference (max_mismatch) and the
+widest dense cluster range (max_spread).  A failed row, like a row without n
+clusters of multiplicity 8, makes the command exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import itertools
 import sys
@@ -103,11 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finish(args, payload: dict, lines: list[str], writers=(), ok: bool = True) -> int:
+def _finish(args, payload: dict, lines: list[str], writers=(), ok: bool = True,
+            record=None) -> int:
     """The one way a command ends: print ``payload`` as JSON under --json, else
     ``lines``; under --out, call each ``(suffix, write)`` pair on ``args.out +
-    suffix`` and record every file it wrote in the manifest.  Returns the exit
-    code, 0 when ``ok``."""
+    suffix`` and record every file it wrote in the manifest, followed by the
+    entries of ``record``.  Returns the exit code, 0 when ``ok``."""
     if args.json:
         print(json_text(payload))
     else:
@@ -123,7 +136,7 @@ def _finish(args, payload: dict, lines: list[str], writers=(), ok: bool = True) 
                   if k not in ("func", "command", "argv") and v is not None}
         write_stats_json(args.out + ".manifest.json", {
             "command": args.argv, "config": config, "seed": args.seed,
-            "version": __version__, "outputs": outputs,
+            "version": __version__, "outputs": outputs, **(record or {}),
         })
     return 0 if ok else 1
 
@@ -176,13 +189,22 @@ def cmd_verify_identities(args) -> int:
     return _finish_suites(args, reports)
 
 
+def _checked(check) -> tuple[dict, str]:
+    """The cross_check block of a sampling command and its line."""
+    block = dataclasses.asdict(check)
+    return block, (f"cross-check: rows={check.rows} failures={check.failures} "
+                   f"max_mismatch={check.max_mismatch:.3e} max_spread={check.max_spread:.3e}")
+
+
 def cmd_sample_spectrum(args) -> int:
     cfg = SimulationConfig(kind=args.model, n=args.n, t=args.t, samples=args.samples,
                            seed=args.seed, cluster_tol=args.cluster_tol)
     args.threads = thread_count(cfg.n)
-    spectra = sample_spectra(cfg)
+    spectra, check = sample_spectra(cfg)
+    block, check_line = _checked(check)
     clean = sum(s.multiplicities == (8,) * cfg.n for s in spectra)
-    lines = [f"samples: {len(spectra)}; with {cfg.n} clusters of multiplicity 8: {clean}"]
+    lines = [f"samples: {len(spectra)}; with {cfg.n} clusters of multiplicity 8: {clean}",
+             check_line]
     writers = [("", lambda path: write_spectrum_csv(path, spectra, cfg.kind, cfg.n, cfg.t))]
     stats = None
     try:
@@ -200,14 +222,17 @@ def cmd_sample_spectrum(args) -> int:
                      f"implied beta: {moments.implied_beta:.4f} +- {moments.stderr:.4f}")
         writers.append((".stats.json", lambda path: write_stats_json(path, stats)))
     return _finish(args, {"samples": len(spectra), "clean": clean, "stats": stats,
-                          "threads": args.threads}, lines, writers, ok=clean == len(spectra))
+                          "threads": args.threads, "cross_check": block}, lines, writers,
+                   ok=clean == len(spectra) and check.failures == 0,
+                   record={"cross_check": block})
 
 
 def cmd_simulate_path(args) -> int:
     cfg = SimulationConfig(kind=args.model, n=args.n, t=args.t, samples=args.paths,
                            seed=args.seed, steps=args.steps, cluster_tol=args.cluster_tol)
     args.threads = thread_count(cfg.n)
-    samples = sample_spectra(cfg)
+    samples, check = sample_spectra(cfg)
+    block, check_line = _checked(check)
     paths = [EulerPath.from_samples(samples[lo:lo + cfg.steps], cfg.n)
              for lo in range(0, len(samples), cfg.steps)]
     crossings = sum(path.crossing_detected for path in paths)
@@ -218,11 +243,12 @@ def cmd_simulate_path(args) -> int:
         "min_gap": min(float("inf"), *(path.min_gap for path in paths)),
     }
     ids = list(itertools.product(range(cfg.samples), range(cfg.steps)))
-    return _finish(args, {**summary, "threads": args.threads},
-                   [f"{k}: {v}" for k, v in summary.items()], [
+    return _finish(args, {**summary, "threads": args.threads, "cross_check": block},
+                   [f"{k}: {v}" for k, v in summary.items()] + [check_line], [
         ("", lambda path: write_spectrum_csv(path, samples, cfg.kind, cfg.n, cfg.t,
                                              ("path_id", "step"), ids)),
-    ], ok=crossings == 0 and broken == 0)
+    ], ok=crossings == 0 and broken == 0 and check.failures == 0,
+                   record={"cross_check": block})
 
 
 def cmd_solve_exponents(args) -> int:

@@ -55,9 +55,15 @@ DIM2_TOL = 1e-10
 FORM_BATCH_BYTES = 2 ** 20
 
 
+def entries_per_batch(entry_bytes: int) -> int:
+    """Entries of ``entry_bytes`` bytes one batch of :data:`FORM_BATCH_BYTES`
+    holds, at least one."""
+    return max(1, FORM_BATCH_BYTES // entry_bytes)
+
+
 def forms_per_batch(n: int) -> int:
     """Entries of dimension ``n`` one batch of :data:`FORM_BATCH_BYTES` holds."""
-    return max(1, FORM_BATCH_BYTES // (8 * (8 * n) ** 2))
+    return entries_per_batch(8 * (8 * n) ** 2)
 
 
 @dataclass(frozen=True)

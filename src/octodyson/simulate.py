@@ -5,6 +5,18 @@ exactly Gaussian with variances ``t`` times the carre-du-champ coefficients;
 exact Gaussian sampling carries no discretization error.  Euler paths of
 ``steps`` increments, for trajectory checks only, share :func:`sample_spectra`.
 
+Spectra are solved from each draw's structure, not from its 8n x 8n real
+form.  The seven imaginary units of model "b" sum to an element squaring to
+-7, so its real form is I (x) M^0 + J (x) S with J^2 = -7, whose spectrum is
+that of the n x n Hermitian matrix M^0 + i sqrt(7) S, eight times over.
+Model "a" (n = 2) has the planar closed form (a + b)/2 -+ sqrt((a - b)^2/4 +
+|q|^2) (Dray & Manogue, "The octonionic eigenvalue problem", 1998).  The
+dense real form stays the reference: every row whose position index * steps
++ step is a multiple of :data:`CROSS_CHECK_EVERY` is also eigensolved and
+clustered in its real form, and the run's :class:`CrossCheck` reports how
+many such rows differ from their reduced row by more than
+:data:`CROSS_CHECK_TOL` (1 + spectral radius), and the widest dense cluster.
+
 Randomness is counter-based: sample (or path) ``index`` under seed ``s``
 draws from a Philox stream keyed by ``s`` whose 256-bit counter starts at
 ``index * 2**128``, so the stream is a pure function of ``(seed, index)``
@@ -29,13 +41,19 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .blas import find_openblas
 from .calculus import MODEL_B_ANTISYM_RATE, DiffusionModel
 from .errors import InsufficientData, InvalidArgument, InvalidConfig
-from .matrices import OctonionicMatrix, forms_per_batch, real_form, spectral_radius
+from .matrices import (
+    OctonionicMatrix,
+    entries_per_batch,
+    real_form,
+    spectral_radius,
+)
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -136,13 +154,16 @@ class _DrawLayout:
         return np.array([math.sqrt(dt), math.sqrt(dt / 2.0),
                          math.sqrt(dt * MODEL_B_ANTISYM_RATE)])[self.scale_index]
 
-    def scatter(self, scaled: np.ndarray) -> np.ndarray:
-        """Component stacks, shape (..., 8, n, n), from scaled normals of
-        shape (..., size)."""
+    def scatter(self, scaled: np.ndarray, components: int = 8) -> np.ndarray:
+        """The first ``components`` components of the stacks, shape (...,
+        components, n, n), from scaled normals of shape (..., size).  The
+        entries of each component follow those of the one before, so a prefix
+        of the tables fills them, with the bits of the full stack."""
         n = self.n
-        comps = np.zeros(scaled.shape[:-1] + (8 * n * n,))
-        comps[..., self.target] = scaled[..., self.source] * self.sign
-        return comps.reshape(scaled.shape[:-1] + (8, n, n))
+        used = n + n * (n - 1) * components
+        comps = np.zeros(scaled.shape[:-1] + (components * n * n,))
+        comps[..., self.target[:used]] = scaled[..., self.source[:used]] * self.sign[:used]
+        return comps.reshape(scaled.shape[:-1] + (components, n, n))
 
 
 @functools.lru_cache(maxsize=16)
@@ -207,7 +228,10 @@ class SpectralSample:
     """Distinct eigenvalues of one draw with multiplicities.
 
     ``distinct`` is strictly ascending; ``spread`` is the largest
-    within-cluster eigenvalue range (ideally at rounding level).
+    within-cluster eigenvalue range.  A sampled row repeats each reduced
+    eigenvalue eight times, so its spread is 0 wherever its clusters are
+    those eight copies; the rounding-level spread of the dense real form is
+    reported by :attr:`CrossCheck.max_spread`.
     """
 
     distinct: tuple[float, ...]
@@ -294,49 +318,137 @@ def thread_count(n: int) -> int:
 
 #: Most rows (path steps) in one chunk of :func:`sample_spectra`, bar a long path.
 CHUNK_ROWS = 1024
+#: The root of -7 that the seven imaginary units of a model-b draw act as.
+HERMITIAN_ROOT = math.sqrt(7.0)
+#: Rows whose position index * steps + step is a multiple of this are also
+#: eigensolved in their dense real form.
+CROSS_CHECK_EVERY = 64
+#: Largest difference, in units of 1 + spectral radius, between a checked
+#: row's dense and reduced spectra.
+CROSS_CHECK_TOL = 1e-10
 
 
-def _chunk_spectra(cfg: SimulationConfig, batch: int, indices: range) -> list[SpectralSample]:
+def _reduced_spectra(kind: str, comps: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, shape (..., n), of model draws solved from
+    their structure; each is an eigenvalue of multiplicity 8 of the real form.
+
+    Model "b" reads components 0 and 1 of ``comps`` (..., k >= 2, n, n), the
+    scalar part M^0 and the shared S, and eigensolves M^0 + i sqrt(7) S.
+    Model "a" reads the diagonal a, b and the eight coordinates of the entry
+    q of a 2x2 stack: (a + b)/2 -+ sqrt((a - b)^2/4 + |q|^2), through
+    ``hypot`` so that nothing overflows where the dense eigensolve does not.
+    """
+    if kind == "b":
+        scalar, shared = comps[..., 0, :, :], comps[..., 1, :, :]
+        return np.linalg.eigvalsh(scalar + 1j * (HERMITIAN_ROOT * shared))
+    a, b = comps[..., 0, 0, 0], comps[..., 0, 1, 1]
+    half = np.hypot(0.5 * a - 0.5 * b, np.hypot.reduce(comps[..., :, 0, 1], axis=-1))
+    mid = 0.5 * a + 0.5 * b
+    return np.stack([mid - half, mid + half], axis=-1)
+
+
+@dataclass(frozen=True)
+class CrossCheck:
+    """The dense real-form check of sampled spectra.
+
+    ``rows`` rows were also eigensolved in their real form and clustered;
+    ``failures`` of them have other multiplicities than their reduced row or
+    a distinct value farther from it than :data:`CROSS_CHECK_TOL` (1 + the
+    reduced row's spectral radius).  ``max_mismatch`` is the largest such
+    scaled distance (infinite where the multiplicities differ) and
+    ``max_spread`` the widest dense cluster range.  Checks of disjoint rows
+    add.
+    """
+
+    rows: int = 0
+    failures: int = 0
+    max_mismatch: float = 0.0
+    max_spread: float = 0.0
+
+    def __add__(self, other: CrossCheck) -> CrossCheck:
+        return CrossCheck(self.rows + other.rows, self.failures + other.failures,
+                          max(self.max_mismatch, other.max_mismatch),
+                          max(self.max_spread, other.max_spread))
+
+
+class SampledSpectra(NamedTuple):
+    """What :func:`sample_spectra` returns: the spectra in (index, step)
+    order and their :class:`CrossCheck`."""
+
+    samples: list[SpectralSample]
+    cross_check: CrossCheck
+
+
+def _cross_check(cfg: SimulationConfig, rows: np.ndarray, reduced) -> CrossCheck:
+    """Check the reduced spectra ``reduced`` of the scaled draws ``rows``
+    against their real forms, eigensolved and clustered one at a time: the
+    checked rows are few, and one form holds the least memory."""
+    layout = _draw_layout(cfg.kind, cfg.n)
+    check = CrossCheck()
+    for row, got in zip(rows, reduced):
+        dense, = _cluster_rows(np.linalg.eigvalsh(real_form(layout.scatter(row[None]))),
+                               cfg.cluster_tol)
+        mismatch = math.inf
+        if dense.multiplicities == got.multiplicities:
+            mismatch = (max(abs(x - y) for x, y in zip(dense.distinct, got.distinct))
+                        / (1.0 + max(map(abs, got.distinct))))
+        check += CrossCheck(1, int(not mismatch <= CROSS_CHECK_TOL), mismatch, dense.spread)
+    return check
+
+
+def _chunk_spectra(cfg: SimulationConfig, workers: int, indices: range) -> SampledSpectra:
     """Spectra of every step of the paths ``indices``: partial sums of their
-    increments, eigensolved ``batch`` real forms at a time, clustered at once."""
+    increments, solved from their structure a batch at a time, each value
+    repeated eight times and clustered at once, with the dense check of the
+    rows at multiples of :data:`CROSS_CHECK_EVERY`.  A batch of reduced
+    solves holds 1/``workers`` of :data:`~octodyson.matrices.FORM_BATCH_BYTES`."""
     layout = _draw_layout(cfg.kind, cfg.n)
     rows = _draw(cfg, indices, cfg.steps)
     if cfg.steps > 1:
         np.cumsum(rows, axis=1, out=rows)
     rows = rows.reshape(-1, layout.size)
-    eigs = np.empty((len(rows), 8 * cfg.n))
+    kept = 2 if cfg.kind == "b" else 8
+    # the kept components, and for model b the Hermitian stack with its
+    # temporaries: about four times the components' bytes per row
+    batch = max(1, entries_per_batch(4 * 8 * kept * cfg.n ** 2) // workers)
+    distinct = np.empty((len(rows), cfg.n))
     for a in range(0, len(rows), batch):
-        eigs[a:a + batch] = np.linalg.eigvalsh(real_form(layout.scatter(rows[a:a + batch])))
-    return _cluster_rows(eigs, cfg.cluster_tol)
+        distinct[a:a + batch] = _reduced_spectra(cfg.kind, layout.scatter(rows[a:a + batch], kept))
+    samples = _cluster_rows(np.repeat(distinct, 8, axis=1), cfg.cluster_tol)
+    first = -indices.start * cfg.steps % CROSS_CHECK_EVERY
+    check = _cross_check(cfg, rows[first::CROSS_CHECK_EVERY], samples[first::CROSS_CHECK_EVERY])
+    return SampledSpectra(samples, check)
 
 
-def sample_spectra(cfg: SimulationConfig) -> list[SpectralSample]:
-    """Spectra of every step of all configured paths, in (index, step) order;
-    at ``steps == 1``, those of ``sample_components(cfg, i)`` for each ``i``.
+def sample_spectra(cfg: SimulationConfig) -> SampledSpectra:
+    """Spectra of every step of all configured paths, in (index, step) order,
+    with their dense cross-check; at ``steps == 1``, the spectra of
+    ``sample_components(cfg, i)`` for each ``i``.
 
     Work is split into chunks of whole paths, at most :data:`CHUNK_ROWS`
     rows or one path, and into at least ``thread_count(cfg.n)`` chunks, each
     run by :func:`_chunk_spectra`.  With more than one thread the chunks run
     on a thread pool while the loaded OpenBLAS is held to one thread, and a
     batch holds 1/threads of :data:`~octodyson.matrices.FORM_BATCH_BYTES`, so
-    that all threads together hold no more forms than a serial run.  Every
-    step acts on each path alone, so the result is identical for any chunk
-    size and thread count.
+    that all threads together hold no more than a serial run.  Every step
+    acts on each path alone, and the checked rows are fixed by their
+    position, so the result is identical for any chunk size and thread count.
     """
     threads = thread_count(cfg.n)
     size = min(max(1, CHUNK_ROWS // cfg.steps), -(-cfg.samples // threads))
     chunks = [range(lo, min(lo + size, cfg.samples)) for lo in range(0, cfg.samples, size)]
     workers = min(threads, len(chunks))
-    run_chunk = functools.partial(_chunk_spectra, cfg, max(1, forms_per_batch(cfg.n) // workers))
+    run_chunk = functools.partial(_chunk_spectra, cfg, workers)
     if workers == 1:
-        parts = map(run_chunk, chunks)
+        parts = list(map(run_chunk, chunks))
     else:
         # more than one thread means an OpenBLAS was found; a failing chunk
         # cancels the chunks not yet started, and the BLAS count comes back
         # once the pool has shut down
         with find_openblas().held_at_one(), ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_chunk, chunks))
-    return list(itertools.chain.from_iterable(parts))
+    return SampledSpectra(list(itertools.chain.from_iterable(p.samples for p in parts)),
+                          sum((p.cross_check for p in parts), CrossCheck()))
 
 
 def hermitian_reduction_residual(m: OctonionicMatrix) -> float:
@@ -345,8 +457,8 @@ def hermitian_reduction_residual(m: OctonionicMatrix) -> float:
     For a draw with one shared antisymmetric component S, the real-form
     spectrum is eight copies of the spectrum of the n x n Hermitian matrix
     M^0 + i sqrt(7) S (the sum of the seven imaginary units squares to -7,
-    acting like a rescaled imaginary unit).  Returns the max absolute
-    difference of the sorted multisets.
+    acting like a rescaled imaginary unit), which the sampler solves for
+    model "b".  Returns the max absolute difference of the sorted multisets.
 
     Raises
     ------
@@ -357,8 +469,7 @@ def hermitian_reduction_residual(m: OctonionicMatrix) -> float:
     for a in range(2, 8):
         if not np.array_equal(comps[a], comps[1]):
             raise InvalidArgument("requires all nonscalar components equal (shared structure)")
-    h = comps[0] + 1j * math.sqrt(7.0) * comps[1]
-    herm = np.linalg.eigvalsh(h)
+    herm = _reduced_spectra("b", comps)
     return float(np.max(np.abs(m.eigenvalues - np.repeat(herm, 8))))
 
 
@@ -469,7 +580,7 @@ def euler_path(cfg: SimulationConfig, index: int = 0) -> EulerPath:
     ``(t/steps) x`` the covariance coefficients, spectrum recorded per step.
 
     With ``steps == 1`` the endpoint reproduces :func:`sample_matrix`
-    exactly (same stream, same draw order).
+    exactly (same stream, same draw order).  The spectra are those of
+    :func:`sample_spectra`; the path's cross-check is not returned.
     """
-    return EulerPath.from_samples(
-        _chunk_spectra(cfg, forms_per_batch(cfg.n), range(index, index + 1)), cfg.n)
+    return EulerPath.from_samples(_chunk_spectra(cfg, 1, range(index, index + 1)).samples, cfg.n)

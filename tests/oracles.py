@@ -8,8 +8,11 @@ without scaling and their standard error from ``np.cov``, 2x2
 spectra from the explicit quadratic formula, components read back off the
 blocks of a real form, and the compatibility condition pair by pair.  The
 reference constructions at the end are the straightforward forms of the hot
-paths: the sampler one matrix and one triangle at a time, Euler paths one
-step and one eigensolve at a time, the octonion product as the dense
+paths: the sampler one matrix and one triangle at a time, spectra one draw
+at a time, from the structure (the Hermitian reduction of model b, the
+planar closed form of model a) or from the dense real form, with the
+sampler's cross-check row by row, Euler paths one step and one solve at a
+time, the octonion product as the dense
 contraction with the structure tensor, term by term and as sign-label
 arithmetic on basis elements, the exact algebra suites and the generator
 sign weights as loops over label tuples, the structured inverse with its
@@ -49,6 +52,7 @@ from octodyson.simulate import (
     EulerPath,
     GapStatistics,
     SimulationConfig,
+    SpectralSample,
     cluster_eigenvalues,
     sample_matrix,
     sample_rng,
@@ -228,10 +232,42 @@ def reference_real_form(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_euler_path(cfg: SimulationConfig, index: int) -> EulerPath:
+def dense_spectrum(kind: str, comps: np.ndarray, cluster_tol: float) -> SpectralSample:
+    """Clustered spectrum of one draw's block-by-block real form, eigensolved
+    alone."""
+    return cluster_eigenvalues(np.linalg.eigvalsh(reference_real_form(comps)), cluster_tol)
+
+
+def reduced_spectrum(kind: str, comps: np.ndarray, cluster_tol: float) -> SpectralSample:
+    """Clustered spectrum of one draw from its structure, eigensolved alone:
+    the eigenvalues of M^0 + i sqrt(7) S for model b, the planar closed form
+    (a + b)/2 -+ hypot((a - b)/2, |q|) for model a, each eight times."""
+    if kind == "b":
+        values = np.linalg.eigvalsh(comps[0] + 1j * (math.sqrt(7.0) * comps[1]))
+    else:
+        a, b = comps[0, 0, 0], comps[0, 1, 1]
+        half = np.hypot(0.5 * a - 0.5 * b, np.hypot.reduce(comps[:, 0, 1]))
+        values = np.array([0.5 * a + 0.5 * b - half, 0.5 * a + 0.5 * b + half])
+    return cluster_eigenvalues(np.repeat(values, 8), cluster_tol)
+
+
+def reference_cross_check(dense, reduced) -> dict:
+    """The cross_check block of the checked rows, one row at a time, from
+    their dense and reduced spectra."""
+    mismatches = [
+        max(abs(d - r) for d, r in zip(ds.distinct, rs.distinct))
+        / (1.0 + max(abs(r) for r in rs.distinct))
+        if ds.multiplicities == rs.multiplicities else math.inf
+        for ds, rs in zip(dense, reduced)]
+    return {"rows": len(mismatches), "failures": sum(not m <= 1e-10 for m in mismatches),
+            "max_mismatch": max([0.0, *mismatches]),
+            "max_spread": max([0.0, *(s.spread for s in dense)])}
+
+
+def reference_euler_path(cfg: SimulationConfig, index: int, solve=reduced_spectrum) -> EulerPath:
     """Path ``index`` one step at a time: each increment drawn triangle by
     triangle from ``sample_rng(cfg.seed, index)`` over ``t / steps``, added to
-    the running stack, and its block-by-block real form eigensolved alone."""
+    the running stack, and its spectrum solved alone by ``solve``."""
     rng = sample_rng(cfg.seed, index)
     dt = cfg.t / cfg.steps
     comps = np.zeros((8, cfg.n, cfg.n))
@@ -240,8 +276,7 @@ def reference_euler_path(cfg: SimulationConfig, index: int) -> EulerPath:
     min_gap = float("inf")
     for _ in range(cfg.steps):
         comps = comps + reference_draw_increment(rng, cfg.kind, cfg.n, dt)
-        sample = cluster_eigenvalues(np.linalg.eigvalsh(reference_real_form(comps)),
-                                     cfg.cluster_tol)
+        sample = solve(cfg.kind, comps, cfg.cluster_tol)
         out.append(sample)
         if len(sample.distinct) < cfg.n:
             crossing = True

@@ -199,6 +199,30 @@ def test_conj_rejects_bad_shapes(x):
         conj(x)
 
 
+@pytest.mark.parametrize("x", [np.ones(7), np.ones((8, 3)), 2.0], ids=["7", "8x3", "scalar"])
+def test_norm_rejects_bad_shapes(x):
+    """A vector of seven coordinates has no octonion norm: sqrt(7) would be
+    a plausible wrong number."""
+    with pytest.raises(InvalidArgument):
+        norm(x)
+
+
+@pytest.mark.parametrize("x,y", [
+    (np.ones(7), np.ones(7)),
+    (np.ones((3, 8)), np.ones((3, 7))),
+    (np.float64(2.0), np.ones(8)),
+    (np.ones((2, 8)), np.ones((3, 8))),
+    (np.ones((2, 1, 8)), np.ones((3, 2, 8))),
+], ids=["7x7", "8x7", "scalar", "2x3-rows", "stack-mismatch"])
+def test_inner_rejects_bad_shapes(x, y):
+    """As for mul: a last axis other than 8, or leading axes that do not
+    broadcast, raise InvalidArgument."""
+    with pytest.raises(InvalidArgument):
+        inner(x, y)
+    with pytest.raises(InvalidArgument):
+        inner(y, x)
+
+
 def test_mul_exact_on_integer_basis():
     """Integer one-hot inputs give the exact int64 products sign(a, b) w_{a^b}."""
     eye = np.eye(8, dtype=np.int64)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,13 +21,15 @@ from octodyson.reporting import fmt17, json_text, write_spectrum_csv, write_stat
 from octodyson.simulate import SpectralSample
 
 from oracles import (
+    dense_spectrum,
     einsum_multiplier,
     reference_dim2_trace_residuals,
     reference_euler_path,
     reference_fd_logdet_gradient,
     reference_fd_logdet_hessian,
+    reduced_spectrum,
+    reference_cross_check,
     reference_oct_inverse,
-    reference_real_form,
     reference_spectrum_csv_row,
 )
 
@@ -170,17 +173,18 @@ def test_sample_spectrum_estimates_beta_2_at_n3(tmp_path, capsys):
     assert abs(stats["implied_beta"] - 8.0) > 5.0 * stats["stderr"]
 
 
-#: Recorded outputs of seed 7: the SHA-256 of two spectrum CSVs, and the
-#: n = 2 statistics other than the standard error.
+#: Recorded outputs of seed 7, spectra solved from the draws' structure: the
+#: SHA-256 of two spectrum CSVs, and the n = 2 statistics other than the
+#: standard error.
 GOLDEN_CSV = {
-    "a": "88ec84df7cf8f5938d711df2fa8e8f59eb71748f43b013897f3f029221fd34e1",
-    "b16": "7879852f0ed8773b75be2678a7177d1ddac3b77103baf24dc40e52609731949c",
+    "a": "82c19e9e6d0ab7915aa569b6340f368233e7b78d3fa7fb31784cee8ec70ad774",
+    "b16": "88905f8ba28cc04d9640a4e1ca8dbee102736a4d5475bc896b73a8937106818c",
 }
 GOLDEN_STATS_A = {
     "moment2": "17.618734564004026",
-    "moment4": "387.59129267784823",
-    "ratio": "1.2486036107956857",
-    "implied_beta": "7.044935444013705",
+    "moment4": "387.5912926778482",
+    "ratio": "1.2486036107956855",
+    "implied_beta": "7.044935444013712",
 }
 
 
@@ -230,15 +234,15 @@ def test_sample_spectrum_threads_byte_identical(tmp_path, capsys, monkeypatch, c
     assert json.loads(run(capsys, *argv, "--out", str(a))[1])["threads"] == 1
     chunk_threads = []
     barrier = threading.Barrier(2, timeout=10)
-    cluster_rows = simulate._cluster_rows
+    chunk_spectra = simulate._chunk_spectra
 
-    def meeting_cluster_rows(eigs, tol):
+    def meeting_chunk_spectra(cfg, workers, indices):
         chunk_threads.append(threading.get_ident())
         if len(chunk_threads) <= 2:
             barrier.wait()
-        return cluster_rows(eigs, tol)
+        return chunk_spectra(cfg, workers, indices)
 
-    monkeypatch.setattr(simulate, "_cluster_rows", meeting_cluster_rows)
+    monkeypatch.setattr(simulate, "_chunk_spectra", meeting_chunk_spectra)
     cpus(4)
     assert json.loads(run(capsys, *argv, "--out", str(b))[1])["threads"] == 4
     assert len(chunk_threads) == 4
@@ -377,13 +381,17 @@ def test_simulate_path(tmp_path, capsys):
 def test_simulate_path_bytes_match_step_loop(argv, kind, n, tmp_path, capsys, monkeypatch,
                                              cpus):
     """simulate-path writes the CSV and --json (but for its thread count) of
-    paths drawn and eigensolved one step at a time, on one and two usable
-    CPUs (one thread at n = 2), with chunks of all paths, of one path below
-    two and below one path."""
+    paths drawn and solved from their structure one step at a time, with the
+    cross-check of the dense step at position 0, on one and two usable CPUs
+    (one thread at n = 2), with chunks of all paths, of one path below two
+    and below one path."""
     steps, paths, seed = 5, 4, 23
     cfg = simulate.SimulationConfig(kind=kind, n=n, samples=paths, seed=seed, steps=steps)
     ref = [reference_euler_path(cfg, i) for i in range(paths)]
     samples = [s for path in ref for s in path.samples]
+    check = reference_cross_check(reference_euler_path(cfg, 0, dense_spectrum).samples[:1],
+                                  samples[:1])
+    assert check["rows"] == 1 and check["failures"] == 0
     write_spectrum_csv(str(tmp_path / "ref.csv"), samples, kind, n, 1.0, ("path_id", "step"),
                        list(itertools.product(range(paths), range(steps))))
     summary = {
@@ -401,21 +409,28 @@ def test_simulate_path_bytes_match_step_loop(argv, kind, n, tmp_path, capsys, mo
         assert code == 0
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
         threads = count if n >= 3 else 1
-        assert text == json.dumps({**summary, "threads": threads}, indent=2) + "\n"
+        assert text == json.dumps({**summary, "threads": threads, "cross_check": check},
+                                  indent=2) + "\n"
 
 
 def test_simulate_path_steps_pass_through_chunk_real_form(capsys, monkeypatch):
-    """Every step of every path is one real form built by the chunk pipeline,
-    none through a per-step OctonionicMatrix."""
+    """Every step of every path is one row of the chunk pipeline's reduced
+    solve, none through a per-step OctonionicMatrix; the chunk builds a real
+    form only for the checked step at position 0 of the 18."""
     forms = []
+    rows = []
     real_form = simulate.real_form
+    reduced = simulate._reduced_spectra
     monkeypatch.setattr(simulate, "real_form",
                         lambda comps: forms.append(len(comps)) or real_form(comps))
+    monkeypatch.setattr(simulate, "_reduced_spectra",
+                        lambda kind, comps: rows.append(len(comps)) or reduced(kind, comps))
     monkeypatch.setattr(matrices, "real_form", None)
     code, _ = run(capsys, "simulate-path", "--model", "b", "--n", "3", "--steps", "6",
                   "--paths", "3")
     assert code == 0
-    assert sum(forms) == 3 * 6
+    assert sum(rows) == 3 * 6
+    assert sum(forms) == 1
 
 
 def test_json_text_writes_non_finite_floats_as_null(tmp_path):
@@ -484,15 +499,16 @@ def test_report_out_file_with_manifest(tmp_path, capsys):
 def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples, tmp_path,
                                                          capsys, monkeypatch, cpus):
     """The batched sampler writes the bytes of a one-sample-at-a-time
-    pipeline, on one and two usable CPUs and for chunks smaller than the run."""
+    pipeline solved from the structure, and the cross-check of its dense real
+    form at every 64th sample, on one and two usable CPUs and for chunks
+    smaller than the run."""
     seed = 17
     cfg = simulate.SimulationConfig(kind=kind, n=n, samples=samples, seed=seed)
-    spectra = [
-        simulate.cluster_eigenvalues(
-            np.linalg.eigvalsh(reference_real_form(simulate.sample_components(cfg, i))),
-            cfg.cluster_tol)
-        for i in range(samples)
-    ]
+    comps = [simulate.sample_components(cfg, i) for i in range(samples)]
+    spectra = [reduced_spectrum(kind, c, cfg.cluster_tol) for c in comps]
+    check = reference_cross_check(
+        [dense_spectrum(kind, c, cfg.cluster_tol) for c in comps[::64]], spectra[::64])
+    assert check["rows"] == -(-samples // 64) and check["failures"] == 0
     write_spectrum_csv(str(tmp_path / "ref.csv"), spectra, kind, n, 1.0)
     expected_csv = (tmp_path / "ref.csv").read_bytes()
     try:
@@ -510,14 +526,130 @@ def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples,
         cpus(count)
         monkeypatch.setattr(simulate, "CHUNK_ROWS", chunk)
         out = tmp_path / f"t{count}c{chunk}.csv"
-        code, _ = run(capsys, "sample-spectrum", *argv, "--seed", str(seed), "--out", str(out))
+        code, text = run(capsys, "sample-spectrum", *argv, "--seed", str(seed), "--json",
+                         "--out", str(out))
         assert code == 0
+        assert json.loads(text)["cross_check"] == check
         assert out.read_bytes() == expected_csv
         stats_path = tmp_path / f"t{count}c{chunk}.csv.stats.json"
         if stats is not None:
             assert stats_path.read_bytes() == (tmp_path / "ref.json").read_bytes()
         else:
             assert not stats_path.exists()
+
+
+def read_spectrum_csv(path: Path, n: int):
+    """Distinct values (rows, n), multiplicities and spreads of a spectrum CSV."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return (np.array([[float(c) for c in row[4:4 + n]] for row in rows]),
+            [tuple(int(c) for c in row[4 + n:4 + 2 * n]) for row in rows],
+            [float(row[-1]) for row in rows])
+
+
+@pytest.mark.parametrize("t", ["1", "1e300"])
+@pytest.mark.parametrize("kind,n,samples", [("a", 2, 300), ("b", 3, 200), ("b", 5, 100),
+                                            ("b", 16, 24)], ids=["a", "b3", "b5", "b16"])
+def test_sample_spectrum_agrees_with_dense_real_form(kind, n, samples, t, tmp_path, capsys):
+    """Every CSV row is within 1e-10 (1 + spectral radius) of the dense
+    pipeline, the block-by-block real form of its draw eigensolved alone and
+    clustered, with the same multiplicities; the spread column reads 0, as
+    each value is written eight times."""
+    out = tmp_path / "spec.csv"
+    code, _ = run(capsys, "sample-spectrum", "--model", kind, "--n", str(n), "--samples",
+                  str(samples), "--t", t, "--seed", "5", "--out", str(out))
+    assert code == 0
+    values, mults, spreads = read_spectrum_csv(out, n)
+    cfg = simulate.SimulationConfig(kind=kind, n=n, t=float(t), samples=samples, seed=5)
+    for i in range(samples):
+        dense = dense_spectrum(kind, simulate.sample_components(cfg, i), cfg.cluster_tol)
+        assert mults[i] == dense.multiplicities == (8,) * n
+        scale = 1.0 + np.max(np.abs(dense.distinct))
+        assert np.max(np.abs(values[i] - dense.distinct)) <= 1e-10 * scale
+    assert set(spreads) == {0.0}
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (["sample-spectrum", "--model", "a", "--samples", "300"], 300),
+    (["sample-spectrum", "--model", "b", "--n", "4", "--samples", "129"], 129),
+    (["sample-spectrum", "--model", "b", "--n", "3", "--samples", "64"], 64),
+    (["simulate-path", "--model", "a", "--steps", "13", "--paths", "10"], 130),
+    (["simulate-path", "--model", "b", "--n", "3", "--steps", "64", "--paths", "3"], 192),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_cross_check_counts_every_64th_row(argv, rows, tmp_path, capsys):
+    """The --json and the manifest carry one cross_check block: every 64th
+    row, ceil(rows / 64) of them, checked without a failure."""
+    out = tmp_path / "out.csv"
+    code, text = run(capsys, *argv, "--json", "--out", str(out))
+    assert code == 0
+    block = json.loads(text)["cross_check"]
+    assert block == json.loads((tmp_path / "out.csv.manifest.json").read_text())["cross_check"]
+    assert block["rows"] == -(-rows // 64) and block["failures"] == 0
+    assert 0.0 <= block["max_mismatch"] <= 1e-10
+    assert 0.0 <= block["max_spread"] < 1e-10
+
+
+def _scaled_q(reduced, factor):
+    """``_reduced_spectra`` of stacks whose entry q (and its conjugate) is
+    scaled by ``factor``."""
+    def solve(kind, comps):
+        comps = comps.copy()
+        comps[..., :, 0, 1] *= factor
+        comps[..., :, 1, 0] *= factor
+        return reduced(kind, comps)
+    return solve
+
+
+def _negated_shared(reduced):
+    """``_reduced_spectra`` of model-b stacks with S negated."""
+    def solve(kind, comps):
+        comps = comps.copy()
+        comps[..., 1, :, :] *= -1.0
+        return reduced(kind, comps)
+    return solve
+
+
+@pytest.mark.parametrize("argv,patch", [
+    (["--model", "b", "--n", "4", "--samples", "200"],
+     lambda mp: mp.setattr(simulate, "HERMITIAN_ROOT", math.sqrt(6.0))),
+    (["--model", "a", "--samples", "200"],
+     lambda mp: mp.setattr(simulate, "_reduced_spectra", _scaled_q(simulate._reduced_spectra,
+                                                                    1.01))),
+], ids=["root-sqrt6", "q-times-1.01"])
+def test_cross_check_negative_controls(argv, patch, capsys, monkeypatch):
+    """A wrong reduction fails the cross-check: the root sqrt(6) for model b
+    and q scaled by 1.01 for model a make sample-spectrum exit 1 with a
+    failure on every checked row.  (Negating S is no control: M^0 - i sqrt(7)
+    S is the complex conjugate of M^0 + i sqrt(7) S and has its spectrum, so
+    that run passes.)"""
+    patch(monkeypatch)
+    code, text = run(capsys, "sample-spectrum", *argv, "--json")
+    block = json.loads(text)["cross_check"]
+    assert code == 1
+    assert block["failures"] == block["rows"] == 4
+    assert block["max_mismatch"] > 1e-10
+    monkeypatch.undo()
+    monkeypatch.setattr(simulate, "_reduced_spectra", _negated_shared(simulate._reduced_spectra))
+    code, text = run(capsys, "sample-spectrum", "--model", "b", "--n", "4", "--samples", "200",
+                     "--json")
+    assert code == 0 and json.loads(text)["cross_check"]["failures"] == 0
+
+
+@pytest.mark.parametrize("argv,n", [
+    (["sample-spectrum", "--model", "a", "--samples", "300"], 2),
+    (["sample-spectrum", "--model", "b", "--n", "5", "--samples", "140"], 5),
+    (["simulate-path", "--model", "b", "--n", "3", "--steps", "30", "--paths", "5"], 3),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_bytes_do_not_depend_on_batch_bytes(argv, n, tmp_path, capsys, monkeypatch):
+    """Reduced batches of one to three rows write the CSV and --json of the
+    default batch bytes: the bound caps memory only."""
+    written = []
+    for batch_bytes in (matrices.FORM_BATCH_BYTES, 3 * 64 * n * n):
+        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", batch_bytes)
+        out = tmp_path / f"{batch_bytes}.csv"
+        code, text = run(capsys, *argv, "--json", "--out", str(out))
+        assert code == 0
+        written.append((text, out.read_bytes()))
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("argv", [

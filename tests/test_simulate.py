@@ -40,6 +40,7 @@ from octodyson.simulate import (
 
 from oracles import (
     beta_hermite_spectra,
+    dense_spectrum,
     moment_ratio_by_quadrature,
     planar_distinct_eigenvalues,
     reference_draw_increment,
@@ -187,7 +188,7 @@ def test_sample_spectra_thread_invariance(cpus, monkeypatch):
     assert serial == threaded
     # more threads than samples: one chunk per sample
     cpus(8)
-    assert sample_spectra(cfg(kind="b", n=3, seed=31, samples=3)) == serial[:3]
+    assert sample_spectra(cfg(kind="b", n=3, seed=31, samples=3)).samples == serial.samples[:3]
 
 
 def test_sample_spectra_pool_stress(cpus, monkeypatch):
@@ -235,9 +236,9 @@ def test_pool_holds_blas_at_one_and_restores_it(blas_at_three, cpus, monkeypatch
     cpus(1)
     serial = sample_spectra(c)
     counts = []
-    real_form = simulate.real_form
-    monkeypatch.setattr(simulate, "real_form",
-                        lambda comps: counts.append(blas_at_three.get()) or real_form(comps))
+    reduced = simulate._reduced_spectra
+    monkeypatch.setattr(simulate, "_reduced_spectra", lambda kind, comps: counts.append(
+        blas_at_three.get()) or reduced(kind, comps))
     monkeypatch.setattr(simulate, "CHUNK_ROWS", 5)
     cpus(2)
     assert sample_spectra(c) == serial
@@ -253,25 +254,25 @@ def test_pool_restores_blas_when_a_chunk_raises(blas_at_three, cpus, monkeypatch
     """A failing chunk propagates its exception, and the BLAS thread count
     comes back, whether one chunk or every chunk fails."""
     c = cfg(kind="b", n=3, seed=65, samples=40)
-    real_form = simulate.real_form
+    reduced = simulate._reduced_spectra
     lock = threading.Lock()
     calls = []
 
-    def fail_third(comps):
+    def fail_third(kind, comps):
         with lock:
             calls.append(None)
             third = len(calls) == 3
         if third:
             raise InvalidArgument("chunk failed")
-        return real_form(comps)
+        return reduced(kind, comps)
 
-    def fail(comps):
+    def fail(kind, comps):
         raise InvalidArgument("chunk failed")
 
     monkeypatch.setattr(simulate, "CHUNK_ROWS", 5)
     cpus(2)
     for patched in (fail_third, fail):
-        monkeypatch.setattr(simulate, "real_form", patched)
+        monkeypatch.setattr(simulate, "_reduced_spectra", patched)
         with pytest.raises(InvalidArgument, match="chunk failed"):
             sample_spectra(c)
         assert blas_at_three.get() == 3
@@ -303,15 +304,15 @@ def test_implied_beta_inverts_ratio():
 def test_gap_statistics_requires_samples():
     c = cfg(seed=33, samples=20)
     with pytest.raises(InsufficientData):
-        gap_statistics(sample_spectra(c), 2)
+        gap_statistics(sample_spectra(c).samples, 2)
     # samples with another cluster count do not count
     with pytest.raises(InsufficientData):
-        gap_statistics(sample_spectra(cfg(kind="b", n=3, seed=33, samples=200)), 2)
+        gap_statistics(sample_spectra(cfg(kind="b", n=3, seed=33, samples=200)).samples, 2)
 
 
 def test_gap_statistics_deterministic():
     c = cfg(seed=34, samples=300)
-    spectra = sample_spectra(c)
+    spectra = sample_spectra(c).samples
     s1 = gap_statistics(spectra, 2)
     s2 = gap_statistics(spectra, 2)
     assert s1 == s2
@@ -337,7 +338,7 @@ def test_gap_law_at_n2_is_chi_square(kind, beta):
     rejected."""
     from scipy import stats
 
-    samples = sample_spectra(cfg(kind=kind, samples=20_000, seed=0))
+    samples = sample_spectra(cfg(kind=kind, samples=20_000, seed=0)).samples
     assert all(len(s.distinct) == 2 for s in samples)
     scaled = np.array([(s.distinct[1] - s.distinct[0]) ** 2 / 2.0 for s in samples])
     assert stats.kstest(scaled, "chi2", args=(beta + 1,)).pvalue > 1e-3
@@ -348,7 +349,7 @@ def test_gap_law_at_n2_is_chi_square(kind, beta):
 @functools.cache
 def model_b_distinct(n: int, samples: int) -> np.ndarray:
     """Distinct eigenvalues, shape (samples, n), of model b at t = 1, seed 0."""
-    spectra = sample_spectra(cfg(kind="b", n=n, samples=samples, seed=0))
+    spectra = sample_spectra(cfg(kind="b", n=n, samples=samples, seed=0)).samples
     assert all(len(s.distinct) == n for s in spectra)
     return np.array([s.distinct for s in spectra])
 
@@ -399,8 +400,8 @@ def test_quadrature_ratio_oracle():
 
 def test_moment_ratio_scale_free_in_time():
     """Ratios at t = 1 and t = 4 agree within combined uncertainty."""
-    s1 = gap_statistics(sample_spectra(cfg(seed=36, t=1.0, samples=8000)), 2)
-    s4 = gap_statistics(sample_spectra(cfg(seed=37, t=4.0, samples=8000)), 2)
+    s1 = gap_statistics(sample_spectra(cfg(seed=36, t=1.0, samples=8000)).samples, 2)
+    s4 = gap_statistics(sample_spectra(cfg(seed=37, t=4.0, samples=8000)).samples, 2)
     # moment2 scales by t, the ratio does not
     assert abs(s4.moment2 / s1.moment2 - 4.0) < 0.5
     db = abs(s1.implied_beta - s4.implied_beta)
@@ -408,9 +409,9 @@ def test_moment_ratio_scale_free_in_time():
 
 
 def test_implied_beta_smallish_samples():
-    sa = gap_statistics(sample_spectra(cfg(seed=38, samples=12000)), 2)
+    sa = gap_statistics(sample_spectra(cfg(seed=38, samples=12000)).samples, 2)
     assert 7.0 < sa.implied_beta < 9.0
-    sb = gap_statistics(sample_spectra(cfg(kind="b", seed=39, samples=12000)), 2)
+    sb = gap_statistics(sample_spectra(cfg(kind="b", seed=39, samples=12000)).samples, 2)
     assert 1.6 < sb.implied_beta < 2.4
 
 
@@ -418,16 +419,26 @@ def test_euler_single_step_equals_exact_sampler():
     c_euler = cfg(seed=40, steps=1)
     c_exact = cfg(seed=40)
     path = euler_path(c_euler, 0)
-    assert path.samples[0] == spectrum(sample_matrix(c_exact, 0))
+    assert path.samples[0] == sample_spectra(c_exact).samples[0]
+    dense = spectrum(sample_matrix(c_exact, 0))
+    assert path.samples[0].multiplicities == dense.multiplicities
+    np.testing.assert_allclose(path.samples[0].distinct, dense.distinct, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("kind,n", [("a", 2), ("b", 3)])
 def test_euler_path_matches_step_loop(kind, n):
     """A path drawn at once and summed with cumsum equals the step-by-step
-    loop, also at an index past the first and with a crossing."""
+    loop solved from the structure, also at an index past the first and with
+    a crossing, and the step-by-step dense real forms to 1e-10 (1 + radius)
+    with the same multiplicities."""
     c = cfg(kind=kind, n=n, seed=42, steps=7)
     for index in (0, 5):
-        assert euler_path(c, index) == reference_euler_path(c, index)
+        path = euler_path(c, index)
+        assert path == reference_euler_path(c, index)
+        for got, want in zip(path.samples, reference_euler_path(c, index, dense_spectrum).samples):
+            assert got.multiplicities == want.multiplicities
+            scale = 1.0 + max(map(abs, want.distinct))
+            np.testing.assert_allclose(got.distinct, want.distinct, rtol=0, atol=1e-10 * scale)
     merged = cfg(kind=kind, n=n, seed=42, steps=3, cluster_tol=1e9)
     path = euler_path(merged, 1)
     assert path.crossing_detected and path.min_gap == np.inf
@@ -532,7 +543,7 @@ def test_gap_statistics_matches_reference(kind, n):
     """The scaled, column-at-a-time statistic and the influence-function
     variance give the unscaled pairwise moments and the np.cov standard error;
     at n = 2, T is one squared gap, so every moment is exact."""
-    spectra = sample_spectra(cfg(kind=kind, n=n, seed=61, samples=400))
+    spectra = sample_spectra(cfg(kind=kind, n=n, seed=61, samples=400)).samples
     assert_matches_reference(gap_statistics(spectra, n), reference_gap_statistics(spectra, n),
                              exact=n == 2)
 
@@ -565,6 +576,6 @@ def test_delta_stderr_matches_spread_of_estimates(n, dof):
 def test_gap_statistics_scaling_changes_no_finite_value(t):
     """Dividing the gaps by a power of two is exact: the statistics equal
     those of the unscaled gaps."""
-    spectra = sample_spectra(cfg(kind="b", seed=67, samples=300, t=t))
+    spectra = sample_spectra(cfg(kind="b", seed=67, samples=300, t=t)).samples
     assert_matches_reference(gap_statistics(spectra, 2), reference_gap_statistics(spectra, 2),
                              exact=True)
