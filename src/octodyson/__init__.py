@@ -65,16 +65,12 @@ from .matrices import (
 )
 from .reporting import IdentityReport
 from .simulate import (
-    EulerPath,
     GapStatistics,
     SimulationConfig,
     SpectralSample,
-    euler_path,
     gap_statistics,
-    hermitian_reduction_residual,
     implied_beta,
     sample_matrix,
     sample_rng,
     sample_spectra,
-    spectrum,
 )

@@ -1,11 +1,11 @@
 """Thread control of the loaded OpenBLAS, through ctypes.
 
-Threads that each run their own LAPACK calls gain nothing from a BLAS that
-spreads every call over the cores as well: the two pools compete for the
-same CPUs.  :func:`find_openblas` finds the OpenBLAS that numpy loaded by
+A BLAS that spreads a dense product over several threads sums it in
+another order than on one, so a command's numbers would depend on the
+thread count.  :func:`find_openblas` finds the OpenBLAS that numpy loaded by
 walking the shared objects of this process with ``dl_iterate_phdr`` (as
 threadpoolctl does) and binds its thread-count entry points, so that a
-thread pool can hold it to one thread while the pool runs.
+command can hold it to one thread while it runs.
 """
 
 from __future__ import annotations

@@ -5,15 +5,13 @@ error, such as a trial count below 1 or model a at n != 2.  With --json,
 stdout is exactly one JSON document.  With --out, every file the command
 writes is recorded with its SHA-256 digest in one manifest,
 <out>.manifest.json.  JSON writes a non-finite number as null.  Outputs are
-byte-identical for identical (command, seed) regardless of the thread count,
-as every command holds the loaded OpenBLAS to one thread.  sample-spectrum
-and simulate-path run on every usable CPU for n >= 3 when the BLAS can be
-held, else on one (taskset -c 0 gives a one-thread run), and record the
-count in config.threads and --json.  sample-spectrum estimates the spectral
-exponent beta (8 for model a, 2 for model b) at every n from the radial
-moments of the samples with n clusters, with its delta-method standard
-error; with fewer than 100 such samples it prints "statistics skipped" and
-writes no <out>.stats.json and a null --json stats block.
+byte-identical for identical (command, seed) whatever the BLAS thread count,
+as every command holds the loaded OpenBLAS to one thread; the sampling
+commands run on the calling thread alone.  sample-spectrum estimates the
+spectral exponent beta (8 for model a, 2 for model b) at every n from the
+radial moments of the samples with n clusters, with its delta-method
+standard error; with fewer than 100 such samples it prints "statistics
+skipped" and writes no <out>.stats.json and a null --json stats block.
 
 Both sampling commands solve each spectrum from the draw's structure: the
 Hermitian matrix M^0 + i sqrt(7) S for model b, the planar closed form for
@@ -42,7 +40,7 @@ from .calculus import DiffusionModel, ExponentProblem, invariant_exponent, solve
 from .errors import InsufficientData, InvalidConfig
 from .matrices import check_dim2_identities, check_logdet_derivatives, dim3_counterexample
 from .reporting import file_digest, json_text, write_spectrum_csv, write_stats_json
-from .simulate import EulerPath, SimulationConfig, gap_statistics, sample_spectra, thread_count
+from .simulate import SimulationConfig, gap_statistics, sample_spectra
 from .verify import check_closed_forms, check_inverse_roundtrip, check_trace_identities
 
 
@@ -199,16 +197,16 @@ def _checked(check) -> tuple[dict, str]:
 def cmd_sample_spectrum(args) -> int:
     cfg = SimulationConfig(kind=args.model, n=args.n, t=args.t, samples=args.samples,
                            seed=args.seed, cluster_tol=args.cluster_tol)
-    args.threads = thread_count(cfg.n)
-    spectra, check = sample_spectra(cfg)
+    spectra = sample_spectra(cfg)
+    check = spectra.cross_check
     block, check_line = _checked(check)
-    clean = sum(s.multiplicities == (8,) * cfg.n for s in spectra)
+    clean = int(spectra.clean.sum())
     lines = [f"samples: {len(spectra)}; with {cfg.n} clusters of multiplicity 8: {clean}",
              check_line]
     writers = [("", lambda path: write_spectrum_csv(path, spectra, cfg.kind, cfg.n, cfg.t))]
     stats = None
     try:
-        moments = gap_statistics(spectra, cfg.n)
+        moments = gap_statistics(spectra)
     except InsufficientData as exc:
         lines.append(f"statistics skipped: {exc}")
     else:
@@ -222,7 +220,7 @@ def cmd_sample_spectrum(args) -> int:
                      f"implied beta: {moments.implied_beta:.4f} +- {moments.stderr:.4f}")
         writers.append((".stats.json", lambda path: write_stats_json(path, stats)))
     return _finish(args, {"samples": len(spectra), "clean": clean, "stats": stats,
-                          "threads": args.threads, "cross_check": block}, lines, writers,
+                          "cross_check": block}, lines, writers,
                    ok=clean == len(spectra) and check.failures == 0,
                    record={"cross_check": block})
 
@@ -230,22 +228,20 @@ def cmd_sample_spectrum(args) -> int:
 def cmd_simulate_path(args) -> int:
     cfg = SimulationConfig(kind=args.model, n=args.n, t=args.t, samples=args.paths,
                            seed=args.seed, steps=args.steps, cluster_tol=args.cluster_tol)
-    args.threads = thread_count(cfg.n)
-    samples, check = sample_spectra(cfg)
+    spectra = sample_spectra(cfg)
+    check = spectra.cross_check
     block, check_line = _checked(check)
-    paths = [EulerPath.from_samples(samples[lo:lo + cfg.steps], cfg.n)
-             for lo in range(0, len(samples), cfg.steps)]
-    crossings = sum(path.crossing_detected for path in paths)
-    broken = sum(s.multiplicities != (8,) * cfg.n for s in samples)
+    # a path crosses where its distinct values collide: a step with fewer than n clusters
+    crossings = int((~spectra.complete.reshape(cfg.samples, cfg.steps).all(axis=1)).sum())
+    broken = len(spectra) - int(spectra.clean.sum())
     summary = {
         "paths": cfg.samples, "steps": cfg.steps, "crossings": crossings,
-        "steps_with_broken_clusters": broken,
-        "min_gap": min(float("inf"), *(path.min_gap for path in paths)),
+        "steps_with_broken_clusters": broken, "min_gap": spectra.min_gap(),
     }
     ids = list(itertools.product(range(cfg.samples), range(cfg.steps)))
-    return _finish(args, {**summary, "threads": args.threads, "cross_check": block},
+    return _finish(args, {**summary, "cross_check": block},
                    [f"{k}: {v}" for k, v in summary.items()] + [check_line], [
-        ("", lambda path: write_spectrum_csv(path, samples, cfg.kind, cfg.n, cfg.t,
+        ("", lambda path: write_spectrum_csv(path, spectra, cfg.kind, cfg.n, cfg.t,
                                              ("path_id", "step"), ids)),
     ], ok=crossings == 0 and broken == 0 and check.failures == 0,
                    record={"cross_check": block})

@@ -9,7 +9,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -92,14 +91,13 @@ def file_digest(path: str) -> str:
 
 def write_spectrum_csv(path: str, samples, kind: str, n: int, t: float,
                        id_names=("sample_id",), ids=None) -> None:
-    """Write per-sample spectra, each row led by its integer ``ids`` under the
-    ``id_names`` columns (by default the sample's position); byte-deterministic
-    for a fixed sample list.
+    """Write the spectra of ``samples`` (a
+    :class:`~octodyson.simulate.SampledSpectra`), one row per sample led by
+    its integer ``ids`` under the ``id_names`` columns (by default the
+    sample's position); byte-deterministic for fixed arrays.
 
     Every row fills one ``%``-format template with ``%d`` ids and
-    multiplicities and ``%.17g`` floats (the text of :func:`fmt17`); a draw
-    with other than ``n`` clusters is cut to ``n`` or padded with NaN
-    eigenvalues of multiplicity 0.
+    multiplicities and ``%.17g`` floats (the text of :func:`fmt17`).
     """
     if ids is None:
         ids = ((i,) for i in range(len(samples)))
@@ -107,14 +105,11 @@ def write_spectrum_csv(path: str, samples, kind: str, n: int, t: float,
               *(f"mult{i + 1}" for i in range(n)), "spread"]
     fixed = f"{kind},{n},{fmt17(t)},".replace("%", "%%")
     template = "%d," * len(id_names) + fixed + "%.17g," * n + "%d," * n + "%.17g\n"
-    nan_pad = (math.nan,) * n
-    zero_pad = (0,) * n
+    cells = zip(samples.distinct.tolist(), samples.multiplicities.tolist(),
+                samples.spread.tolist())
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(
-            template % (*row_ids, *(s.distinct + nan_pad)[:n],
-                        *(s.multiplicities + zero_pad)[:n], s.spread)
-            for row_ids, s in zip(ids, samples))
+        fh.writelines(template % (*row_ids, *x, *m, s) for row_ids, (x, m, s) in zip(ids, cells))
 
 
 def json_text(payload: dict) -> str:

@@ -13,9 +13,14 @@ Model "a" (n = 2) has the planar closed form (a + b)/2 -+ sqrt((a - b)^2/4 +
 |q|^2) (Dray & Manogue, "The octonionic eigenvalue problem", 1998).  The
 dense real form stays the reference: every row whose position index * steps
 + step is a multiple of :data:`CROSS_CHECK_EVERY` is also eigensolved and
-clustered in its real form, and the run's :class:`CrossCheck` reports how
-many such rows differ from their reduced row by more than
-:data:`CROSS_CHECK_TOL` (1 + spectral radius), and the widest dense cluster.
+clustered in its real form, a batch of forms at a time, and the run's
+:class:`CrossCheck` reports how many such rows differ from their reduced row
+by more than :data:`CROSS_CHECK_TOL` (1 + spectral radius), and the widest
+dense cluster.  A reduced row needs no clustering when every gap between its
+adjacent values exceeds the clustering threshold: its values are its n
+clusters, each of multiplicity 8.  Only the other rows are clustered, as the
+eight copies of each value.  The spectra come back as arrays
+(:class:`SampledSpectra`).
 
 Randomness is counter-based: sample (or path) ``index`` under seed ``s``
 draws from a Philox stream keyed by ``s`` whose 256-bit counter starts at
@@ -25,32 +30,24 @@ draws from a Philox stream keyed by ``s`` whose 256-bit counter starts at
 one Philox per chunk of indices instead and, before each index, resets its
 counter to ``index * 2**128`` with an empty output buffer: the generator is
 then in exactly the state a fresh :func:`sample_rng` would have, so each
-index's normals, and hence the output bytes, cannot depend on the chunk size
-or on the thread count.  What varies with those is only which generator
-object does the drawing, and on which thread.  The thread count is not an
-input: :func:`thread_count` derives it from the matrix size, the usable CPUs
-and the BLAS that numpy loaded.
+index's normals, and hence the output bytes, cannot depend on the chunk
+size.  The chunks run one after another on the calling thread.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .blas import find_openblas
 from .calculus import MODEL_B_ANTISYM_RATE, DiffusionModel
-from .errors import InsufficientData, InvalidArgument, InvalidConfig
+from .errors import InsufficientData, InvalidConfig
 from .matrices import (
     OctonionicMatrix,
     entries_per_batch,
+    forms_per_batch,
     real_form,
     spectral_radius,
 )
@@ -97,34 +94,18 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
 
 
-#: Each thread's Philox state dict, which :func:`_seek` rewrites in place.
-_philox_state = threading.local()
+def _seek(rng: np.random.Generator, state: dict, index: int) -> None:
+    """Put a Philox generator into the state of a fresh ``sample_rng(seed,
+    index)``: counter ``index << 128``, buffer empty.
 
-
-def _seek(rng: np.random.Generator, key: np.ndarray, index: int) -> None:
-    """Put a Philox generator keyed by ``key`` into the state of a fresh
-    ``sample_rng(seed, index)``: counter ``index << 128``, buffer empty.
-
-    Each thread builds its state dict once; a call writes the index into its
-    counter array in place, sets the key and assigns the dict, which the
-    generator copies.  Every other field keeps its initial value, so no call
-    depends on an earlier one.
+    ``state`` is the state dict of a fresh Philox under the same key.  A call
+    writes the index into its counter array in place and assigns the dict,
+    which the generator copies; every other field keeps its initial value,
+    so no call depends on an earlier one.
     """
-    state = getattr(_philox_state, "dict", None)
-    if state is None:
-        state = _philox_state.dict = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-    inner = state["state"]
-    counter = inner["counter"]
+    counter = state["state"]["counter"]
     counter[2] = index & 0xFFFF_FFFF_FFFF_FFFF
     counter[3] = index >> 64
-    inner["key"] = key
     rng.bit_generator.state = state
 
 
@@ -197,10 +178,10 @@ def _draw(cfg: SimulationConfig, indices: range, steps: int) -> np.ndarray:
     counter block, fills its rows with one ``standard_normal`` call."""
     layout = _draw_layout(cfg.kind, cfg.n)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    key = rng.bit_generator.state["state"]["key"]
+    state = rng.bit_generator.state
     normals = np.empty((len(indices), steps, layout.size))
     for index, path in zip(indices, normals):
-        _seek(rng, key, index)
+        _seek(rng, state, index)
         rng.standard_normal(out=path)
     normals *= layout.scale(cfg.t / steps)
     return normals
@@ -228,10 +209,7 @@ class SpectralSample:
     """Distinct eigenvalues of one draw with multiplicities.
 
     ``distinct`` is strictly ascending; ``spread`` is the largest
-    within-cluster eigenvalue range.  A sampled row repeats each reduced
-    eigenvalue eight times, so its spread is 0 wherever its clusters are
-    those eight copies; the rounding-level spread of the dense real form is
-    reported by :attr:`CrossCheck.max_spread`.
+    within-cluster eigenvalue range.
     """
 
     distinct: tuple[float, ...]
@@ -261,59 +239,36 @@ def cluster_eigenvalues(eigenvalues: np.ndarray, cluster_tol: float) -> Spectral
     return SpectralSample(tuple(distinct), tuple(mults), spread)
 
 
-def spectrum(m: OctonionicMatrix, cluster_tol: float = 1e-6) -> SpectralSample:
-    """Clustered spectrum of the real form.
-
-    Raises
-    ------
-    NotSymmetric
-    """
-    return cluster_eigenvalues(m.eigenvalues, cluster_tol)
-
-
-def _cluster_rows(eigs: np.ndarray, cluster_tol: float) -> list[SpectralSample]:
-    """:func:`cluster_eigenvalues` of every row of ``eigs`` (ascending rows
-    of length 8n), equal to it row by row.
+def _cluster_rows(eigs: np.ndarray, cluster_tol: float,
+                  copies: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`cluster_eigenvalues` of every ascending row of ``eigs`` (k, m)
+    repeated ``8 // copies`` times, as the arrays of :class:`SampledSpectra`
+    with n = m / copies: ``copies`` is 8 for dense real forms and 1 for
+    reduced values, each of which stands for eight equal eigenvalues.
 
     The thresholds and gaps of all rows are computed at once.  A row whose
-    gaps exceed its threshold exactly at positions 8, 16, ... holds n
-    clusters of eight, and ``reshape(n, 8).mean(-1)`` sums each cluster in
-    the same pairwise order as ``np.mean`` of the cluster; every other row
-    goes through :func:`cluster_eigenvalues`.
+    gaps exceed its threshold exactly after every ``copies``-th value holds
+    n clusters of multiplicity 8, and ``reshape(n, copies).mean(-1)`` sums
+    each cluster in the same pairwise order as ``np.mean`` of the cluster
+    (at ``copies`` 1 the means are the values).  Only the other rows go
+    through :func:`cluster_eigenvalues`.
     """
     rows, m = eigs.shape
+    n = m // copies
     threshold = cluster_tol * (1.0 + np.max(np.abs(eigs), axis=1))
-    regular_breaks = np.arange(1, m) % 8 == 0
-    regular = np.all((np.diff(eigs, axis=1) > threshold[:, None]) == regular_breaks, axis=1)
-    groups = eigs.reshape(rows, m // 8, 8)
-    means = groups.mean(axis=-1).tolist()
-    widest = np.max(groups[..., 7] - groups[..., 0], axis=1)
-    spreads = np.where(widest > 0.0, widest, 0.0).tolist()
-    mults = (8,) * (m // 8)
-    return [SpectralSample(tuple(means[i]), mults, spreads[i]) if regular[i]
-            else cluster_eigenvalues(eigs[i], cluster_tol)
-            for i in range(rows)]
-
-
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def thread_count(n: int) -> int:
-    """The thread count :func:`sample_spectra` runs with at matrix size ``n``.
-
-    Every usable CPU when n >= 3 and the loaded OpenBLAS can be held to one
-    thread while the chunks run, else 1: a BLAS that spreads each call over
-    the cores as well would compete with the pool for them, and at n = 2 a
-    second thread measured no faster and kept its freed chunk memory in its
-    own malloc arena.  The output bytes do not depend on it; a CPU affinity
-    mask (``taskset``) bounds it.
-    """
-    return usable_cpus() if n >= 3 and find_openblas() is not None else 1
+    breaks = np.arange(1, m) % copies == 0
+    regular = np.all((np.diff(eigs, axis=1) > threshold[:, None]) == breaks, axis=1)
+    groups = eigs.reshape(rows, n, copies)
+    distinct = groups.mean(axis=-1)
+    widest = np.max(groups[..., -1] - groups[..., 0], axis=1)
+    spread = np.where(widest > 0.0, widest, 0.0)
+    mults = np.full((rows, n), 8)
+    for i in np.flatnonzero(~regular):
+        s = cluster_eigenvalues(np.repeat(eigs[i], 8 // copies), cluster_tol)
+        distinct[i] = (s.distinct + (math.nan,) * n)[:n]
+        mults[i] = (s.multiplicities + (0,) * n)[:n]
+        spread[i] = s.spread
+    return distinct, mults, spread
 
 
 #: Most rows (path steps) in one chunk of :func:`sample_spectra`, bar a long path.
@@ -371,37 +326,69 @@ class CrossCheck:
                           max(self.max_spread, other.max_spread))
 
 
-class SampledSpectra(NamedTuple):
-    """What :func:`sample_spectra` returns: the spectra in (index, step)
-    order and their :class:`CrossCheck`."""
+@dataclass(frozen=True, eq=False)
+class SampledSpectra:
+    """What :func:`sample_spectra` returns: the spectra of its k rows in
+    (index, step) order, as arrays, and their :class:`CrossCheck`.
 
-    samples: list[SpectralSample]
-    cross_check: CrossCheck
+    Row i has ``distinct[i]``, ascending, with ``multiplicities[i]`` (both
+    shape (k, n)) and the widest within-cluster range ``spread[i]``: 0 where
+    its clusters are the eight copies of its reduced values.  A row with
+    fewer than n clusters is padded with NaN values of multiplicity 0; no
+    row has more, as the copies of a value are equal.
+    """
+
+    distinct: np.ndarray
+    multiplicities: np.ndarray
+    spread: np.ndarray
+    cross_check: CrossCheck = CrossCheck()
+
+    def __len__(self) -> int:
+        return len(self.distinct)
+
+    @property
+    def complete(self) -> np.ndarray:
+        """Which rows have n clusters."""
+        return np.all(self.multiplicities > 0, axis=1)
+
+    @property
+    def clean(self) -> np.ndarray:
+        """Which rows have n clusters of multiplicity 8."""
+        return np.all(self.multiplicities == 8, axis=1)
+
+    def min_gap(self) -> float:
+        """The smallest gap between adjacent distinct values of any row;
+        infinite when no row has two clusters."""
+        gaps = np.diff(self.distinct, axis=1)
+        return float(np.min(gaps, initial=math.inf, where=self.multiplicities[:, 1:] > 0))
 
 
-def _cross_check(cfg: SimulationConfig, rows: np.ndarray, reduced) -> CrossCheck:
-    """Check the reduced spectra ``reduced`` of the scaled draws ``rows``
-    against their real forms, eigensolved and clustered one at a time: the
-    checked rows are few, and one form holds the least memory."""
+def _cross_check(cfg: SimulationConfig, rows: np.ndarray, reduced: np.ndarray,
+                 mults: np.ndarray) -> CrossCheck:
+    """Check the reduced spectra ``reduced`` with multiplicities ``mults`` of
+    the scaled draws ``rows`` against their real forms, eigensolved and
+    clustered :func:`~octodyson.matrices.forms_per_batch` forms at a time."""
     layout = _draw_layout(cfg.kind, cfg.n)
+    step = forms_per_batch(cfg.n)
     check = CrossCheck()
-    for row, got in zip(rows, reduced):
-        dense, = _cluster_rows(np.linalg.eigvalsh(real_form(layout.scatter(row[None]))),
-                               cfg.cluster_tol)
-        mismatch = math.inf
-        if dense.multiplicities == got.multiplicities:
-            mismatch = (max(abs(x - y) for x, y in zip(dense.distinct, got.distinct))
-                        / (1.0 + max(map(abs, got.distinct))))
-        check += CrossCheck(1, int(not mismatch <= CROSS_CHECK_TOL), mismatch, dense.spread)
+    for a in range(0, len(rows), step):
+        eigs = np.linalg.eigvalsh(real_form(layout.scatter(rows[a:a + step])))
+        dense, dense_mults, spread = _cluster_rows(eigs, cfg.cluster_tol, 8)
+        got, got_mults = reduced[a:a + step], mults[a:a + step]
+        present = got_mults > 0
+        mismatch = (np.max(np.abs(dense - got), axis=1, initial=0.0, where=present)
+                    / (1.0 + np.max(np.abs(got), axis=1, initial=0.0, where=present)))
+        mismatch[np.any(dense_mults != got_mults, axis=1)] = math.inf
+        check += CrossCheck(len(got), int(np.count_nonzero(~(mismatch <= CROSS_CHECK_TOL))),
+                            float(np.max(mismatch)), float(np.max(spread)))
     return check
 
 
-def _chunk_spectra(cfg: SimulationConfig, workers: int, indices: range) -> SampledSpectra:
+def _chunk_spectra(cfg: SimulationConfig, indices: range) -> tuple[np.ndarray, ...]:
     """Spectra of every step of the paths ``indices``: partial sums of their
-    increments, solved from their structure a batch at a time, each value
-    repeated eight times and clustered at once, with the dense check of the
-    rows at multiples of :data:`CROSS_CHECK_EVERY`.  A batch of reduced
-    solves holds 1/``workers`` of :data:`~octodyson.matrices.FORM_BATCH_BYTES`."""
+    increments, solved from their structure a batch at a time and clustered
+    at once, with the scaled draws of the rows at multiples of
+    :data:`CROSS_CHECK_EVERY`, which the cross-check reads."""
     layout = _draw_layout(cfg.kind, cfg.n)
     rows = _draw(cfg, indices, cfg.steps)
     if cfg.steps > 1:
@@ -410,14 +397,13 @@ def _chunk_spectra(cfg: SimulationConfig, workers: int, indices: range) -> Sampl
     kept = 2 if cfg.kind == "b" else 8
     # the kept components, and for model b the Hermitian stack with its
     # temporaries: about four times the components' bytes per row
-    batch = max(1, entries_per_batch(4 * 8 * kept * cfg.n ** 2) // workers)
+    batch = entries_per_batch(4 * 8 * kept * cfg.n ** 2)
     distinct = np.empty((len(rows), cfg.n))
     for a in range(0, len(rows), batch):
         distinct[a:a + batch] = _reduced_spectra(cfg.kind, layout.scatter(rows[a:a + batch], kept))
-    samples = _cluster_rows(np.repeat(distinct, 8, axis=1), cfg.cluster_tol)
     first = -indices.start * cfg.steps % CROSS_CHECK_EVERY
-    check = _cross_check(cfg, rows[first::CROSS_CHECK_EVERY], samples[first::CROSS_CHECK_EVERY])
-    return SampledSpectra(samples, check)
+    return (*_cluster_rows(distinct, cfg.cluster_tol, 1),
+            rows[first::CROSS_CHECK_EVERY].copy())
 
 
 def sample_spectra(cfg: SimulationConfig) -> SampledSpectra:
@@ -426,51 +412,16 @@ def sample_spectra(cfg: SimulationConfig) -> SampledSpectra:
     ``sample_components(cfg, i)`` for each ``i``.
 
     Work is split into chunks of whole paths, at most :data:`CHUNK_ROWS`
-    rows or one path, and into at least ``thread_count(cfg.n)`` chunks, each
-    run by :func:`_chunk_spectra`.  With more than one thread the chunks run
-    on a thread pool while the loaded OpenBLAS is held to one thread, and a
-    batch holds 1/threads of :data:`~octodyson.matrices.FORM_BATCH_BYTES`, so
-    that all threads together hold no more than a serial run.  Every step
-    acts on each path alone, and the checked rows are fixed by their
-    position, so the result is identical for any chunk size and thread count.
+    rows or one path, each run by :func:`_chunk_spectra` in turn.  Every
+    step acts on each path alone, and the checked rows are fixed by their
+    position, so the result is identical for any chunk size.
     """
-    threads = thread_count(cfg.n)
-    size = min(max(1, CHUNK_ROWS // cfg.steps), -(-cfg.samples // threads))
-    chunks = [range(lo, min(lo + size, cfg.samples)) for lo in range(0, cfg.samples, size)]
-    workers = min(threads, len(chunks))
-    run_chunk = functools.partial(_chunk_spectra, cfg, workers)
-    if workers == 1:
-        parts = list(map(run_chunk, chunks))
-    else:
-        # more than one thread means an OpenBLAS was found; a failing chunk
-        # cancels the chunks not yet started, and the BLAS count comes back
-        # once the pool has shut down
-        with find_openblas().held_at_one(), ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    return SampledSpectra(list(itertools.chain.from_iterable(p.samples for p in parts)),
-                          sum((p.cross_check for p in parts), CrossCheck()))
-
-
-def hermitian_reduction_residual(m: OctonionicMatrix) -> float:
-    """Spectral mismatch between the real form and its Hermitian reduction.
-
-    For a draw with one shared antisymmetric component S, the real-form
-    spectrum is eight copies of the spectrum of the n x n Hermitian matrix
-    M^0 + i sqrt(7) S (the sum of the seven imaginary units squares to -7,
-    acting like a rescaled imaginary unit), which the sampler solves for
-    model "b".  Returns the max absolute difference of the sorted multisets.
-
-    Raises
-    ------
-    InvalidArgument
-        If the seven nonscalar components are not all equal.
-    """
-    comps = m.components
-    for a in range(2, 8):
-        if not np.array_equal(comps[a], comps[1]):
-            raise InvalidArgument("requires all nonscalar components equal (shared structure)")
-    herm = _reduced_spectra("b", comps)
-    return float(np.max(np.abs(m.eigenvalues - np.repeat(herm, 8))))
+    size = max(1, CHUNK_ROWS // cfg.steps)
+    parts = [_chunk_spectra(cfg, range(lo, min(lo + size, cfg.samples)))
+             for lo in range(0, cfg.samples, size)]
+    distinct, mults, spread, checked = map(np.concatenate, zip(*parts))
+    check = _cross_check(cfg, checked, distinct[::CROSS_CHECK_EVERY], mults[::CROSS_CHECK_EVERY])
+    return SampledSpectra(distinct, mults, spread, check)
 
 
 def implied_beta(ratio: float, n: int) -> float:
@@ -530,8 +481,8 @@ def _ratio_statistics(x: np.ndarray, n: int, unit: float) -> GapStatistics:
                          implied_beta=beta, stderr=stderr)
 
 
-def gap_statistics(samples, n: int) -> GapStatistics:
-    """Spectral exponent of the samples with exactly ``n`` clusters, from the
+def gap_statistics(spectra: SampledSpectra) -> GapStatistics:
+    """Spectral exponent of the rows of ``spectra`` with n clusters, from the
     moments of T = sum_{i<j} (x_j - x_i)^2 over their distinct values (see
     :func:`implied_beta`); O(count n^2) work and O(count n) memory.
 
@@ -545,42 +496,14 @@ def gap_statistics(samples, n: int) -> GapStatistics:
     Raises
     ------
     InsufficientData
-        If fewer than 100 samples have exactly ``n`` clusters.
+        If fewer than 100 rows have n clusters.
     """
-    rows = [s.distinct for s in samples if len(s.distinct) == n]
-    if len(rows) < 100:
-        raise InsufficientData(f"need >= 100 samples with {n} clusters, got {len(rows)}")
-    values = np.array(rows)
+    values = spectra.distinct[spectra.complete]
+    count, n = values.shape
+    if count < 100:
+        raise InsufficientData(f"need >= 100 samples with {n} clusters, got {count}")
     scale = 2.0 ** int(np.frexp(np.max(values[:, -1] - values[:, 0]))[1])
-    radial = np.zeros(len(rows))
+    radial = np.zeros(count)
     for i in range(n - 1):
         radial += np.sum(((values[:, i + 1:] - values[:, i, None]) / scale) ** 2, axis=1)
     return _ratio_statistics(radial, n, scale * scale)
-
-
-@dataclass(frozen=True)
-class EulerPath:
-    """Per-step spectra of one discrete-time trajectory."""
-
-    samples: tuple[SpectralSample, ...]
-    crossing_detected: bool
-    min_gap: float
-
-    @classmethod
-    def from_samples(cls, samples, n: int) -> EulerPath:
-        """The path of per-step spectra ``samples`` at matrix size ``n``; it
-        crosses if distinct values ever collide (fewer than ``n`` clusters)."""
-        gaps = [float(np.min(np.diff(s.distinct))) for s in samples if len(s.distinct) > 1]
-        return cls(tuple(samples), any(len(s.distinct) < n for s in samples),
-                   min([math.inf, *gaps]))
-
-
-def euler_path(cfg: SimulationConfig, index: int = 0) -> EulerPath:
-    """One Euler trajectory: ``cfg.steps`` Gaussian increments of variance
-    ``(t/steps) x`` the covariance coefficients, spectrum recorded per step.
-
-    With ``steps == 1`` the endpoint reproduces :func:`sample_matrix`
-    exactly (same stream, same draw order).  The spectra are those of
-    :func:`sample_spectra`; the path's cross-check is not returned.
-    """
-    return EulerPath.from_samples(_chunk_spectra(cfg, 1, range(index, index + 1)).samples, cfg.n)

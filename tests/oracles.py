@@ -11,9 +11,9 @@ reference constructions at the end are the straightforward forms of the hot
 paths: the sampler one matrix and one triangle at a time, spectra one draw
 at a time, from the structure (the Hermitian reduction of model b, the
 planar closed form of model a) or from the dense real form, with the
-sampler's cross-check row by row, Euler paths one step and one solve at a
-time, the octonion product as the dense
-contraction with the structure tensor, term by term and as sign-label
+sampler's cross-check row by row, the arrays of spectra one row at a time,
+Euler paths one step and one solve at a time, the octonion product as the
+dense contraction with the structure tensor, term by term and as sign-label
 arithmetic on basis elements, the exact algebra suites and the generator
 sign weights as loops over label tuples, the structured inverse with its
 three factorisations of M^0, and the finite differences and dimension-2
@@ -27,6 +27,7 @@ by cell from :func:`~octodyson.reporting.fmt17` and ``str``.
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +50,8 @@ from octodyson.matrices import (
 )
 from octodyson.reporting import IdentityReport, fmt17
 from octodyson.simulate import (
-    EulerPath,
     GapStatistics,
+    SampledSpectra,
     SimulationConfig,
     SpectralSample,
     cluster_eigenvalues,
@@ -264,7 +265,29 @@ def reference_cross_check(dense, reduced) -> dict:
             "max_spread": max([0.0, *(s.spread for s in dense)])}
 
 
-def reference_euler_path(cfg: SimulationConfig, index: int, solve=reduced_spectrum) -> EulerPath:
+def spectra_record(samples, n: int) -> SampledSpectra:
+    """The arrays of per-draw spectra ``samples``, built one row at a time:
+    each row's distinct values and multiplicities cut to ``n`` or padded with
+    NaN values of multiplicity 0, and its spread."""
+    rows = [(list(s.distinct[:n]) + [math.nan] * (n - len(s.distinct)),
+             list(s.multiplicities[:n]) + [0] * (n - len(s.multiplicities)), s.spread)
+            for s in samples]
+    return SampledSpectra(np.array([r[0] for r in rows], dtype=float).reshape(-1, n),
+                          np.array([r[1] for r in rows], dtype=int).reshape(-1, n),
+                          np.array([r[2] for r in rows], dtype=float))
+
+
+class ReferencePath(NamedTuple):
+    """Per-step spectra of one trajectory, whether it crosses (some step has
+    fewer than n clusters) and its smallest gap between adjacent clusters."""
+
+    samples: list
+    crossing_detected: bool
+    min_gap: float
+
+
+def reference_euler_path(cfg: SimulationConfig, index: int,
+                         solve=reduced_spectrum) -> ReferencePath:
     """Path ``index`` one step at a time: each increment drawn triangle by
     triangle from ``sample_rng(cfg.seed, index)`` over ``t / steps``, added to
     the running stack, and its spectrum solved alone by ``solve``."""
@@ -282,15 +305,17 @@ def reference_euler_path(cfg: SimulationConfig, index: int, solve=reduced_spectr
             crossing = True
         if len(sample.distinct) > 1:
             min_gap = min(min_gap, float(np.min(np.diff(sample.distinct))))
-    return EulerPath(tuple(out), crossing, min_gap)
+    return ReferencePath(out, crossing, min_gap)
 
 
-def reference_gap_statistics(samples, n: int) -> GapStatistics:
-    """Radial moments of the samples with ``n`` clusters without any scaling,
-    T summed one pair of distinct values at a time, and the standard error as
-    the gradient of the exponent in (E T, E T^2) contracted with the
-    ``np.cov`` matrix of (T, T^2)."""
-    x = np.array([s.distinct for s in samples if len(s.distinct) == n])
+def reference_gap_statistics(spectra: SampledSpectra) -> GapStatistics:
+    """Radial moments of the rows with n clusters (no multiplicity 0) without
+    any scaling, T summed one pair of distinct values at a time, and the
+    standard error as the gradient of the exponent in (E T, E T^2)
+    contracted with the ``np.cov`` matrix of (T, T^2)."""
+    n = spectra.distinct.shape[1]
+    x = np.array([row for row, mults in zip(spectra.distinct, spectra.multiplicities)
+                  if 0 not in mults])
     t = np.zeros(len(x))
     for i, j in itertools.combinations(range(n), 2):
         t += (x[:, j] - x[:, i]) ** 2

@@ -7,14 +7,13 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from octodyson import OctonionicMatrix, algebra, matrices, simulate
-from octodyson.blas import BlasThreads, find_openblas
+from octodyson.blas import find_openblas
 from octodyson.cli import main
 from octodyson.errors import InsufficientData
 from octodyson.reporting import fmt17, json_text, write_spectrum_csv, write_stats_json
@@ -31,6 +30,7 @@ from oracles import (
     reference_cross_check,
     reference_oct_inverse,
     reference_spectrum_csv_row,
+    spectra_record,
 )
 
 
@@ -147,6 +147,7 @@ def test_sample_spectrum_files(tmp_path, capsys):
     assert out_csv in manifest["outputs"]
     assert out_csv + ".stats.json" in manifest["outputs"]
     assert manifest["seed"] == 42
+    assert "threads" not in manifest["config"]
 
 
 def test_sample_spectrum_insufficient_data_still_writes_csv(tmp_path, capsys):
@@ -221,96 +222,13 @@ def test_sample_spectrum_statistics_finite_at_huge_t(capsys):
         assert huge[key] == pytest.approx(unit[key], rel=1e-9)
 
 
-def test_sample_spectrum_threads_byte_identical(tmp_path, capsys, monkeypatch, cpus):
-    """A run below one 1024-sample chunk still splits over the threads: on
-    four usable CPUs its 500 samples run as four chunks, two of them at the
-    same time on two threads (each waits at the barrier for the other), and
-    the bytes equal those of a run on one CPU."""
-    argv = ["sample-spectrum", "--model", "b", "--n", "3", "--samples", "500", "--seed", "9",
-            "--json"]
-    a = tmp_path / "t1.csv"
-    b = tmp_path / "t4.csv"
-    cpus(1)
-    assert json.loads(run(capsys, *argv, "--out", str(a))[1])["threads"] == 1
-    chunk_threads = []
-    barrier = threading.Barrier(2, timeout=10)
-    chunk_spectra = simulate._chunk_spectra
-
-    def meeting_chunk_spectra(cfg, workers, indices):
-        chunk_threads.append(threading.get_ident())
-        if len(chunk_threads) <= 2:
-            barrier.wait()
-        return chunk_spectra(cfg, workers, indices)
-
-    monkeypatch.setattr(simulate, "_chunk_spectra", meeting_chunk_spectra)
-    cpus(4)
-    assert json.loads(run(capsys, *argv, "--out", str(b))[1])["threads"] == 4
-    assert len(chunk_threads) == 4
-    assert len(set(chunk_threads)) > 1
-    assert a.read_bytes() == b.read_bytes()
-
-
-@pytest.mark.parametrize("n,samples", [(3, 300), (16, 40)])
-def test_sample_spectrum_auto_threads_byte_identical(n, samples, tmp_path, capsys, cpus):
-    """Model b below 1024 samples: runs on this machine's CPUs and on 1, 2
-    and 4 usable CPUs write the same CSV."""
-    written = set()
-    for count in (None, 1, 2, 4):
-        if count is not None:
-            cpus(count)
-        out = tmp_path / f"{len(written)}.csv"
-        code, _ = run(capsys, "sample-spectrum", "--model", "b", "--n", str(n),
-                      "--samples", str(samples), "--seed", "4", "--out", str(out))
-        assert code == 0
-        written.add(out.read_bytes())
-    assert len(written) == 1
-
-
 @pytest.mark.parametrize("command", ["sample-spectrum", "simulate-path"])
 def test_threads_option_is_gone(command, capsys):
-    """The thread count is derived, not chosen: --threads is a usage error."""
+    """The sampling commands run on one thread: --threads is a usage error."""
     with pytest.raises(SystemExit) as exc:
         main([command, "--model", "a", "--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
-
-
-def _resolved_threads(capsys, tmp_path, *argv):
-    """Threads of one run as its --json report and its manifest record them."""
-    out = tmp_path / "auto.csv"
-    code, text = run(capsys, "sample-spectrum", "--samples", "30", *argv, "--json",
-                     "--out", str(out))
-    assert code == 0
-    manifest = json.loads((tmp_path / "auto.csv.manifest.json").read_text())
-    assert manifest["config"]["threads"] == json.loads(text)["threads"]
-    return json.loads(text)["threads"]
-
-
-def test_auto_threads_resolution(tmp_path, capsys, monkeypatch):
-    """Every usable CPU for n >= 3 with a BLAS thread control, else 1."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(simulate, "find_openblas", lambda: None)
-    assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3") == 1
-    monkeypatch.setattr(simulate, "find_openblas", lambda: BlasThreads(lambda: 1, lambda k: None))
-    assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3") == 3
-    assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "2") == 1
-    assert _resolved_threads(capsys, tmp_path, "--model", "a") == 1
-
-
-def test_recorded_threads_equal_pool_workers(tmp_path, capsys, monkeypatch, cpus):
-    """The thread count in --json and in the manifest is the number of
-    workers the pool was started with."""
-    started = []
-
-    class Recording(simulate.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
-    cpus(3)
-    assert _resolved_threads(capsys, tmp_path, "--model", "b", "--n", "3") == 3
-    assert started == [3]
 
 
 @pytest.mark.skipif(find_openblas() is None, reason="no OpenBLAS thread control is loaded")
@@ -349,7 +267,7 @@ def test_spectrum_csv_template_matches_spectrum_csv_row(tmp_path):
     for id_names, ids in [(("sample_id",), None),
                           (("path_id", "step"), [(p, s) for p in (0, 12) for s in (0, 1, 99)])]:
         path = tmp_path / "rows.csv"
-        write_spectrum_csv(str(path), samples, "b", n, 0.1, id_names, ids)
+        write_spectrum_csv(str(path), spectra_record(samples, n), "b", n, 0.1, id_names, ids)
         rows = path.read_text().split("\n")
         row_ids = ids or [(i,) for i in range(len(samples))]
         assert rows[1:] == [reference_spectrum_csv_row(i, "b", n, 0.1, s)
@@ -378,13 +296,11 @@ def test_simulate_path(tmp_path, capsys):
     (["--model", "a"], "a", 2),
     (["--model", "b", "--n", "3"], "b", 3),
 ], ids=["a", "b3"])
-def test_simulate_path_bytes_match_step_loop(argv, kind, n, tmp_path, capsys, monkeypatch,
-                                             cpus):
-    """simulate-path writes the CSV and --json (but for its thread count) of
-    paths drawn and solved from their structure one step at a time, with the
-    cross-check of the dense step at position 0, on one and two usable CPUs
-    (one thread at n = 2), with chunks of all paths, of one path below two
-    and below one path."""
+def test_simulate_path_bytes_match_step_loop(argv, kind, n, tmp_path, capsys, monkeypatch):
+    """simulate-path writes the CSV and --json of paths drawn and solved from
+    their structure one step at a time, with the cross-check of the dense
+    step at position 0, with chunks of all paths, of one path below two and
+    below one path."""
     steps, paths, seed = 5, 4, 23
     cfg = simulate.SimulationConfig(kind=kind, n=n, samples=paths, seed=seed, steps=steps)
     ref = [reference_euler_path(cfg, i) for i in range(paths)]
@@ -392,25 +308,22 @@ def test_simulate_path_bytes_match_step_loop(argv, kind, n, tmp_path, capsys, mo
     check = reference_cross_check(reference_euler_path(cfg, 0, dense_spectrum).samples[:1],
                                   samples[:1])
     assert check["rows"] == 1 and check["failures"] == 0
-    write_spectrum_csv(str(tmp_path / "ref.csv"), samples, kind, n, 1.0, ("path_id", "step"),
-                       list(itertools.product(range(paths), range(steps))))
+    write_spectrum_csv(str(tmp_path / "ref.csv"), spectra_record(samples, n), kind, n, 1.0,
+                       ("path_id", "step"), list(itertools.product(range(paths), range(steps))))
     summary = {
         "paths": paths, "steps": steps,
         "crossings": sum(path.crossing_detected for path in ref),
         "steps_with_broken_clusters": sum(s.multiplicities != (8,) * n for s in samples),
         "min_gap": min(path.min_gap for path in ref),
     }
-    for count, chunk in itertools.product((1, 2), (1024, 7, 3)):
-        cpus(count)
+    for chunk in (1024, 7, 3):
         monkeypatch.setattr(simulate, "CHUNK_ROWS", chunk)
-        out = tmp_path / f"t{count}c{chunk}.csv"
+        out = tmp_path / f"c{chunk}.csv"
         code, text = run(capsys, "simulate-path", *argv, "--steps", str(steps), "--paths",
                          str(paths), "--seed", str(seed), "--json", "--out", str(out))
         assert code == 0
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        threads = count if n >= 3 else 1
-        assert text == json.dumps({**summary, "threads": threads, "cross_check": check},
-                                  indent=2) + "\n"
+        assert text == json.dumps({**summary, "cross_check": check}, indent=2) + "\n"
 
 
 def test_simulate_path_steps_pass_through_chunk_real_form(capsys, monkeypatch):
@@ -497,11 +410,10 @@ def test_report_out_file_with_manifest(tmp_path, capsys):
     (["--model", "b", "--n", "5", "--samples", "60"], "b", 5, 60),
 ], ids=["a", "b5"])
 def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples, tmp_path,
-                                                         capsys, monkeypatch, cpus):
+                                                         capsys, monkeypatch):
     """The batched sampler writes the bytes of a one-sample-at-a-time
     pipeline solved from the structure, and the cross-check of its dense real
-    form at every 64th sample, on one and two usable CPUs and for chunks
-    smaller than the run."""
+    form at every 64th sample, also for chunks smaller than the run."""
     seed = 17
     cfg = simulate.SimulationConfig(kind=kind, n=n, samples=samples, seed=seed)
     comps = [simulate.sample_components(cfg, i) for i in range(samples)]
@@ -509,10 +421,10 @@ def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples,
     check = reference_cross_check(
         [dense_spectrum(kind, c, cfg.cluster_tol) for c in comps[::64]], spectra[::64])
     assert check["rows"] == -(-samples // 64) and check["failures"] == 0
-    write_spectrum_csv(str(tmp_path / "ref.csv"), spectra, kind, n, 1.0)
+    write_spectrum_csv(str(tmp_path / "ref.csv"), spectra_record(spectra, n), kind, n, 1.0)
     expected_csv = (tmp_path / "ref.csv").read_bytes()
     try:
-        stats = simulate.gap_statistics(spectra, n)
+        stats = simulate.gap_statistics(spectra_record(spectra, n))
     except InsufficientData:
         stats = None
     else:
@@ -521,17 +433,15 @@ def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples,
             "moment2": stats.moment2, "moment4": stats.moment4, "ratio": stats.ratio,
             "implied_beta": stats.implied_beta, "stderr": stats.stderr, "seed": seed,
         })
-    runs = [(1, 1024), (1, 16), (2, 16)]
-    for count, chunk in runs:
-        cpus(count)
+    for chunk in (1024, 16):
         monkeypatch.setattr(simulate, "CHUNK_ROWS", chunk)
-        out = tmp_path / f"t{count}c{chunk}.csv"
+        out = tmp_path / f"c{chunk}.csv"
         code, text = run(capsys, "sample-spectrum", *argv, "--seed", str(seed), "--json",
                          "--out", str(out))
         assert code == 0
         assert json.loads(text)["cross_check"] == check
         assert out.read_bytes() == expected_csv
-        stats_path = tmp_path / f"t{count}c{chunk}.csv.stats.json"
+        stats_path = tmp_path / f"c{chunk}.csv.stats.json"
         if stats is not None:
             assert stats_path.read_bytes() == (tmp_path / "ref.json").read_bytes()
         else:

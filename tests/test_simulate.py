@@ -3,32 +3,27 @@
 import dataclasses
 import functools
 import inspect
-import sys
-import threading
 
 import numpy as np
 import pytest
 
 from octodyson import (
     InsufficientData,
-    InvalidArgument,
     InvalidConfig,
     OctonionicMatrix,
     SimulationConfig,
-    euler_path,
     gap_statistics,
-    hermitian_reduction_residual,
     implied_beta,
+    matrices,
     real_form,
     sample_matrix,
     sample_rng,
     sample_spectra,
     simulate,
-    spectrum,
 )
 from octodyson.blas import find_openblas
 from octodyson.simulate import (
-    SpectralSample,
+    SampledSpectra,
     _cluster_rows,
     _draw,
     _draw_layout,
@@ -43,10 +38,13 @@ from oracles import (
     dense_spectrum,
     moment_ratio_by_quadrature,
     planar_distinct_eigenvalues,
+    reduced_spectrum,
+    reference_cross_check,
     reference_draw_increment,
     reference_euler_path,
     reference_gap_statistics,
     rejection_gap_sampler,
+    spectra_record,
 )
 
 
@@ -54,6 +52,23 @@ def cfg(**kw):
     base = dict(kind="a", n=2, t=1.0, samples=1, seed=0)
     base.update(kw)
     return SimulationConfig(**base)
+
+
+def spectrum(m: OctonionicMatrix) -> simulate.SpectralSample:
+    """Clustered spectrum of the dense real form of ``m``."""
+    return cluster_eigenvalues(m.eigenvalues, 1e-6)
+
+
+def clean_spectra(values) -> SampledSpectra:
+    """Rows of distinct ``values`` (k, n), each of multiplicity 8, spread 0."""
+    values = np.asarray(values, dtype=float)
+    return SampledSpectra(values, np.full(values.shape, 8), np.zeros(len(values)))
+
+
+def assert_same_spectra(got: SampledSpectra, want: SampledSpectra):
+    """Equal arrays of spectra, bit for bit but for the sign of zero."""
+    for name in ("distinct", "multiplicities", "spread"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 def test_config_validation():
@@ -178,38 +193,19 @@ def test_cluster_eigenvalues_grouping():
     assert s.spread <= 2e-12
 
 
-def test_sample_spectra_thread_invariance(cpus, monkeypatch):
+@pytest.mark.parametrize("chunk", [1, 64, 1024])
+def test_sample_spectra_chunk_invariance(chunk, monkeypatch):
+    """Chunks of one sample, of 64 and of the whole run give the same arrays
+    and cross-check; a shorter run gives a prefix."""
     c = cfg(kind="b", n=3, seed=31, samples=400)
-    cpus(1)
-    serial = sample_spectra(c)
-    monkeypatch.setattr(simulate, "CHUNK_ROWS", 64)
-    cpus(4)
-    threaded = sample_spectra(c)
-    assert serial == threaded
-    # more threads than samples: one chunk per sample
-    cpus(8)
-    assert sample_spectra(cfg(kind="b", n=3, seed=31, samples=3)).samples == serial.samples[:3]
-
-
-def test_sample_spectra_pool_stress(cpus, monkeypatch):
-    """More threads than cores, one-sample chunks and a short switch
-    interval: a chunk lost or run twice would change the result."""
-    c = cfg(kind="b", n=3, seed=63, samples=120)
-    cpus(1)
-    serial = sample_spectra(c)
-    monkeypatch.setattr(simulate, "CHUNK_ROWS", 1)
-    cpus(8)
-    results = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runner = threading.Thread(target=lambda: results.append(sample_spectra(c)))
-        runner.start()
-        runner.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not runner.is_alive()
-    assert results == [serial]
+    whole = sample_spectra(c)
+    monkeypatch.setattr(simulate, "CHUNK_ROWS", chunk)
+    chunked = sample_spectra(c)
+    assert_same_spectra(chunked, whole)
+    assert chunked.cross_check == whole.cross_check
+    head = sample_spectra(cfg(kind="b", n=3, seed=31, samples=3))
+    assert_same_spectra(head, SampledSpectra(whole.distinct[:3], whole.multiplicities[:3],
+                                             whole.spread[:3]))
 
 
 def test_find_openblas_matches_numpy_build():
@@ -219,76 +215,18 @@ def test_find_openblas_matches_numpy_build():
     assert (find_openblas() is not None) == ("openblas" in blas_name)
 
 
-@pytest.fixture
-def blas_at_three():
-    """The loaded OpenBLAS set to three threads, its count restored after."""
-    blas = find_openblas()
-    if blas is None:
-        pytest.skip("no OpenBLAS thread control in this process")
-    before = blas.get()
-    blas.set(3)
-    yield blas
-    blas.set(before)
-
-
-def test_pool_holds_blas_at_one_and_restores_it(blas_at_three, cpus, monkeypatch):
-    c = cfg(kind="b", n=3, seed=64, samples=40)
-    cpus(1)
-    serial = sample_spectra(c)
-    counts = []
-    reduced = simulate._reduced_spectra
-    monkeypatch.setattr(simulate, "_reduced_spectra", lambda kind, comps: counts.append(
-        blas_at_three.get()) or reduced(kind, comps))
-    monkeypatch.setattr(simulate, "CHUNK_ROWS", 5)
-    cpus(2)
-    assert sample_spectra(c) == serial
-    assert len(counts) == 8 and set(counts) == {1}
-    assert blas_at_three.get() == 3
-    counts.clear()
-    cpus(1)
-    sample_spectra(c)
-    assert set(counts) == {3}  # a serial run leaves the BLAS alone
-
-
-def test_pool_restores_blas_when_a_chunk_raises(blas_at_three, cpus, monkeypatch):
-    """A failing chunk propagates its exception, and the BLAS thread count
-    comes back, whether one chunk or every chunk fails."""
-    c = cfg(kind="b", n=3, seed=65, samples=40)
-    reduced = simulate._reduced_spectra
-    lock = threading.Lock()
-    calls = []
-
-    def fail_third(kind, comps):
-        with lock:
-            calls.append(None)
-            third = len(calls) == 3
-        if third:
-            raise InvalidArgument("chunk failed")
-        return reduced(kind, comps)
-
-    def fail(kind, comps):
-        raise InvalidArgument("chunk failed")
-
-    monkeypatch.setattr(simulate, "CHUNK_ROWS", 5)
-    cpus(2)
-    for patched in (fail_third, fail):
-        monkeypatch.setattr(simulate, "_reduced_spectra", patched)
-        with pytest.raises(InvalidArgument, match="chunk failed"):
-            sample_spectra(c)
-        assert blas_at_three.get() == 3
-
-
 def test_hermitian_reduction():
+    """Each eigenvalue of the n x n Hermitian M^0 + i sqrt(7) S, eight times
+    over, is the spectrum of a model-b real form."""
     for n in (2, 3, 4):
         for i in range(20):
             m = sample_matrix(cfg(kind="b", n=n, seed=32 + n), i)
-            assert hermitian_reduction_residual(m) < 1e-9
+            herm = simulate._reduced_spectra("b", m.components)
+            assert np.max(np.abs(m.eigenvalues - np.repeat(herm, 8))) < 1e-9
     # zero antisymmetric part: plain symmetric spectrum, eight copies
-    m0 = np.array([[1.0, 0.2], [0.2, -0.5]])
-    m = OctonionicMatrix.from_scalar_part(m0)
-    assert hermitian_reduction_residual(m) < 1e-12
-    with pytest.raises(InvalidArgument):
-        hermitian_reduction_residual(sample_matrix(cfg(seed=1), 0))
+    m = OctonionicMatrix.from_scalar_part(np.array([[1.0, 0.2], [0.2, -0.5]]))
+    herm = simulate._reduced_spectra("b", m.components)
+    assert np.max(np.abs(m.eigenvalues - np.repeat(herm, 8))) < 1e-12
 
 
 def test_implied_beta_inverts_ratio():
@@ -304,17 +242,18 @@ def test_implied_beta_inverts_ratio():
 def test_gap_statistics_requires_samples():
     c = cfg(seed=33, samples=20)
     with pytest.raises(InsufficientData):
-        gap_statistics(sample_spectra(c).samples, 2)
-    # samples with another cluster count do not count
-    with pytest.raises(InsufficientData):
-        gap_statistics(sample_spectra(cfg(kind="b", n=3, seed=33, samples=200)).samples, 2)
+        gap_statistics(sample_spectra(c))
+    # rows with fewer clusters do not count
+    merged = sample_spectra(cfg(kind="b", n=3, seed=33, samples=200, cluster_tol=1e9))
+    with pytest.raises(InsufficientData, match="with 3 clusters, got 0"):
+        gap_statistics(merged)
 
 
 def test_gap_statistics_deterministic():
     c = cfg(seed=34, samples=300)
-    spectra = sample_spectra(c).samples
-    s1 = gap_statistics(spectra, 2)
-    s2 = gap_statistics(spectra, 2)
+    spectra = sample_spectra(c)
+    s1 = gap_statistics(spectra)
+    s2 = gap_statistics(spectra)
     assert s1 == s2
 
 
@@ -323,8 +262,7 @@ def test_gap_statistics_on_rejection_sampler():
     rng = np.random.default_rng(35)
     for beta in (2.0, 8.0):
         gaps = rejection_gap_sampler(beta, 20000, rng)
-        samples = [SpectralSample((0.0, float(g)), (8, 8), 0.0) for g in gaps]
-        stats = gap_statistics(samples, 2)
+        stats = gap_statistics(clean_spectra(np.column_stack([np.zeros_like(gaps), gaps])))
         assert abs(stats.implied_beta - beta) < max(2.0 * stats.stderr, 0.2)
 
 
@@ -338,9 +276,9 @@ def test_gap_law_at_n2_is_chi_square(kind, beta):
     rejected."""
     from scipy import stats
 
-    samples = sample_spectra(cfg(kind=kind, samples=20_000, seed=0)).samples
-    assert all(len(s.distinct) == 2 for s in samples)
-    scaled = np.array([(s.distinct[1] - s.distinct[0]) ** 2 / 2.0 for s in samples])
+    spectra = sample_spectra(cfg(kind=kind, samples=20_000, seed=0))
+    assert spectra.complete.all()
+    scaled = (spectra.distinct[:, 1] - spectra.distinct[:, 0]) ** 2 / 2.0
     assert stats.kstest(scaled, "chi2", args=(beta + 1,)).pvalue > 1e-3
     for df in (beta + 3, beta - 1):
         assert stats.kstest(scaled, "chi2", args=(df,)).pvalue < 1e-3
@@ -349,9 +287,9 @@ def test_gap_law_at_n2_is_chi_square(kind, beta):
 @functools.cache
 def model_b_distinct(n: int, samples: int) -> np.ndarray:
     """Distinct eigenvalues, shape (samples, n), of model b at t = 1, seed 0."""
-    spectra = sample_spectra(cfg(kind="b", n=n, samples=samples, seed=0)).samples
-    assert all(len(s.distinct) == n for s in spectra)
-    return np.array([s.distinct for s in spectra])
+    spectra = sample_spectra(cfg(kind="b", n=n, samples=samples, seed=0))
+    assert spectra.complete.all()
+    return spectra.distinct
 
 
 def radial(x: np.ndarray) -> np.ndarray:
@@ -400,8 +338,8 @@ def test_quadrature_ratio_oracle():
 
 def test_moment_ratio_scale_free_in_time():
     """Ratios at t = 1 and t = 4 agree within combined uncertainty."""
-    s1 = gap_statistics(sample_spectra(cfg(seed=36, t=1.0, samples=8000)).samples, 2)
-    s4 = gap_statistics(sample_spectra(cfg(seed=37, t=4.0, samples=8000)).samples, 2)
+    s1 = gap_statistics(sample_spectra(cfg(seed=36, t=1.0, samples=8000)))
+    s4 = gap_statistics(sample_spectra(cfg(seed=37, t=4.0, samples=8000)))
     # moment2 scales by t, the ratio does not
     assert abs(s4.moment2 / s1.moment2 - 4.0) < 0.5
     db = abs(s1.implied_beta - s4.implied_beta)
@@ -409,20 +347,29 @@ def test_moment_ratio_scale_free_in_time():
 
 
 def test_implied_beta_smallish_samples():
-    sa = gap_statistics(sample_spectra(cfg(seed=38, samples=12000)).samples, 2)
+    sa = gap_statistics(sample_spectra(cfg(seed=38, samples=12000)))
     assert 7.0 < sa.implied_beta < 9.0
-    sb = gap_statistics(sample_spectra(cfg(kind="b", seed=39, samples=12000)).samples, 2)
+    sb = gap_statistics(sample_spectra(cfg(kind="b", seed=39, samples=12000)))
     assert 1.6 < sb.implied_beta < 2.4
+
+
+def euler_path(c: SimulationConfig, index: int) -> SampledSpectra:
+    """The per-step spectra of path ``index`` as :func:`sample_spectra` gives them."""
+    spectra = sample_spectra(dataclasses.replace(c, samples=index + 1))
+    rows = slice(index * c.steps, None)
+    return SampledSpectra(spectra.distinct[rows], spectra.multiplicities[rows],
+                          spectra.spread[rows])
 
 
 def test_euler_single_step_equals_exact_sampler():
     c_euler = cfg(seed=40, steps=1)
     c_exact = cfg(seed=40)
     path = euler_path(c_euler, 0)
-    assert path.samples[0] == sample_spectra(c_exact).samples[0]
+    exact = sample_spectra(c_exact)
+    np.testing.assert_array_equal(path.distinct, exact.distinct)
     dense = spectrum(sample_matrix(c_exact, 0))
-    assert path.samples[0].multiplicities == dense.multiplicities
-    np.testing.assert_allclose(path.samples[0].distinct, dense.distinct, rtol=0, atol=1e-10)
+    assert tuple(path.multiplicities[0]) == dense.multiplicities
+    np.testing.assert_allclose(path.distinct[0], dense.distinct, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("kind,n", [("a", 2), ("b", 3)])
@@ -434,24 +381,25 @@ def test_euler_path_matches_step_loop(kind, n):
     c = cfg(kind=kind, n=n, seed=42, steps=7)
     for index in (0, 5):
         path = euler_path(c, index)
-        assert path == reference_euler_path(c, index)
-        for got, want in zip(path.samples, reference_euler_path(c, index, dense_spectrum).samples):
-            assert got.multiplicities == want.multiplicities
-            scale = 1.0 + max(map(abs, want.distinct))
-            np.testing.assert_allclose(got.distinct, want.distinct, rtol=0, atol=1e-10 * scale)
+        ref = reference_euler_path(c, index)
+        assert_same_spectra(path, spectra_record(ref.samples, n))
+        assert path.min_gap() == ref.min_gap and not ref.crossing_detected
+        dense = spectra_record(reference_euler_path(c, index, dense_spectrum).samples, n)
+        np.testing.assert_array_equal(path.multiplicities, dense.multiplicities)
+        scale = 1.0 + np.max(np.abs(dense.distinct), axis=1, keepdims=True)
+        assert np.all(np.abs(path.distinct - dense.distinct) <= 1e-10 * scale)
     merged = cfg(kind=kind, n=n, seed=42, steps=3, cluster_tol=1e9)
     path = euler_path(merged, 1)
-    assert path.crossing_detected and path.min_gap == np.inf
-    assert path == reference_euler_path(merged, 1)
+    ref = reference_euler_path(merged, 1)
+    assert ref.crossing_detected and not path.complete.any()
+    assert path.min_gap() == ref.min_gap == np.inf
+    assert_same_spectra(path, spectra_record(ref.samples, n))
 
 
 def test_euler_path_keeps_cluster_structure():
-    c = cfg(seed=41, steps=300)
-    for idx in range(3):
-        path = euler_path(c, idx)
-        assert not path.crossing_detected
-        assert path.min_gap > 0.0
-        assert all(s.multiplicities == (8, 8) for s in path.samples)
+    spectra = sample_spectra(cfg(seed=41, steps=300, samples=3))
+    assert spectra.clean.all()
+    assert spectra.min_gap() > 0.0
 
 
 def test_sample_rng_streams_disjoint():
@@ -491,10 +439,10 @@ def test_counter_reset_matches_sample_rng(seed, index):
     normals of a fresh sample_rng(seed, index); 2**64 + 3 sets the high
     counter word."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    key = rng.bit_generator.state["state"]["key"]
+    state = rng.bit_generator.state
     rng.standard_normal(3)
     rng.integers(0, 10, dtype=np.uint32)  # leaves half a 64-bit word buffered
-    _seek(rng, key, index)
+    _seek(rng, state, index)
     fresh = sample_rng(seed, index)
     assert rng_state(rng) == rng_state(fresh)
     np.testing.assert_array_equal(rng.standard_normal(37), fresh.standard_normal(37))
@@ -506,25 +454,82 @@ def test_cluster_rows_match_cluster_eigenvalues(monkeypatch):
     rows = np.array([
         np.r_[np.full(8, -1.0), np.full(8, 2.0)] + 1e-14 * np.arange(16),  # regular
         np.r_[np.full(8, 1.0), np.full(8, 1.0 + 1e-9)],  # a merged pair
-        np.r_[np.full(3, -2.0), np.full(5, -1.0), np.full(8, 4.0)],  # a split cluster
+        np.r_[np.full(3, -2.0), np.full(5, -1.0), np.full(8, 4.0)],  # a split cluster: cut
         np.r_[np.full(7, -1.0), np.full(9, 2.0)],  # a break off the multiples of 8
         np.linalg.eigvalsh(real_form(np.zeros((8, 2, 2)))),  # all equal
         *draws,
     ])
     for tol in (1e-6, 0.0, 10.0):  # 10: every row merges into one cluster
-        assert _cluster_rows(rows, tol) == [cluster_eigenvalues(r, tol) for r in rows]
+        assert_same_spectra(SampledSpectra(*_cluster_rows(rows, tol, 8)),
+                            spectra_record([cluster_eigenvalues(r, tol) for r in rows], 2))
     # only the four rows without clusters of eight leave the chunk-wide path
     fallbacks = []
     monkeypatch.setattr(simulate, "cluster_eigenvalues",
                         lambda e, tol: fallbacks.append(e) or cluster_eigenvalues(e, tol))
-    _cluster_rows(rows, 1e-6)
+    _cluster_rows(rows, 1e-6, 8)
     assert len(fallbacks) == 4
     monkeypatch.undo()
-    assert _cluster_rows(rows, 10.0)[0].multiplicities == (16,)
+    assert _cluster_rows(rows, 10.0, 8)[1][0].tolist() == [16, 0]
     b3 = cfg(kind="b", n=3, seed=62)
     rows3 = np.array([np.linalg.eigvalsh(real_form(sample_components(b3, i)))
                       for i in range(5)])
-    assert _cluster_rows(rows3, 1e-6) == [cluster_eigenvalues(r, 1e-6) for r in rows3]
+    assert_same_spectra(SampledSpectra(*_cluster_rows(rows3, 1e-6, 8)),
+                        spectra_record([cluster_eigenvalues(r, 1e-6) for r in rows3], 3))
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1], ids=["below", "at", "above"])
+def test_reduced_rows_clean_exactly_above_threshold(step, monkeypatch):
+    """A reduced row is clean when every gap exceeds cluster_tol (1 + max|x|):
+    with the radius 1 and cluster_tol 0.25 the threshold is 0.5, and the gap
+    from 0 to g is g exactly, so g one float below, at and above 0.5 tests
+    the comparison.  The rows equal cluster_eigenvalues of their eight-fold
+    repeat, and only rows at or below the threshold reach it."""
+    g = np.nextafter(0.5, 0.5 + step) if step else 0.5
+    rows = np.array([[-1.0, 0.0, g], [-1.0, 0.0, 1.0]])
+    fallbacks = []
+    monkeypatch.setattr(simulate, "cluster_eigenvalues",
+                        lambda e, tol: fallbacks.append(e) or cluster_eigenvalues(e, tol))
+    got = SampledSpectra(*_cluster_rows(rows, 0.25, 1))
+    monkeypatch.undo()
+    assert_same_spectra(got, spectra_record(
+        [cluster_eigenvalues(np.repeat(r, 8), 0.25) for r in rows], 3))
+    assert len(fallbacks) == (step <= 0)
+    assert got.clean.tolist() == [step > 0, True]
+
+
+def test_clean_run_builds_no_spectral_sample(monkeypatch):
+    """Clean rows, reduced and dense, stay in arrays: a run of clean rows
+    builds no SpectralSample; a merged run builds one per row."""
+    built = []
+    spectral_sample = simulate.SpectralSample
+    monkeypatch.setattr(simulate, "SpectralSample",
+                        lambda *a: built.append(a) or spectral_sample(*a))
+    for kind, n in (("a", 2), ("b", 5)):
+        spectra = sample_spectra(cfg(kind=kind, n=n, seed=66, samples=300))
+        assert spectra.clean.all() and spectra.cross_check.rows == 5
+    assert built == []
+    sample_spectra(cfg(seed=66, samples=10, cluster_tol=1e9))
+    assert len(built) == 10 + 1  # every reduced row, and the one checked dense row
+
+
+@pytest.mark.parametrize("kind,n,samples", [("a", 2, 700), ("b", 5, 400)])
+def test_batched_cross_check_matches_row_by_row(kind, n, samples, monkeypatch):
+    """The cross-check eigensolves its rows in batches of forms_per_batch(n)
+    forms; with batches of three its block equals the reference's, which
+    solves and compares one row at a time."""
+    c = cfg(kind=kind, n=n, seed=68, samples=samples)
+    comps = sample_stack(c, range(0, samples, 64))
+    want = reference_cross_check([dense_spectrum(kind, x, c.cluster_tol) for x in comps],
+                                 [reduced_spectrum(kind, x, c.cluster_tol) for x in comps])
+    monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", 3 * 8 * (8 * n) ** 2)
+    forms = []
+    real_form = simulate.real_form
+    monkeypatch.setattr(simulate, "real_form",
+                        lambda stack: forms.append(len(stack)) or real_form(stack))
+    got = sample_spectra(c).cross_check
+    assert dataclasses.asdict(got) == want
+    assert forms == [3] * (len(comps) // 3) + [len(comps) % 3] * (len(comps) % 3 > 0)
+    assert len(forms) >= 3
 
 
 def assert_matches_reference(got, want, exact: bool):
@@ -543,19 +548,19 @@ def test_gap_statistics_matches_reference(kind, n):
     """The scaled, column-at-a-time statistic and the influence-function
     variance give the unscaled pairwise moments and the np.cov standard error;
     at n = 2, T is one squared gap, so every moment is exact."""
-    spectra = sample_spectra(cfg(kind=kind, n=n, seed=61, samples=400)).samples
-    assert_matches_reference(gap_statistics(spectra, n), reference_gap_statistics(spectra, n),
+    spectra = sample_spectra(cfg(kind=kind, n=n, seed=61, samples=400))
+    assert_matches_reference(gap_statistics(spectra), reference_gap_statistics(spectra),
                              exact=n == 2)
 
 
 def test_equal_gaps_have_infinite_exponent_and_stderr():
     """Equal gaps have moment ratio exactly 1: the exponent and its
     standard error are infinite."""
-    equal = [SpectralSample((0.0, 1.0), (8, 8), 0.0)] * 150
-    got = gap_statistics(equal, 2)
+    equal = clean_spectra([(0.0, 1.0)] * 150)
+    got = gap_statistics(equal)
     assert got.ratio == 1.0 and got.implied_beta == np.inf and got.stderr == np.inf
     np.testing.assert_equal(dataclasses.astuple(got),
-                            dataclasses.astuple(reference_gap_statistics(equal, 2)))
+                            dataclasses.astuple(reference_gap_statistics(equal)))
 
 
 @pytest.mark.parametrize("n,dof", [(2, 9), (3, 8)])
@@ -576,6 +581,6 @@ def test_delta_stderr_matches_spread_of_estimates(n, dof):
 def test_gap_statistics_scaling_changes_no_finite_value(t):
     """Dividing the gaps by a power of two is exact: the statistics equal
     those of the unscaled gaps."""
-    spectra = sample_spectra(cfg(kind="b", seed=67, samples=300, t=t)).samples
-    assert_matches_reference(gap_statistics(spectra, 2), reference_gap_statistics(spectra, 2),
+    spectra = sample_spectra(cfg(kind="b", seed=67, samples=300, t=t))
+    assert_matches_reference(gap_statistics(spectra), reference_gap_statistics(spectra),
                              exact=True)
