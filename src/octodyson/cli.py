@@ -1,10 +1,10 @@
 """Command-line interface: identity suites, Monte Carlo spectra, exponents.
 
 Exit code 0 means every suite run by the invocation passed; 2 means a usage
-error, such as a trial count below 1 or model a at n != 2.  With --json,
-stdout is exactly one JSON document.  With --out, every file the command
-writes is recorded with its SHA-256 digest in one manifest,
-<out>.manifest.json.  JSON writes a non-finite number as null.  Outputs are
+error, such as a trial count below 1, a seed outside [0, 2**64) or model a
+at n != 2.  With --json, stdout is exactly one JSON document.  With --out,
+every file the command writes is recorded with its SHA-256 digest in one
+manifest, <out>.manifest.json.  JSON writes a non-finite number as null.  Outputs are
 byte-identical for identical (command, seed) whatever the BLAS thread count,
 as every command holds the loaded OpenBLAS to one thread; the sampling
 commands run on the calling thread alone.  sample-spectrum estimates the
@@ -31,7 +31,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import itertools
 import sys
 
 from . import __version__, algebra, errors
@@ -238,7 +237,8 @@ def cmd_simulate_path(args) -> int:
         "paths": cfg.samples, "steps": cfg.steps, "crossings": crossings,
         "steps_with_broken_clusters": broken, "min_gap": spectra.min_gap(),
     }
-    ids = list(itertools.product(range(cfg.samples), range(cfg.steps)))
+    ids = [[path for path in range(cfg.samples) for _ in range(cfg.steps)],
+           [*range(cfg.steps)] * cfg.samples]
     return _finish(args, {**summary, "cross_check": block},
                    [f"{k}: {v}" for k, v in summary.items()] + [check_line], [
         ("", lambda path: write_spectrum_csv(path, spectra, cfg.kind, cfg.n, cfg.t,
@@ -285,8 +285,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = list(argv) if argv is not None else sys.argv[1:]
-    if args.seed < 0:
-        parser.error("--seed must be a nonnegative integer")
+    if not 0 <= args.seed < 2 ** 64:
+        parser.error(f"--seed must be in [0, 2**64), got {args.seed}")
     blas = find_openblas()
     with blas.held_at_one() if blas else contextlib.nullcontext():
         try:

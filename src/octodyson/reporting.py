@@ -93,23 +93,25 @@ def write_spectrum_csv(path: str, samples, kind: str, n: int, t: float,
                        id_names=("sample_id",), ids=None) -> None:
     """Write the spectra of ``samples`` (a
     :class:`~octodyson.simulate.SampledSpectra`), one row per sample led by
-    its integer ``ids`` under the ``id_names`` columns (by default the
-    sample's position); byte-deterministic for fixed arrays.
+    its integer ids under the ``id_names`` columns; byte-deterministic for
+    fixed arrays.  ``ids`` holds one sequence of ints per id column, each
+    with one entry per sample (by default the sample's position).
 
-    Every row fills one ``%``-format template with ``%d`` ids and
-    multiplicities and ``%.17g`` floats (the text of :func:`fmt17`).
+    The rows are zipped from the columns, and each fills one ``%``-format
+    template with ``%d`` ids and multiplicities and ``%.17g`` floats (the
+    text of :func:`fmt17`).
     """
     if ids is None:
-        ids = ((i,) for i in range(len(samples)))
+        ids = [range(len(samples))]
     header = [*id_names, "model", "n", "t", *(f"x{i + 1}" for i in range(n)),
               *(f"mult{i + 1}" for i in range(n)), "spread"]
     fixed = f"{kind},{n},{fmt17(t)},".replace("%", "%%")
     template = "%d," * len(id_names) + fixed + "%.17g," * n + "%d," * n + "%.17g\n"
-    cells = zip(samples.distinct.tolist(), samples.multiplicities.tolist(),
-                samples.spread.tolist())
+    rows = zip(*ids, *samples.distinct.T.tolist(), *samples.multiplicities.T.tolist(),
+               samples.spread.tolist())
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(template % (*row_ids, *x, *m, s) for row_ids, (x, m, s) in zip(ids, cells))
+        fh.writelines(map(template.__mod__, rows))
 
 
 def json_text(payload: dict) -> str:

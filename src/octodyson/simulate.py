@@ -27,18 +27,26 @@ draws from a Philox stream keyed by ``s`` whose 256-bit counter starts at
 ``index * 2**128``, so the stream is a pure function of ``(seed, index)``
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
 :func:`sample_rng` builds that generator for one index.  The sampler builds
-one Philox per chunk of indices instead and, before each index, resets its
-counter to ``index * 2**128`` with an empty output buffer: the generator is
-then in exactly the state a fresh :func:`sample_rng` would have, so each
-index's normals, and hence the output bytes, cannot depend on the chunk
-size.  The chunks run one after another on the calling thread.
+one Philox per chunk of indices instead and, before each index, seeks it:
+it writes the counter ``index * 2**128`` and an empty output buffer into
+numpy's ``philox_state`` in place (:func:`_seek_in_place`).  The generator
+is then in the state a fresh :func:`sample_rng` would have, in every field
+that a draw reads, so each index's normals, and hence the output bytes,
+cannot depend on the chunk size.  That struct is private to numpy, so a
+probe (:func:`_in_place_seek_works`), run once per process at the first
+draw, checks its layout against the generator's state dict and the seek
+against :func:`sample_rng`; where it finds a mismatch the sampler assigns
+the state dict instead (:func:`_seek`), which is slower but gives the same
+bytes.  The chunks run one after another on the calling thread.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -94,19 +102,113 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
 
 
+#: The low 64 bits of an index: the third word of its counter block.
+_WORD = 0xFFFF_FFFF_FFFF_FFFF
+
+
 def _seek(rng: np.random.Generator, state: dict, index: int) -> None:
     """Put a Philox generator into the state of a fresh ``sample_rng(seed,
-    index)``: counter ``index << 128``, buffer empty.
+    index)``: counter ``index << 128``, buffer empty.  The sampler's seek
+    where :func:`_in_place_seek_works` rejects numpy's layout.
 
     ``state`` is the state dict of a fresh Philox under the same key.  A call
     writes the index into its counter array in place and assigns the dict,
-    which the generator copies; every other field keeps its initial value,
-    so no call depends on an earlier one.
+    which the generator validates and copies; every other field keeps its
+    initial value, so no call depends on an earlier one.
     """
     counter = state["state"]["counter"]
-    counter[2] = index & 0xFFFF_FFFF_FFFF_FFFF
+    counter[2] = index & _WORD
     counter[3] = index >> 64
     rng.bit_generator.state = state
+
+
+class _PhiloxState(ctypes.Structure):
+    """numpy's ``philox_state``, which ``Philox.ctypes.state_address`` points
+    to: pointers to the 4-word counter and the 2-word key, the output buffer
+    of one block with the position of its next word, and the upper half of
+    a word that a uint32 draw left."""
+
+    _fields_ = [("counter", ctypes.POINTER(ctypes.c_uint64 * 4)),
+                ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
+                ("buffer_pos", ctypes.c_int),
+                ("buffer", ctypes.c_uint64 * 4),
+                ("has_uint32", ctypes.c_int),
+                ("uinteger", ctypes.c_uint32)]
+
+
+def _seek_in_place(bitgen: np.random.Philox) -> Callable[[int], None]:
+    """A seek of ``bitgen`` to the state of a fresh ``sample_rng(seed, index)``
+    that writes numpy's ``philox_state`` in place, without the validation
+    and copies of a state-dict assignment (:func:`_seek`).
+
+    A call writes the counter (0, 0, index mod 2**64, index >> 64), sets
+    ``buffer_pos`` to 4 (the buffer is spent) and ``has_uint32`` to 0.  The
+    stale buffer words and ``uinteger`` are never read before a draw
+    rewrites them, so every draw after the seek is that of the fresh
+    generator.  The seek is valid while ``bitgen`` lives, and only where
+    :func:`_in_place_seek_works`.
+    """
+    view = _PhiloxState.from_address(bitgen.ctypes.state_address)
+    counter = view.counter.contents
+
+    def seek(index: int) -> None:
+        counter[0] = 0
+        counter[1] = 0
+        counter[2] = index & _WORD
+        counter[3] = index >> 64
+        view.buffer_pos = 4
+        view.has_uint32 = 0
+
+    return seek
+
+
+def _fields_match(bitgen: np.random.Philox, view: _PhiloxState) -> bool:
+    """Whether the fields of ``view`` read what ``bitgen.state`` says."""
+    state = bitgen.state
+    return ([*view.counter.contents], [*view.key.contents], view.buffer_pos,
+            view.has_uint32, view.uinteger) == (
+        state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+        state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+@functools.cache
+def _in_place_seek_works() -> bool:
+    """Whether :class:`_PhiloxState` is the installed numpy's layout, so that
+    :func:`_seek_in_place` may be used; checked once per process, at the
+    first draw.
+
+    numpy keeps the struct, the counter and the key as fields of the Philox
+    object, so all three must lie inside it before anything is read through
+    the struct.  Its fields must then read the generator's state dict, on
+    a fresh generator and after 2 normals and one uint32 draw, which leave
+    one word of the buffer unread and half a word in ``uinteger``.  Last,
+    seeks of that used generator to an index below and one above 2**64 must
+    give the normals of :func:`sample_rng`.
+    """
+    seed = 2 ** 63 + 5
+    bitgen = np.random.Philox(key=seed)
+    view = _PhiloxState.from_address(bitgen.ctypes.state_address)
+    start, end = id(bitgen), id(bitgen) + type(bitgen).__basicsize__
+
+    def inside(address, size: int) -> bool:
+        return address is not None and start <= address and address + size <= end
+
+    if not (inside(ctypes.addressof(view), ctypes.sizeof(view))
+            and inside(ctypes.cast(view.counter, ctypes.c_void_p).value, 32)
+            and inside(ctypes.cast(view.key, ctypes.c_void_p).value, 16)
+            and _fields_match(bitgen, view)):
+        return False
+    rng = np.random.Generator(bitgen)
+    rng.standard_normal(2)
+    rng.integers(0, 10, dtype=np.uint32)
+    if not _fields_match(bitgen, view):
+        return False
+    seek = _seek_in_place(bitgen)
+    for index in (1, 2 ** 64 + 7):
+        seek(index)
+        if not np.array_equal(rng.standard_normal(8), sample_rng(seed, index).standard_normal(8)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -174,15 +276,20 @@ def _draw_layout(kind: str, n: int) -> _DrawLayout:
 
 def _draw(cfg: SimulationConfig, indices: range, steps: int) -> np.ndarray:
     """Scaled normals of ``steps`` increments over ``cfg.t / steps`` per index,
-    shape (len(indices), steps, size).  One Philox, reset to each index's
+    shape (len(indices), steps, size).  One Philox, sought to each index's
     counter block, fills its rows with one ``standard_normal`` call."""
     layout = _draw_layout(cfg.kind, cfg.n)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    state = rng.bit_generator.state
+    bitgen = np.random.Philox(key=cfg.seed)
+    rng = np.random.Generator(bitgen)
+    if _in_place_seek_works():
+        seek = _seek_in_place(bitgen)
+    else:
+        seek = functools.partial(_seek, rng, bitgen.state)
+    fill = rng.standard_normal
     normals = np.empty((len(indices), steps, layout.size))
     for index, path in zip(indices, normals):
-        _seek(rng, state, index)
-        rng.standard_normal(out=path)
+        seek(index)
+        fill(out=path)
     normals *= layout.scale(cfg.t / steps)
     return normals
 

@@ -111,6 +111,28 @@ def test_invalid_config_usage_error(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+SEEDED = [
+    ["sample-spectrum", "--model", "a", "--samples", "20"],
+    ["check-dim2", "--trials", "5"],
+    ["verify-algebra", "--trials", "20", "--norm-pairs", "50"],
+]
+
+
+@pytest.mark.parametrize("seed", [2 ** 64, 2 ** 128])
+@pytest.mark.parametrize("argv", SEEDED, ids=lambda argv: argv[0])
+def test_seed_beyond_u64_usage_error(argv, seed, capsys):
+    """--seed is a u64: a larger seed is a usage error, not a numpy traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", str(seed)])
+    assert exc.value.code == 2
+    assert f"--seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", SEEDED, ids=lambda argv: argv[0])
+def test_largest_seed_runs(argv, capsys):
+    assert run(capsys, *argv, "--seed", str(2 ** 64 - 1))[0] == 0
+
+
 @pytest.mark.parametrize("tol", ["-1", "0"])
 @pytest.mark.parametrize("argv", [
     ["sample-spectrum", "--model", "a", "--samples", "10"],
@@ -206,6 +228,42 @@ def test_sample_spectrum_output_bytes_unchanged(name, argv, tmp_path, capsys):
         assert repr(stats["stderr"]) != "0.5946410924433032"  # the bootstrap's
 
 
+#: SHA-256 of the CSV and stats of seed 0 at the north star's sizes, as
+#: written before the counter was sought in place.
+NORTH_STAR = {
+    "a.csv": "e8be7d9be89b47ecf0b9eef280a28a1a43976b8d3b13ac59e410c639dca2c562",
+    "a.csv.stats.json": "ab70d1d9002448b0364f6faf1a4080d698914894293107c76e944ae7bb1c4e2c",
+    "b8.csv": "33d96373968ed0ca307f5af9dfbc13fcf04422c778a904c8f3bec7a2b0635014",
+    "b8.csv.stats.json": "f1ba199dc7d236cb03a4f95232fab48667f54891aab2ce999ca3c40db7857b56",
+}
+
+
+def test_in_place_seek_writes_the_bytes_of_the_state_dict(tmp_path, capsys, monkeypatch):
+    """The sampling commands at the north star's sizes write the same bytes,
+    and print the same lines, with the counter sought in place and with the
+    probe forced to reject it, so that every index assigns the state dict."""
+    argvs = {
+        "a.csv": ["sample-spectrum", "--model", "a", "--samples", "20000"],
+        "b8.csv": ["sample-spectrum", "--model", "b", "--n", "8", "--samples", "2000"],
+        "p.csv": ["simulate-path", "--model", "b", "--n", "3", "--paths", "20", "--steps", "50"],
+    }
+
+    def written(side):
+        (tmp_path / side).mkdir()
+        lines = [run(capsys, *argv, "--seed", "0", "--out", str(tmp_path / side / name))
+                 for name, argv in argvs.items()]
+        files = {path.name: path.read_bytes() for path in (tmp_path / side).glob("*")
+                 if not path.name.endswith(".manifest.json")}
+        return lines, files
+
+    assert simulate._in_place_seek_works()
+    fast = written("fast")
+    monkeypatch.setattr(simulate, "_in_place_seek_works", lambda: False)
+    assert written("dict") == fast
+    assert {name: hashlib.sha256(fast[1][name]).hexdigest() for name in NORTH_STAR} == NORTH_STAR
+    assert [code for code, _ in fast[0]] == [0, 0, 0]
+
+
 def test_sample_spectrum_statistics_finite_at_huge_t(capsys):
     """At t = 1e300 the fourth powers of the gaps lie beyond the float range:
     the gap statistics warn of nothing (a numpy RuntimeWarning fails the
@@ -254,7 +312,7 @@ def test_reports_do_not_depend_on_blas_threads(tmp_path):
 
 def test_spectrum_csv_template_matches_spectrum_csv_row(tmp_path):
     """Template rows equal the cell-by-cell reference row, for regular and
-    irregular draws, with one or two id columns."""
+    irregular draws, with one id column by default or two given columns."""
     n = 3
     samples = [
         SpectralSample((-1.5, 0.1 + 0.2, 7e300), (8, 8, 8), 2.220446049250313e-16),
@@ -264,12 +322,13 @@ def test_spectrum_csv_template_matches_spectrum_csv_row(tmp_path):
         SpectralSample((1.0, 2.0, 3.0, 4.0), (8, 8, 4, 4), 0.5),  # too many: cut
         SpectralSample((np.nan, 1.0, 2.0), (8, 8, 8), np.nan),
     ]
+    pairs = [(p, s) for p in (0, 12) for s in (0, 1, 99)]
     for id_names, ids in [(("sample_id",), None),
-                          (("path_id", "step"), [(p, s) for p in (0, 12) for s in (0, 1, 99)])]:
+                          (("path_id", "step"), [list(column) for column in zip(*pairs)])]:
         path = tmp_path / "rows.csv"
         write_spectrum_csv(str(path), spectra_record(samples, n), "b", n, 0.1, id_names, ids)
         rows = path.read_text().split("\n")
-        row_ids = ids or [(i,) for i in range(len(samples))]
+        row_ids = pairs if ids else [(i,) for i in range(len(samples))]
         assert rows[1:] == [reference_spectrum_csv_row(i, "b", n, 0.1, s)
                             for i, s in zip(row_ids, samples)] + [""]
 
@@ -308,8 +367,9 @@ def test_simulate_path_bytes_match_step_loop(argv, kind, n, tmp_path, capsys, mo
     check = reference_cross_check(reference_euler_path(cfg, 0, dense_spectrum).samples[:1],
                                   samples[:1])
     assert check["rows"] == 1 and check["failures"] == 0
+    columns = list(zip(*itertools.product(range(paths), range(steps))))
     write_spectrum_csv(str(tmp_path / "ref.csv"), spectra_record(samples, n), kind, n, 1.0,
-                       ("path_id", "step"), list(itertools.product(range(paths), range(steps))))
+                       ("path_id", "step"), columns)
     summary = {
         "paths": paths, "steps": steps,
         "crossings": sum(path.crossing_detected for path in ref),

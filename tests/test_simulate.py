@@ -1,5 +1,6 @@
 """Sampling laws, spectrum clustering, gap statistics, Euler paths."""
 
+import ctypes
 import dataclasses
 import functools
 import inspect
@@ -28,6 +29,7 @@ from octodyson.simulate import (
     _draw,
     _draw_layout,
     _seek,
+    _seek_in_place,
     cluster_eigenvalues,
     sample_components,
     sample_stack,
@@ -446,6 +448,66 @@ def test_counter_reset_matches_sample_rng(seed, index):
     fresh = sample_rng(seed, index)
     assert rng_state(rng) == rng_state(fresh)
     np.testing.assert_array_equal(rng.standard_normal(37), fresh.standard_normal(37))
+
+
+def used_philox(seed: int) -> tuple[np.random.Philox, np.random.Generator]:
+    """A Philox under ``seed`` after 2 normals and one uint32 draw, which
+    leave one buffered word unread and half a 64-bit word buffered."""
+    bitgen = np.random.Philox(key=seed)
+    rng = np.random.Generator(bitgen)
+    rng.standard_normal(2)
+    rng.integers(0, 10, dtype=np.uint32)
+    assert (bitgen.state["buffer_pos"], bitgen.state["has_uint32"]) == (3, 1)
+    return bitgen, rng
+
+
+@pytest.mark.parametrize("index", [0, 1, 1023, 1024, 2 ** 64 + 3, 2 ** 128 - 1])
+@pytest.mark.parametrize("seed", [0, 2 ** 63 + 5])
+def test_seek_in_place_matches_sample_rng(seed, index):
+    """The in-place seek of a used generator leaves the counter, buffer
+    position and uint32 flag of a fresh sample_rng(seed, index), and its
+    stream: 37 normals, then a uint32."""
+    bitgen, rng = used_philox(seed)
+    _seek_in_place(bitgen)(index)
+    fresh = sample_rng(seed, index)
+    got, want = bitgen.state, fresh.bit_generator.state
+    assert got["state"]["counter"].tolist() == want["state"]["counter"].tolist()
+    assert (got["buffer_pos"], got["has_uint32"]) == (want["buffer_pos"], want["has_uint32"])
+    np.testing.assert_array_equal(rng.standard_normal(37), fresh.standard_normal(37))
+    assert rng.integers(2 ** 32, dtype=np.uint32) == fresh.integers(2 ** 32, dtype=np.uint32)
+
+
+def test_probe_accepts_installed_numpy():
+    """A numpy that moves the fields of philox_state fails here, rather than
+    silently doubling the cost of every draw."""
+    assert simulate._in_place_seek_works(), (
+        f"numpy {np.__version__}: philox_state no longer matches simulate._PhiloxState, "
+        "so the sampler assigns the state dict at every index")
+
+
+class _ShiftedPhiloxState(ctypes.Structure):
+    """simulate._PhiloxState with ``buffer_pos`` read from buffer[0]: every
+    field stays inside numpy's struct, one is misplaced."""
+
+    _fields_ = [("counter", ctypes.POINTER(ctypes.c_uint64 * 4)),
+                ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
+                ("skipped", ctypes.c_uint64),
+                ("buffer_pos", ctypes.c_int),
+                ("rest", ctypes.c_byte * 28),
+                ("has_uint32", ctypes.c_int),
+                ("uinteger", ctypes.c_uint32)]
+
+
+def test_probe_rejects_shifted_layout_and_draw_falls_back(monkeypatch):
+    assert _ShiftedPhiloxState.buffer_pos.offset == simulate._PhiloxState.buffer.offset
+    assert ctypes.sizeof(_ShiftedPhiloxState) == ctypes.sizeof(simulate._PhiloxState)
+    c = cfg(kind="b", n=3, seed=2 ** 63 + 5, steps=3)
+    fast = _draw(c, range(5, 70), 3)
+    monkeypatch.setattr(simulate, "_PhiloxState", _ShiftedPhiloxState)
+    probe = functools.cache(simulate._in_place_seek_works.__wrapped__)
+    monkeypatch.setattr(simulate, "_in_place_seek_works", probe)
+    assert not probe()
+    assert _draw(c, range(5, 70), 3).tobytes() == fast.tobytes()
 
 
 def test_cluster_rows_match_cluster_eigenvalues(monkeypatch):
