@@ -215,26 +215,36 @@ def _guarded_inv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a_inv, ~(cond <= COND_LIMIT)
 
 
-def _oct_inverse_stack(comps: np.ndarray) -> np.ndarray:
-    """:func:`oct_inverse` of each (k, 8, n, n) entry, over batches of :func:`forms_per_batch`;
-    raises what the first failing entry would: singular base, (*), singular core."""
+def _oct_inverse_masked(comps: np.ndarray) -> tuple[np.ndarray, dict[int, Error]]:
+    """:func:`oct_inverse` of each (k, 8, n, n) entry, over batches of :func:`forms_per_batch`,
+    without raising: the inverses (meaningless for a failing entry), and the error each
+    failing entry would raise, by index: singular base, (*), singular core, in that order."""
     out = np.empty_like(comps)
+    errors: dict[int, Error] = {}
     step = forms_per_batch(comps.shape[-1])
     for lo in range(0, len(comps), step):
         chunk = comps[lo:lo + step]
         m0_inv, base_bad = _guarded_inv(chunk[:, 0])
         worst, prod = _compatibility(chunk, m0_inv)
         n0, core_bad = _guarded_inv(sum(prod[:, c, c] for c in range(8)))
-        first = int(np.argmax(base_bad | (worst > SYMM_TOL) | core_bad))
-        if base_bad[first]:
-            raise SingularBase("scalar component is singular or near-singular")
-        if worst[first] > SYMM_TOL:
-            raise NotSymmCompatible(f"compatibility residual {worst[first]:.3e} exceeds "
-                                    f"{SYMM_TOL:.1e}")
-        if core_bad[first]:
-            raise SingularCore("core sum is singular or near-singular")
+        for i in np.flatnonzero(base_bad | (worst > SYMM_TOL) | core_bad).tolist():
+            if base_bad[i]:
+                errors[lo + i] = SingularBase("scalar component is singular or near-singular")
+            elif worst[i] > SYMM_TOL:
+                errors[lo + i] = NotSymmCompatible(f"compatibility residual {worst[i]:.3e} "
+                                                   f"exceeds {SYMM_TOL:.1e}")
+            else:
+                errors[lo + i] = SingularCore("core sum is singular or near-singular")
         out[lo:lo + step] = np.concatenate((n0[:, None], -n0[:, None] @ chunk[:, 1:]
                                             @ m0_inv[:, None]), axis=1)
+    return out, errors
+
+
+def _oct_inverse_stack(comps: np.ndarray) -> np.ndarray:
+    """:func:`_oct_inverse_masked` that raises what the first failing entry would."""
+    out, errors = _oct_inverse_masked(comps)
+    if errors:
+        raise errors[min(errors)]
     return out
 
 
@@ -307,6 +317,15 @@ def _resolvents(comps: np.ndarray, eigs: np.ndarray, shifts) -> np.ndarray:
     return _oct_inverse_stack(comps.reshape((-1,) + comps.shape[2:])).reshape(comps.shape)
 
 
+def _memoise_resolvents(mats, eigs: np.ndarray, shifts) -> None:
+    """Store in each matrix's :func:`resolvent` memo its row of the (k, s) ``shifts``,
+    from one :func:`_resolvents` call on the k matrices ``mats`` with (k, 8n) spectra
+    ``eigs``; raises what that call raises, storing nothing."""
+    inverses = _resolvents(np.stack([m.components for m in mats]), eigs, shifts)
+    for m, row, stack in zip(mats, np.asarray(shifts, dtype=np.float64).tolist(), inverses):
+        m._resolvent_memo.update(zip(row, map(OctonionicMatrix, stack)))
+
+
 def resolvent(m: OctonionicMatrix, x: float) -> OctonionicMatrix:
     """Resolvent of the real form at a finite shift ``x`` beyond :func:`shift_guard`:
     the structured inverse of ``m - x Id`` (:func:`oct_inverse`), the one-entry
@@ -318,8 +337,7 @@ def resolvent(m: OctonionicMatrix, x: float) -> OctonionicMatrix:
     SingularBase, NotSymmCompatible, SingularCore
     """
     if x not in m._resolvent_memo:
-        m._resolvent_memo[x] = OctonionicMatrix(
-            _resolvents(m.components[None], m.eigenvalues[None], [[x]])[0, 0])
+        _memoise_resolvents([m], m.eigenvalues[None], [[x]])
     return m._resolvent_memo[x]
 
 
@@ -419,32 +437,38 @@ def logdet_gradient(matrix: np.ndarray) -> np.ndarray:
 
 
 def _central_differences(fn, matrix: np.ndarray) -> np.ndarray:
-    """(fn(R + h E_kl) - fn(R - h E_kl)) / 2h for every entry (k, l), with
-    h = FD_STEP and ``fn`` called once on the stack of all 2 n^2 points."""
-    n = matrix.shape[0]
+    """(fn(R + h E_kl) - fn(R - h E_kl)) / 2h for every entry (k, l) of each (n, n)
+    matrix of a (..., n, n) stack, with h = FD_STEP and ``fn`` called once on the
+    stack of all 2 n^2 points of every matrix, shape (..., 2, n, n, n, n)."""
+    n = matrix.shape[-1]
+    lead = matrix.shape[:-2]
     k, l = np.indices((n, n))
-    stack = np.broadcast_to(matrix, (2, n, n, n, n)).copy()
-    stack[0, k, l, k, l] += FD_STEP
-    stack[1, k, l, k, l] -= FD_STEP
-    out = fn(stack)
-    return (out[0] - out[1]) / (2 * FD_STEP)
+    stack = np.broadcast_to(matrix[..., None, None, None, :, :], lead + (2, n, n, n, n)).copy()
+    stack[..., 0, k, l, k, l] += FD_STEP
+    stack[..., 1, k, l, k, l] -= FD_STEP
+    up, down = np.moveaxis(fn(stack), len(lead), 0)
+    return (up - down) / (2 * FD_STEP)
 
 
 def fd_logdet_gradient(matrix: np.ndarray) -> np.ndarray:
-    """Central differences of log|det|, either sign of det, from one stacked ``slogdet``."""
+    """Central differences of log|det|, either sign of det, of one (n, n) matrix or
+    each of a (..., n, n) stack, from one stacked ``slogdet``."""
     return _central_differences(lambda stack: np.linalg.slogdet(stack)[1], matrix)
 
 
 def fd_logdet_hessian(matrix: np.ndarray) -> np.ndarray:
-    """Central differences of the analytic gradient, from one stacked ``inv``.
+    """Central differences of the analytic gradient of one (n, n) matrix or each of a
+    (..., n, n) stack, indexed [..., i, j, k, l], from one stacked ``inv``.
 
     The pure double stencil on log det has a roundoff floor of eps/h^2
     (about 1e-6 relative at h = 1e-5), too coarse to certify a 1e-5
     tolerance; differencing the gradient, itself validated against pure
     log-det differences, keeps the noise at eps/h.
     """
-    # [k, l, j, i] -> [i, j, k, l]: the gradient is the transposed inverse
-    return np.ascontiguousarray(_central_differences(np.linalg.inv, matrix).transpose(3, 2, 0, 1))
+    diff = _central_differences(np.linalg.inv, matrix)
+    # [..., k, l, j, i] -> [..., i, j, k, l]: the gradient is the transposed inverse
+    lead = tuple(range(diff.ndim - 4))
+    return np.ascontiguousarray(diff.transpose(lead + tuple(len(lead) + a for a in (3, 2, 0, 1))))
 
 
 def check_logdet_derivatives(count: int = 100, seed: int = 3) -> IdentityReport:
@@ -452,26 +476,36 @@ def check_logdet_derivatives(count: int = 100, seed: int = 3) -> IdentityReport:
 
     Draws well-conditioned random 5x5 matrices (redrawing above condition
     number 200) and compares the full gradient and Hessian in relative
-    Frobenius norm, to 1e-5.
+    Frobenius norm, to 1e-5.  The draws are taken one matrix at a time; then
+    each batch of :func:`entries_per_batch` draws, sized by its stencil stack,
+    takes one ``inv`` for the analytic derivatives and one stacked
+    :func:`fd_logdet_gradient` and :func:`fd_logdet_hessian`.  The norms
+    stay per matrix: a stacked ``axis=`` norm rounds differently.
     """
     rng = np.random.default_rng(seed)
+    step = entries_per_batch(2 * 8 * 5 ** 4)
     with IdentityReport("logdet-derivatives", seed=seed).timed() as report:
-        for _ in range(count):
-            matrix = rng.standard_normal((5, 5))
-            tries = 0
-            while np.linalg.cond(matrix) > 200.0:
-                matrix = rng.standard_normal((5, 5))
-                tries += 1
-                if tries > 100:
-                    raise Error("could not draw a well-conditioned matrix")
-            g_an = logdet_gradient(matrix)
-            g_fd = fd_logdet_gradient(matrix)
-            report.record(float(np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an)), 1e-5)
-            inv = np.linalg.inv(matrix)  # d^2(log det)/dR_ij dR_kl = -(R^-1)_jk (R^-1)_li
-            h_an = -np.einsum("jk,li->ijkl", inv, inv)
-            h_fd = fd_logdet_hessian(matrix)
-            report.record(float(np.linalg.norm((h_fd - h_an).ravel())
-                                / np.linalg.norm(h_an.ravel())), 1e-5)
+        for lo in range(0, count, step):
+            mats = np.empty((min(count, lo + step) - lo, 5, 5))
+            for matrix in mats:
+                matrix[...] = rng.standard_normal((5, 5))
+                tries = 0
+                while np.linalg.cond(matrix) > 200.0:
+                    matrix[...] = rng.standard_normal((5, 5))
+                    tries += 1
+                    if tries > 100:
+                        raise Error("could not draw a well-conditioned matrix")
+            inv = np.linalg.inv(mats)
+            g_an = inv.transpose(0, 2, 1)  # logdet_gradient, one stacked inverse
+            # d^2(log det)/dR_ij dR_kl = -(R^-1)_jk (R^-1)_li
+            h_an = -np.einsum("mjk,mli->mijkl", inv, inv)
+            g_fd = fd_logdet_gradient(mats)
+            h_fd = fd_logdet_hessian(mats)
+            for m in range(len(mats)):
+                report.record(float(np.linalg.norm(g_fd[m] - g_an[m])
+                                    / np.linalg.norm(g_an[m])), 1e-5)
+                report.record(float(np.linalg.norm((h_fd[m] - h_an[m]).ravel())
+                                    / np.linalg.norm(h_an[m].ravel())), 1e-5)
     return report
 
 

@@ -2,7 +2,11 @@
 
 Each suite draws matrices from the model samplers, evaluates an identity on
 both sides by independent routes, and reports scaled residuals.  These back
-the command-line verification commands and the acceptance tests.
+the command-line verification commands and the acceptance tests.  Draws are
+taken in batches of :func:`~octodyson.matrices.forms_per_batch`, and each
+batch makes one stacked call per kernel: eigensolve, real form, structured
+inverse; only the calculus of the closed-form suite runs one trial at a time,
+on resolvents the batch has already taken.
 """
 
 from __future__ import annotations
@@ -20,14 +24,15 @@ from .calculus import (
 from .errors import Error
 from .matrices import (
     OctonionicMatrix,
+    _memoise_resolvents,
+    _oct_inverse_masked,
     _trace_residual_rows,
     forms_per_batch,
-    oct_inverse,
     real_form,
     separated_shifts,
 )
 from .reporting import IdentityReport
-from .simulate import SimulationConfig, sample_matrix, sample_stack
+from .simulate import SimulationConfig, sample_stack
 
 #: Suite tolerances, and the condition number above which the round trip redraws.
 CLOSED_FORM_TOL = 1e-8
@@ -44,7 +49,10 @@ def check_closed_forms(model: DiffusionModel, trials: int = 100, seed: int = 0) 
     generator of log p(x) against the model closed form.  Residuals are
     relative to the closed-form magnitude (term-wise, so a cancellation in
     the closed form cannot inflate the measure).  Draws are taken from the
-    sampler in batches of :func:`~octodyson.matrices.forms_per_batch`.
+    sampler in batches of :func:`~octodyson.matrices.forms_per_batch`; each
+    batch is eigensolved in one call, its shifts drawn trial by trial, and
+    all its resolvents taken in one stacked call into the matrices' memos,
+    so the calculus, called trial by trial, inverts nothing.
     """
     cfg = SimulationConfig(model.kind, model.n, seed=seed)
     rng = np.random.default_rng(seed)
@@ -52,11 +60,14 @@ def check_closed_forms(model: DiffusionModel, trials: int = 100, seed: int = 0) 
     suite = f"closed-forms-model-{model.kind}-n{model.n}"
     with IdentityReport(suite, seed=seed).timed() as report:
         for lo in range(0, trials, step):
-            for comps in sample_stack(cfg, range(lo, min(trials, lo + step))):
-                m = OctonionicMatrix(comps)
-                x, y = separated_shifts(m.eigenvalues, rng)
-                px = CharPolyEval.from_eigenvalues(m.eigenvalues, x)
-                py = CharPolyEval.from_eigenvalues(m.eigenvalues, y)
+            comps = sample_stack(cfg, range(lo, min(trials, lo + step)))
+            eigs = np.linalg.eigvalsh(real_form(comps))
+            shifts = [separated_shifts(e, rng) for e in eigs]
+            mats = [OctonionicMatrix(c) for c in comps]
+            _memoise_resolvents(mats, eigs, shifts)
+            for m, e, (x, y) in zip(mats, eigs, shifts):
+                px = CharPolyEval.from_eigenvalues(e, x)
+                py = CharPolyEval.from_eigenvalues(e, y)
 
                 gam = gamma_log_charpoly(m, x, y, model)
                 closed = gamma_closed_form(px, py)
@@ -96,23 +107,30 @@ def check_inverse_roundtrip(kind: str, n: int, trials: int = 1000,
     Draws of real-form condition number above :data:`ROUNDTRIP_COND_LIMIT`
     are redrawn so the tolerance measures algebra, not float pathology.  The
     real form is symmetric, so its 2-norm condition number is
-    max|lam| / min|lam| over the cached spectrum.
+    max|lam| / min|lam| over its spectrum.  Draws are taken in index order,
+    in batches of at most :func:`~octodyson.matrices.forms_per_batch` and
+    never more than the trials still missing; each batch is eigensolved in
+    one call, its kept draws inverted in one call that skips the entries the
+    structured inverse refuses, and its products formed in one stacked call.
+    No draw at index 20 trials + 100 or beyond is taken.
     """
     cfg = SimulationConfig(kind, n, seed=seed)
+    step = forms_per_batch(n)
+    limit = 20 * trials + 100
     index = 0
     with IdentityReport(f"inverse-roundtrip-model-{kind}-n{n}", seed=seed).timed() as report:
         while report.cases < trials:
-            if index >= 20 * trials + 100:
+            if index >= limit:
                 raise Error("too many ill-conditioned draws; check the sampler")
-            m = sample_matrix(cfg, index)
-            index += 1
-            moduli = np.abs(m.eigenvalues)
-            if moduli.max() > ROUNDTRIP_COND_LIMIT * moduli.min():
-                continue
-            try:
-                inv = oct_inverse(m)
-            except Error:
-                continue
-            product = inv.real_form() @ m.real_form()
-            report.record(float(np.max(np.abs(product - np.eye(8 * n)))), ROUNDTRIP_TOL)
+            stop = min(limit, index + min(step, trials - report.cases))
+            comps = sample_stack(cfg, range(index, stop))
+            index = stop
+            rf = real_form(comps)
+            moduli = np.abs(np.linalg.eigvalsh(rf))
+            kept = ~(moduli.max(axis=1) > ROUNDTRIP_COND_LIMIT * moduli.min(axis=1))
+            inverses, errors = _oct_inverse_masked(comps[kept])
+            ok = np.ones(len(inverses), dtype=bool)
+            ok[list(errors)] = False
+            product = real_form(inverses[ok]) @ rf[kept][ok]
+            report.record(np.max(np.abs(product - np.eye(8 * n)), axis=(1, 2)), ROUNDTRIP_TOL)
     return report

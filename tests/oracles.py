@@ -19,10 +19,11 @@ sign weights as loops over label tuples, the structured inverse with its
 three factorisations of M^0, and the finite differences and dimension-2
 traces one entry or component at a time.  The vectorised library code must
 reproduce them bit for bit.  The identity suites run one trial, one
-resolvent and one dense inverse at a time, and the Gamma and generator sums
-one label pair at a time; the suites must reproduce their reports, the
-pairing sums their values to rounding.  Spectrum CSV rows are joined cell
-by cell from :func:`~octodyson.reporting.fmt17` and ``str``.
+resolvent, one structured inverse, one eigensolve and one dense inverse at
+a time, on the library's draws and random streams, and the Gamma and
+generator sums one label pair at a time; the suites must reproduce their
+reports, the pairing sums their values to rounding.  Spectrum CSV rows are
+joined cell by cell from :func:`~octodyson.reporting.fmt17` and ``str``.
 """
 
 import itertools
@@ -31,9 +32,23 @@ from typing import NamedTuple
 
 import numpy as np
 
+from octodyson import verify
 from octodyson.algebra import _TABLE_ROWS, CANONICAL_LABELS, FLOAT_TOL, SIGN_TABLE
-from octodyson.calculus import MODEL_B_ANTISYM_RATE, DiffusionModel
-from octodyson.errors import NearSingularShift, NotSymmCompatible, SingularBase, SingularCore
+from octodyson.calculus import (
+    MODEL_B_ANTISYM_RATE,
+    DiffusionModel,
+    gamma_closed_form,
+    gamma_log_charpoly,
+    generator_closed_form,
+    generator_log_charpoly,
+)
+from octodyson.errors import (
+    Error,
+    NearSingularShift,
+    NotSymmCompatible,
+    SingularBase,
+    SingularCore,
+)
 from octodyson.matrices import (
     ANTISYM_UNIT_2,
     COND_LIMIT,
@@ -58,7 +73,7 @@ from octodyson.simulate import (
     sample_matrix,
     sample_rng,
 )
-from octodyson.verify import TRACE_TOL
+from octodyson.verify import CLOSED_FORM_TOL, ROUNDTRIP_TOL, TRACE_TOL
 
 
 def entry_gamma_tensor(kind: str, n: int) -> np.ndarray:
@@ -562,6 +577,19 @@ def reference_oct_inverse(m: OctonionicMatrix) -> OctonionicMatrix:
     return OctonionicMatrix(out)
 
 
+def reference_oct_inverse_masked(comps: np.ndarray) -> tuple[np.ndarray, dict]:
+    """:func:`reference_oct_inverse` of each entry of a (k, 8, n, n) stack, with
+    the error of each failing entry by index in place of its inverse (zeros)."""
+    out = np.zeros_like(comps)
+    errors = {}
+    for i, entry in enumerate(comps):
+        try:
+            out[i] = reference_oct_inverse(OctonionicMatrix(entry)).components
+        except Error as exc:
+            errors[i] = exc
+    return out, errors
+
+
 def reference_fd_logdet_gradient(matrix: np.ndarray) -> np.ndarray:
     """Central differences of log|det|, one perturbed entry at a time."""
     h = FD_STEP
@@ -712,3 +740,80 @@ def reference_generator_log_charpoly(m: OctonionicMatrix, x: float,
     for f, g in zip(*np.nonzero(w_elem)):
         total += w_elem[f, g] * float(np.sum(uc[f] * uc[g]))
     return -(total + float(traces @ w_tr @ traces))
+
+
+def reference_check_closed_forms(model: DiffusionModel, trials: int, seed: int) -> IdentityReport:
+    """The closed-form suite one trial at a time: each draw eigensolved on
+    its own, its shifts drawn, and its resolvents taken by the calculus
+    through the per-matrix memo."""
+    cfg = SimulationConfig(model.kind, model.n, seed=seed)
+    rng = np.random.default_rng(seed)
+    report = IdentityReport(f"closed-forms-model-{model.kind}-n{model.n}", seed=seed)
+    for i in range(trials):
+        m = sample_matrix(cfg, i)
+        x, y = separated_shifts(m.eigenvalues, rng)
+        px = CharPolyEval.from_eigenvalues(m.eigenvalues, x)
+        py = CharPolyEval.from_eigenvalues(m.eigenvalues, y)
+        gam = gamma_log_charpoly(m, x, y, model)
+        closed = gamma_closed_form(px, py)
+        gam_sym = gamma_log_charpoly(m, y, x, model)
+        gen = generator_log_charpoly(m, x, model)
+        closed_gen = generator_closed_form(px, model)
+        if model.kind == "a":
+            scale = 3.0 * abs(px.curvature) + 0.5 * px.dlog ** 2
+        else:
+            scale = abs(closed_gen)
+        report.record([abs(gam - closed) / abs(closed),
+                       abs(gam - gam_sym) / (1.0 + abs(gam)),
+                       abs(gen - closed_gen) / max(abs(closed_gen), 1e-3 * scale)],
+                      CLOSED_FORM_TOL)
+    return report
+
+
+def reference_check_inverse_roundtrip(kind: str, n: int, trials: int, seed: int,
+                                      inverse=reference_oct_inverse) -> IdentityReport:
+    """The round trip one draw at a time: draw index after index, skip a
+    draw above ``verify.ROUNDTRIP_COND_LIMIT`` (read at call time) or one
+    whose ``inverse`` raises, and give up at index 20 trials + 100."""
+    cfg = SimulationConfig(kind, n, seed=seed)
+    report = IdentityReport(f"inverse-roundtrip-model-{kind}-n{n}", seed=seed)
+    index = 0
+    while report.cases < trials:
+        if index >= 20 * trials + 100:
+            raise Error("too many ill-conditioned draws; check the sampler")
+        m = sample_matrix(cfg, index)
+        index += 1
+        moduli = np.abs(m.eigenvalues)
+        if moduli.max() > verify.ROUNDTRIP_COND_LIMIT * moduli.min():
+            continue
+        try:
+            inv = inverse(m)
+        except Error:
+            continue
+        product = reference_real_form(inv.components) @ reference_real_form(m.components)
+        report.record(float(np.max(np.abs(product - np.eye(8 * n)))), ROUNDTRIP_TOL)
+    return report
+
+
+def reference_check_logdet_derivatives(count: int, seed: int) -> IdentityReport:
+    """The log-det suite one matrix at a time, its finite differences one
+    entry at a time."""
+    rng = np.random.default_rng(seed)
+    report = IdentityReport("logdet-derivatives", seed=seed)
+    for _ in range(count):
+        matrix = rng.standard_normal((5, 5))
+        tries = 0
+        while np.linalg.cond(matrix) > 200.0:
+            matrix = rng.standard_normal((5, 5))
+            tries += 1
+            if tries > 100:
+                raise Error("could not draw a well-conditioned matrix")
+        g_an = logdet_gradient(matrix)
+        g_fd = reference_fd_logdet_gradient(matrix)
+        report.record(float(np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an)), 1e-5)
+        inv = np.linalg.inv(matrix)
+        h_an = -np.einsum("jk,li->ijkl", inv, inv)
+        h_fd = reference_fd_logdet_hessian(matrix)
+        report.record(float(np.linalg.norm((h_fd - h_an).ravel())
+                            / np.linalg.norm(h_an.ravel())), 1e-5)
+    return report

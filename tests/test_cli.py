@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from octodyson import OctonionicMatrix, algebra, matrices, simulate
+from octodyson import OctonionicMatrix, algebra, matrices, simulate, verify
 from octodyson.blas import find_openblas
 from octodyson.cli import main
 from octodyson.errors import InsufficientData
@@ -29,6 +29,7 @@ from oracles import (
     reduced_spectrum,
     reference_cross_check,
     reference_oct_inverse,
+    reference_oct_inverse_masked,
     reference_spectrum_csv_row,
     spectra_record,
 )
@@ -671,14 +672,18 @@ def _suite_json(capsys, argv):
 def test_suite_json_matches_reference_kernels(argv, capsys, monkeypatch):
     """The stacked kernels print the JSON of the loop and dense references:
     the einsum product, the structured inverse with three factorisations of
-    M^0 taken one stack entry at a time, per-entry finite differences and
-    per-component dimension-2 traces of one draw at a time."""
+    M^0 taken one stack entry at a time (raising for the resolvents, masked
+    for the round trip), per-entry finite differences of each matrix of the
+    stack, and per-component dimension-2 traces of one draw at a time."""
     got = _suite_json(capsys, argv)
     monkeypatch.setattr(algebra, "_multiplier", einsum_multiplier)
     monkeypatch.setattr(matrices, "_oct_inverse_stack", lambda comps: np.array(
         [reference_oct_inverse(OctonionicMatrix(c)).components for c in comps]))
-    monkeypatch.setattr(matrices, "fd_logdet_gradient", reference_fd_logdet_gradient)
-    monkeypatch.setattr(matrices, "fd_logdet_hessian", reference_fd_logdet_hessian)
+    monkeypatch.setattr(verify, "_oct_inverse_masked", reference_oct_inverse_masked)
+    monkeypatch.setattr(matrices, "fd_logdet_gradient", lambda mats: np.array(
+        [reference_fd_logdet_gradient(m) for m in mats]))
+    monkeypatch.setattr(matrices, "fd_logdet_hessian", lambda mats: np.array(
+        [reference_fd_logdet_hessian(m) for m in mats]))
     monkeypatch.setattr(matrices, "_dim2_trace_residuals", lambda ux, uy: np.array(
         [reference_dim2_trace_residuals(a, b) for a, b in zip(ux, uy)]))
     assert _suite_json(capsys, argv) == got

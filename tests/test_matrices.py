@@ -23,6 +23,7 @@ from octodyson.algebra import CANONICAL_LABELS, subset_label
 from octodyson.matrices import (
     ANTISYM_UNIT_2,
     _dim2_trace_residuals,
+    _oct_inverse_masked,
     _oct_inverse_stack,
     _resolvents,
     check_dim2_identities,
@@ -40,6 +41,7 @@ from oracles import (
     components_from_real_form,
     octonionic_residual,
     reference_check_dim2_identities,
+    reference_check_logdet_derivatives,
     reference_dim2_trace_residuals,
     reference_fd_logdet_gradient,
     reference_fd_logdet_hessian,
@@ -378,16 +380,32 @@ def test_logdet_gradient_small_case():
 
 
 def test_fd_logdet_matches_entry_loops():
+    """One matrix, and each matrix of a (2, 3, n, n) stack."""
     rng = np.random.default_rng(17)
     for n in (1, 3, 5, 5):
         mat = rng.standard_normal((n, n))
         assert np.array_equal(fd_logdet_gradient(mat), reference_fd_logdet_gradient(mat))
         assert np.array_equal(fd_logdet_hessian(mat), reference_fd_logdet_hessian(mat))
+        mats = rng.standard_normal((2, 3, n, n))
+        grads, hessians = fd_logdet_gradient(mats), fd_logdet_hessian(mats)
+        assert grads.shape == (2, 3, n, n) and hessians.shape == (2, 3, n, n, n, n)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(grads[index], reference_fd_logdet_gradient(mats[index]))
+            assert np.array_equal(hessians[index], reference_fd_logdet_hessian(mats[index]))
 
 
 def test_logdet_derivative_suite():
     report = check_logdet_derivatives(count=20, seed=12)
     assert report.passed and report.max_residual < 1e-5
+
+
+@pytest.mark.parametrize("count,seed", [(20, 3), (20, 7), (100, 4), (100, 23)])
+@pytest.mark.parametrize("batch", [None, 3], ids=["default-batch", "three-per-batch"])
+def test_logdet_suite_matches_trial_loop(monkeypatch, batch, count, seed):
+    if batch:
+        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", batch * 2 * 8 * 5 ** 4)
+    assert (_suite_dict(check_logdet_derivatives(count, seed))
+            == _suite_dict(reference_check_logdet_derivatives(count, seed)))
 
 
 def test_dim2_identity_suite():
@@ -494,6 +512,27 @@ def test_stacked_kernel_raises_for_first_failing_entry():
     assert str(got.value) == str(want.value)
     with pytest.raises(SingularBase, match="scalar component is singular or near-singular"):
         _oct_inverse_stack(np.stack([good[0], singular, good[1], incompatible]))
+
+
+@pytest.mark.parametrize("batch", [None, 2], ids=["default-batch", "two-per-batch"])
+def test_masked_kernel_reports_each_failing_entry(monkeypatch, batch):
+    """Every failing entry is named with the error its one-entry inverse
+    raises, across batches; the others are the reference inverses."""
+    good = _shifted_stack("b", 3, 2)[2:]
+    singular = np.zeros((8, 3, 3))
+    incompatible = _incompatible_stack(np.random.default_rng(5)).components
+    stack = np.stack([good[0], incompatible, good[1], singular, good[0]])
+    if batch:
+        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", batch * 8 * 24 ** 2)
+    out, errors = _oct_inverse_masked(stack)
+    assert sorted(errors) == [1, 3]
+    for index, error in errors.items():
+        with pytest.raises(type(error)) as want:
+            oct_inverse(OctonionicMatrix(stack[index]))
+        assert str(error) == str(want.value)
+    for index in (0, 2, 4):
+        assert np.array_equal(
+            out[index], reference_oct_inverse(OctonionicMatrix(stack[index])).components)
 
 
 def test_stacked_resolvent_raises_for_first_near_shift():

@@ -1,6 +1,7 @@
 """Verification suites: the residual tally, large-n charpoly data, negative
 controls that must make the closed-form suite fail, the pairing kernel and
-the batched trace suite against their loops, and the resolvent memo."""
+the batched suites against their trial loops, the round trip's redraw, skip
+and give-up paths, the stacked calls each suite makes, and the resolvent memo."""
 
 import json
 
@@ -17,16 +18,22 @@ from octodyson import (
     model_a,
     model_b,
     sample_matrix,
+    simulate,
+    verify,
 )
 from octodyson.calculus import generator_charpoly_ratio, measure_coefficients
+from octodyson.errors import Error, SingularCore
 from octodyson.matrices import OctonionicMatrix, off_spectrum_points, separated_shifts
-from octodyson.verify import check_closed_forms, check_trace_identities
+from octodyson.verify import check_closed_forms, check_inverse_roundtrip, check_trace_identities
 
 from oracles import (
+    reference_check_closed_forms,
+    reference_check_inverse_roundtrip,
     reference_check_trace_identities,
     reference_gamma_log_charpoly,
     reference_generator_log_charpoly,
     reference_generator_weights,
+    reference_oct_inverse,
 )
 
 
@@ -186,10 +193,176 @@ def kernel_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("model", [model_a(), model_b(3)], ids=["a", "b3"])
-def test_closed_form_trial_inverts_once_per_shift(kernel_calls, model):
-    # Gamma(x, y), Gamma(y, x) and L(x) ask for five resolvents at two shifts
-    check_closed_forms(model, trials=1)
-    assert kernel_calls == [1, 1]
+def test_closed_form_trial_inverts_once_per_shift(kernel_calls, monkeypatch, model):
+    """Gamma(x, y), Gamma(y, x) and L(x) ask for five resolvents at two shifts
+    per trial; one kernel call per batch takes both shifts of every trial."""
+    check_closed_forms(model, trials=5)
+    assert kernel_calls == [10]
+    kernel_calls.clear()
+    monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", 3 * 8 * (8 * model.n) ** 2)
+    check_closed_forms(model, trials=5)
+    assert kernel_calls == [6, 4]
+
+
+@pytest.mark.parametrize("model", [model_a(), model_b(3)], ids=["a", "b3"])
+def test_closed_form_suite_calls_the_calculus_per_trial(monkeypatch, model):
+    """Per trial, in this order, through the names the suite module binds:
+    Gamma(x, y), its closed form, Gamma(y, x), L(x) and its closed form,
+    with one matrix and one pair of shifts; the benchmark's recorder reads
+    the calls in this pattern."""
+    calls = []
+    for name in ("gamma_log_charpoly", "gamma_closed_form",
+                 "generator_log_charpoly", "generator_closed_form"):
+        def record(*args, _name=name, _fn=getattr(verify, name)):
+            calls.append((_name, args))
+            return _fn(*args)
+        monkeypatch.setattr(verify, name, record)
+    monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", 3 * 8 * (8 * model.n) ** 2)
+    check_closed_forms(model, trials=4, seed=2)
+    pattern = ("gamma_log_charpoly", "gamma_closed_form", "gamma_log_charpoly",
+               "generator_log_charpoly", "generator_closed_form")
+    assert [name for name, _ in calls] == list(pattern) * 4
+    cfg = SimulationConfig(model.kind, model.n, seed=2)
+    for trial in range(4):
+        (_, (m, x, y, mod)), (_, (px, py)), (_, (m2, y2, x2, _)), \
+            (_, (m3, x3, _)), (_, (px2, _)) = calls[5 * trial:5 * trial + 5]
+        assert m is m2 is m3 and mod == model
+        assert np.array_equal(m.components, sample_matrix(cfg, trial).components)
+        assert (x, y) == (x2, y2) == (px.x, py.x) and x3 == x == px2.x
+
+
+def _report(report: IdentityReport) -> dict:
+    out = report.to_dict()
+    del out["elapsed_ms"]
+    return out
+
+
+SUITE_SIZES = [(model_a(), 20), (model_b(4), 20), (model_b(48), 2)]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("model,trials", SUITE_SIZES, ids=["a", "b4", "b48"])
+@pytest.mark.parametrize("batch", [None, 3], ids=["default-batch", "three-per-batch"])
+def test_closed_form_suite_matches_trial_loop(monkeypatch, batch, model, trials, seed):
+    if batch:
+        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", batch * 8 * (8 * model.n) ** 2)
+    assert (_report(check_closed_forms(model, trials, seed))
+            == _report(reference_check_closed_forms(model, trials, seed)))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("model,trials", SUITE_SIZES, ids=["a", "b4", "b48"])
+@pytest.mark.parametrize("batch", [None, 3], ids=["default-batch", "three-per-batch"])
+def test_roundtrip_suite_matches_trial_loop(monkeypatch, batch, model, trials, seed):
+    if batch:
+        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", batch * 8 * (8 * model.n) ** 2)
+    assert (_report(check_inverse_roundtrip(model.kind, model.n, trials, seed))
+            == _report(reference_check_inverse_roundtrip(model.kind, model.n, trials, seed)))
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The indices the round trip draws, in order."""
+    indices = []
+
+    def recorded(cfg, rows):
+        indices.extend(rows)
+        return simulate.sample_stack(cfg, rows)
+
+    monkeypatch.setattr(verify, "sample_stack", recorded)
+    return indices
+
+
+@pytest.mark.parametrize("kind,n,limit", [("a", 2, 2.0), ("b", 4, 5.0)])
+@pytest.mark.parametrize("batch", [None, 3], ids=["default-batch", "three-per-batch"])
+def test_roundtrip_redraws_inside_a_batch(monkeypatch, drawn, batch, kind, n, limit):
+    """A limit that rejects about half the draws: the rejected ones are
+    redrawn in later batches and the report is the trial loop's."""
+    monkeypatch.setattr(verify, "ROUNDTRIP_COND_LIMIT", limit)
+    if batch:
+        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", batch * 8 * (8 * n) ** 2)
+    got = check_inverse_roundtrip(kind, n, trials=12, seed=0)
+    assert got.cases == 12 and len(drawn) > 18
+    assert drawn == list(range(len(drawn)))
+    assert _report(got) == _report(reference_check_inverse_roundtrip(kind, n, 12, 0))
+
+
+def test_roundtrip_skips_a_refused_inverse(monkeypatch, drawn):
+    """An entry the masked kernel marks as failed is skipped, as the trial
+    loop skips a draw whose structured inverse raises."""
+    cfg = SimulationConfig("a", 2, seed=1)
+    doomed = sample_matrix(cfg, 3).components
+    kernel = matrices._oct_inverse_masked
+    forced = []
+
+    def refusing(comps):
+        out, errors = kernel(comps)
+        for i, c in enumerate(comps):
+            if np.array_equal(c, doomed):
+                errors[i] = SingularCore("forced")
+                forced.append(i)
+        return out, errors
+
+    def reference_refusing(m):
+        if np.array_equal(m.components, doomed):
+            raise SingularCore("forced")
+        return reference_oct_inverse(m)
+
+    monkeypatch.setattr(verify, "_oct_inverse_masked", refusing)
+    got = check_inverse_roundtrip("a", 2, trials=10, seed=1)
+    assert forced == [3] and got.cases == 10 and drawn == list(range(11))
+    assert _report(got) == _report(
+        reference_check_inverse_roundtrip("a", 2, 10, 1, inverse=reference_refusing))
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["default-batch", "three-per-batch"])
+def test_roundtrip_gives_up_below_its_draw_bound(monkeypatch, drawn, batch):
+    """With every draw rejected the suite raises the trial loop's error after
+    drawing each index below 20 trials + 100 once, and none beyond."""
+    monkeypatch.setattr(verify, "ROUNDTRIP_COND_LIMIT", 0.0)
+    if batch:
+        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", batch * 8 * 16 ** 2)
+    with pytest.raises(Error) as want:
+        reference_check_inverse_roundtrip("a", 2, 5, 0)
+    with pytest.raises(Error) as got:
+        check_inverse_roundtrip("a", 2, trials=5, seed=0)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    assert drawn == list(range(20 * 5 + 100))
+
+
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """Counts the calls of numpy's eigvalsh, inv and slogdet by name."""
+    calls = []
+    for name in ("eigvalsh", "inv", "slogdet"):
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_roundtrip_stacks_each_batch(numpy_calls, monkeypatch):
+    """Twenty trials at n = 2 are one batch: one eigensolve, one structured
+    inverse (whose two guarded LU inverses are the only dense ones)."""
+    kernel_calls = []
+    kernel = matrices._oct_inverse_masked
+
+    def counted(comps):
+        kernel_calls.append(len(comps))
+        return kernel(comps)
+
+    monkeypatch.setattr(verify, "_oct_inverse_masked", counted)
+    assert check_inverse_roundtrip("a", 2, trials=20, seed=0).cases == 20
+    assert kernel_calls == [20]
+    assert numpy_calls == ["eigvalsh", "inv", "inv"]
+
+
+def test_logdet_suite_stacks_its_derivatives(numpy_calls):
+    """After the draws, one inverse for the analytic derivatives, one
+    ``slogdet`` and one ``inv`` over the stencil stack."""
+    assert matrices.check_logdet_derivatives(count=20, seed=3).cases == 40
+    assert numpy_calls == ["inv", "slogdet", "inv"]
 
 
 def test_charpoly_ratio_inverts_once(kernel_calls):
