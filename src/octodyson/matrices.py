@@ -540,16 +540,18 @@ def check_dim2_identities(trials: int = 1_000, seed: int = 4) -> IdentityReport:
     :data:`DIM2_TOL`.  Draw i is the model-a sample i at t = 1 of the counter
     stream under ``seed`` (:func:`~octodyson.simulate.sample_stack`); its two
     shifts and then the scalar 2x2 matrix come trial by trial from
-    ``default_rng(seed)``.  Draws are taken in batches of :func:`forms_per_batch`.
+    ``default_rng(seed)``.  Draws are taken in batches of :func:`forms_per_batch`;
+    their spectra come from the planar closed form
+    (:func:`~octodyson.simulate.model_spectra`), so no real form is built.
     """
-    from .simulate import SimulationConfig, sample_stack
+    from .simulate import SimulationConfig, model_spectra, sample_stack
 
     cfg = SimulationConfig("a", 2, seed=seed)
     rng = np.random.default_rng(seed)
     with IdentityReport("dim2-trace-identities", seed=seed).timed() as report:
         for lo in range(0, trials, forms_per_batch(2)):
             comps = sample_stack(cfg, range(lo, min(trials, lo + forms_per_batch(2))))
-            eigs = np.linalg.eigvalsh(real_form(comps))
+            eigs = model_spectra("a", comps)
             shifts, mm = zip(*((off_spectrum_points(e, rng, 2), rng.standard_normal((2, 2)))
                                for e in eigs))
             ux, uy = np.moveaxis(_resolvents(comps, eigs, shifts), 1, 0)

@@ -409,6 +409,13 @@ def _reduced_spectra(kind: str, comps: np.ndarray) -> np.ndarray:
     return np.stack([mid - half, mid + half], axis=-1)
 
 
+def model_spectra(kind: str, comps: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, shape (..., 8n), of the real forms of model
+    draws ``comps`` (..., 8, n, n): each value of :func:`_reduced_spectra`
+    eight times.  No real form is built or eigensolved."""
+    return np.repeat(_reduced_spectra(kind, comps), 8, axis=-1)
+
+
 @dataclass(frozen=True)
 class CrossCheck:
     """The dense real-form check of sampled spectra.

@@ -19,11 +19,12 @@ sign weights as loops over label tuples, the structured inverse with its
 three factorisations of M^0, and the finite differences and dimension-2
 traces one entry or component at a time.  The vectorised library code must
 reproduce them bit for bit.  The identity suites run one trial, one
-resolvent, one structured inverse, one eigensolve and one dense inverse at
-a time, on the library's draws and random streams, and the Gamma and
-generator sums one label pair at a time; the suites must reproduce their
-reports, the pairing sums their values to rounding.  Spectrum CSV rows are
-joined cell by cell from :func:`~octodyson.reporting.fmt17` and ``str``.
+resolvent, one structured inverse, one reduced spectrum and one dense
+inverse at a time, on the library's draws and random streams, and the
+Gamma and generator sums one label pair at a time; the suites must
+reproduce their reports, the pairing sums their values to rounding.
+Spectrum CSV rows are joined cell by cell from
+:func:`~octodyson.reporting.fmt17` and ``str``.
 """
 
 import itertools
@@ -254,17 +255,23 @@ def dense_spectrum(kind: str, comps: np.ndarray, cluster_tol: float) -> Spectral
     return cluster_eigenvalues(np.linalg.eigvalsh(reference_real_form(comps)), cluster_tol)
 
 
-def reduced_spectrum(kind: str, comps: np.ndarray, cluster_tol: float) -> SpectralSample:
-    """Clustered spectrum of one draw from its structure, eigensolved alone:
-    the eigenvalues of M^0 + i sqrt(7) S for model b, the planar closed form
-    (a + b)/2 -+ hypot((a - b)/2, |q|) for model a, each eight times."""
+def reduced_eigenvalues(kind: str, comps: np.ndarray) -> np.ndarray:
+    """The 8n real-form eigenvalues of one draw from its structure, eigensolved
+    alone: the eigenvalues of M^0 + i sqrt(7) S for model b, the planar
+    closed form (a + b)/2 -+ hypot((a - b)/2, |q|) for model a, each eight
+    times."""
     if kind == "b":
         values = np.linalg.eigvalsh(comps[0] + 1j * (math.sqrt(7.0) * comps[1]))
     else:
         a, b = comps[0, 0, 0], comps[0, 1, 1]
         half = np.hypot(0.5 * a - 0.5 * b, np.hypot.reduce(comps[:, 0, 1]))
         values = np.array([0.5 * a + 0.5 * b - half, 0.5 * a + 0.5 * b + half])
-    return cluster_eigenvalues(np.repeat(values, 8), cluster_tol)
+    return np.repeat(values, 8)
+
+
+def reduced_spectrum(kind: str, comps: np.ndarray, cluster_tol: float) -> SpectralSample:
+    """Clustered :func:`reduced_eigenvalues` of one draw."""
+    return cluster_eigenvalues(reduced_eigenvalues(kind, comps), cluster_tol)
 
 
 def reference_cross_check(dense, reduced) -> dict:
@@ -642,10 +649,11 @@ def reference_trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.trace(a @ b))
 
 
-def reference_resolvent(m: OctonionicMatrix, x: float) -> OctonionicMatrix:
-    """Resolvent at one shift: the guard, then the three-factorisation
-    structured inverse of ``m - x Id``."""
-    eigs = m.eigenvalues
+def reference_resolvent(m: OctonionicMatrix, x: float, eigs=None) -> OctonionicMatrix:
+    """Resolvent at one shift: the guard against the spectrum ``eigs`` (by
+    default the dense one), then the three-factorisation structured inverse
+    of ``m - x Id``."""
+    eigs = m.eigenvalues if eigs is None else eigs
     if np.min(np.abs(eigs - x)) <= shift_guard(eigs):
         raise NearSingularShift(f"shift {x} is within the guard distance of the spectrum")
     comps = m.components.copy()
@@ -653,11 +661,12 @@ def reference_resolvent(m: OctonionicMatrix, x: float) -> OctonionicMatrix:
     return reference_oct_inverse(OctonionicMatrix(comps))
 
 
-def reference_trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) -> dict:
-    """The trace identities of one matrix, with one resolvent and one dense
-    inverse per shift and every trace of its own."""
-    ucx = reference_resolvent(m, x).components
-    ucy = reference_resolvent(m, y).components
+def reference_trace_identity_residuals(m: OctonionicMatrix, eigs: np.ndarray, x: float,
+                                       y: float) -> dict:
+    """The trace identities of one matrix with spectrum ``eigs``, with one
+    resolvent and one dense inverse per shift and every trace of its own."""
+    ucx = reference_resolvent(m, x, eigs).components
+    ucy = reference_resolvent(m, y, eigs).components
     rf = reference_real_form(m.components)
     eye = np.eye(rf.shape[0])
     dx = np.linalg.inv(rf - x * eye)
@@ -666,8 +675,8 @@ def reference_trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) 
     signed = [float(SIGN_TABLE[c, c]) * float(np.trace(ucx[c] @ ucy[c])) for c in range(8)]
     pairing = max(_rel(float(np.sum(ucx[c] * ucy[c])), signed[c]) for c in range(8))
     cross_trace = float(np.sum(dx * dy.T))
-    px = CharPolyEval.from_eigenvalues(m.eigenvalues, x)
-    py = CharPolyEval.from_eigenvalues(m.eigenvalues, y)
+    px = CharPolyEval.from_eigenvalues(eigs, x)
+    py = CharPolyEval.from_eigenvalues(eigs, y)
     return {
         "full-trace": _rel(trace_x, 8.0 * float(np.trace(ucx[0]))),
         "transpose-pairing": pairing,
@@ -679,31 +688,34 @@ def reference_trace_identity_residuals(m: OctonionicMatrix, x: float, y: float) 
 
 
 def reference_check_trace_identities(kind: str, n: int, trials: int, seed: int) -> IdentityReport:
-    """The trace suite one trial at a time."""
+    """The trace suite one trial at a time, each draw's spectrum from its own
+    reduction."""
     rng = np.random.default_rng(seed)
     cfg = SimulationConfig(kind=kind, n=n, t=1.0, samples=1, seed=seed)
     report = IdentityReport(f"trace-identities-model-{kind}-n{n}", seed=seed)
     for i in range(trials):
         m = sample_matrix(cfg, i)
-        x, y = separated_shifts(m.eigenvalues, rng)
-        for r in reference_trace_identity_residuals(m, float(x), float(y)).values():
+        eigs = reduced_eigenvalues(kind, m.components)
+        x, y = separated_shifts(eigs, rng)
+        for r in reference_trace_identity_residuals(m, eigs, float(x), float(y)).values():
             report.record(r, TRACE_TOL)
     return report
 
 
 def reference_check_dim2_identities(trials: int, seed: int) -> IdentityReport:
     """The dimension-2 suite one trial at a time: draw i is model-a sample i
-    of the counter stream; its shifts, then its scalar 2x2 matrix, come from
-    ``default_rng(seed)``."""
+    of the counter stream, its spectrum from its own reduction; its shifts,
+    then its scalar 2x2 matrix, come from ``default_rng(seed)``."""
     cfg = SimulationConfig(kind="a", n=2, seed=seed)
     rng = np.random.default_rng(seed)
     report = IdentityReport("dim2-trace-identities", seed=seed)
     for i in range(trials):
         m = sample_matrix(cfg, i)
-        x, y = off_spectrum_points(m.eigenvalues, rng, 2)
+        eigs = reduced_eigenvalues("a", m.components)
+        x, y = off_spectrum_points(eigs, rng, 2)
         report.record(reference_dim2_trace_residuals(
-            reference_resolvent(m, float(x)).components,
-            reference_resolvent(m, float(y)).components), DIM2_TOL)
+            reference_resolvent(m, float(x), eigs).components,
+            reference_resolvent(m, float(y), eigs).components), DIM2_TOL)
         mm = rng.standard_normal((2, 2))
         report.record(_rel(float(np.trace(mm @ mm)) - float(np.trace(mm)) ** 2,
                            -2.0 * float(np.linalg.det(mm))), DIM2_TOL)
@@ -743,17 +755,18 @@ def reference_generator_log_charpoly(m: OctonionicMatrix, x: float,
 
 
 def reference_check_closed_forms(model: DiffusionModel, trials: int, seed: int) -> IdentityReport:
-    """The closed-form suite one trial at a time: each draw eigensolved on
-    its own, its shifts drawn, and its resolvents taken by the calculus
-    through the per-matrix memo."""
+    """The closed-form suite one trial at a time: each draw's spectrum from
+    its own reduction, its shifts drawn, and its resolvents taken by the
+    calculus through the per-matrix memo."""
     cfg = SimulationConfig(model.kind, model.n, seed=seed)
     rng = np.random.default_rng(seed)
     report = IdentityReport(f"closed-forms-model-{model.kind}-n{model.n}", seed=seed)
     for i in range(trials):
         m = sample_matrix(cfg, i)
-        x, y = separated_shifts(m.eigenvalues, rng)
-        px = CharPolyEval.from_eigenvalues(m.eigenvalues, x)
-        py = CharPolyEval.from_eigenvalues(m.eigenvalues, y)
+        eigs = reduced_eigenvalues(model.kind, m.components)
+        x, y = separated_shifts(eigs, rng)
+        px = CharPolyEval.from_eigenvalues(eigs, x)
+        py = CharPolyEval.from_eigenvalues(eigs, y)
         gam = gamma_log_charpoly(m, x, y, model)
         closed = gamma_closed_form(px, py)
         gam_sym = gamma_log_charpoly(m, y, x, model)
@@ -773,8 +786,9 @@ def reference_check_closed_forms(model: DiffusionModel, trials: int, seed: int) 
 def reference_check_inverse_roundtrip(kind: str, n: int, trials: int, seed: int,
                                       inverse=reference_oct_inverse) -> IdentityReport:
     """The round trip one draw at a time: draw index after index, skip a
-    draw above ``verify.ROUNDTRIP_COND_LIMIT`` (read at call time) or one
-    whose ``inverse`` raises, and give up at index 20 trials + 100."""
+    draw whose reduced spectrum's condition number is above
+    ``verify.ROUNDTRIP_COND_LIMIT`` (read at call time) or one whose
+    ``inverse`` raises, and give up at index 20 trials + 100."""
     cfg = SimulationConfig(kind, n, seed=seed)
     report = IdentityReport(f"inverse-roundtrip-model-{kind}-n{n}", seed=seed)
     index = 0
@@ -783,7 +797,7 @@ def reference_check_inverse_roundtrip(kind: str, n: int, trials: int, seed: int,
             raise Error("too many ill-conditioned draws; check the sampler")
         m = sample_matrix(cfg, index)
         index += 1
-        moduli = np.abs(m.eigenvalues)
+        moduli = np.abs(reduced_eigenvalues(kind, m.components))
         if moduli.max() > verify.ROUNDTRIP_COND_LIMIT * moduli.min():
             continue
         try:

@@ -231,6 +231,28 @@ def test_hermitian_reduction():
     assert np.max(np.abs(m.eigenvalues - np.repeat(herm, 8))) < 1e-12
 
 
+@pytest.mark.parametrize("kind,n,count", [("a", 2, 20), ("b", 1, 20), ("b", 3, 20),
+                                          ("b", 8, 10), ("b", 48, 2)])
+def test_model_spectra_match_dense_eigensolve(kind, n, count):
+    """The spectra the identity suites read: ascending, 8n long, each value
+    eight times, and within the cross-check's tolerance of the dense
+    eigensolve of the real form.  The models start at n = 2, so the 1x1
+    draws are made here: a scalar entry, every antisymmetric part zero."""
+    if n == 1:
+        comps = np.zeros((count, 8, 1, 1))
+        comps[:, 0, 0, 0] = np.random.default_rng(41).standard_normal(count)
+    else:
+        comps = sample_stack(cfg(kind=kind, n=n, seed=40 + n), range(count))
+    got = simulate.model_spectra(kind, comps)
+    dense = np.linalg.eigvalsh(real_form(comps))
+    assert got.shape == dense.shape == (count, 8 * n)
+    assert np.all(np.diff(got, axis=1) >= 0.0)
+    assert np.array_equal(got.reshape(count, n, 8), np.repeat(got[:, ::8, None], 8, axis=2))
+    radius = np.max(np.abs(dense), axis=1)
+    assert np.all(np.max(np.abs(got - dense), axis=1)
+                  <= simulate.CROSS_CHECK_TOL * (1.0 + radius))
+
+
 def test_implied_beta_inverts_ratio():
     """R = 1 + 2/d with d = (n - 1) + beta n (n - 1) / 2 degrees of freedom."""
     for n in (2, 3, 8):

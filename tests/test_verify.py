@@ -14,6 +14,7 @@ from octodyson import (
     IdentityReport,
     SimulationConfig,
     calculus,
+    cli,
     matrices,
     model_a,
     model_b,
@@ -342,9 +343,24 @@ def numpy_calls(monkeypatch):
     return calls
 
 
-def test_roundtrip_stacks_each_batch(numpy_calls, monkeypatch):
-    """Twenty trials at n = 2 are one batch: one eigensolve, one structured
-    inverse (whose two guarded LU inverses are the only dense ones)."""
+@pytest.fixture
+def eigensolve_sides(monkeypatch):
+    """The side of every matrix numpy's eigvalsh solves, call by call."""
+    sides = []
+    solve = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        sides.append(np.shape(a)[-1])
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return sides
+
+
+def test_roundtrip_stacks_each_batch(numpy_calls, eigensolve_sides, monkeypatch):
+    """Twenty trials at n = 2 are one batch: no eigensolve (the condition
+    filter reads the planar closed form), one structured inverse (whose two
+    guarded LU inverses are the only dense ones)."""
     kernel_calls = []
     kernel = matrices._oct_inverse_masked
 
@@ -355,7 +371,46 @@ def test_roundtrip_stacks_each_batch(numpy_calls, monkeypatch):
     monkeypatch.setattr(verify, "_oct_inverse_masked", counted)
     assert check_inverse_roundtrip("a", 2, trials=20, seed=0).cases == 20
     assert kernel_calls == [20]
-    assert numpy_calls == ["eigvalsh", "inv", "inv"]
+    assert numpy_calls == ["inv", "inv"]
+    assert 8 * 2 not in eigensolve_sides
+
+
+@pytest.mark.parametrize("argv,n", [
+    (["verify-identities", "--model", "b", "--n", "8", "--trials", "20"], 8),
+    (["check-dim2", "--trials", "20"], 2),
+], ids=["verify-identities-b8", "check-dim2"])
+def test_suites_eigensolve_no_real_form(eigensolve_sides, capsys, argv, n):
+    """The identity commands take their spectra from the n x n reduction:
+    numpy's eigvalsh never sees a matrix of side 8n."""
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert set(eigensolve_sides) <= {n}
+
+
+def _wide_half_gap(reduced):
+    """``_reduced_spectra`` with model a's half-gap scaled by 1.01."""
+    def solve(kind, comps):
+        lo, hi = np.moveaxis(reduced(kind, comps), -1, 0)
+        mid, half = 0.5 * lo + 0.5 * hi, 1.01 * (0.5 * hi - 0.5 * lo)
+        return np.stack([mid - half, mid + half], axis=-1)
+    return solve
+
+
+@pytest.mark.parametrize("model,patch", [
+    (model_b(4), lambda mp: mp.setattr(simulate, "HERMITIAN_ROOT", np.sqrt(6.0))),
+    (model_a(), lambda mp: mp.setattr(simulate, "_reduced_spectra",
+                                      _wide_half_gap(simulate._reduced_spectra))),
+], ids=["b4-root-sqrt6", "a-half-gap-times-1.01"])
+def test_wrong_reduction_fails_both_suites(monkeypatch, model, patch):
+    """A wrong reduced spectrum fails the trace suite's dlog, sq and cross
+    identities, which compare it with the dense LU inverses, and the closed
+    forms' Gamma and generator cases, which compare it with the resolvents'
+    quadruple sums; the symmetry cases pass."""
+    patch(monkeypatch)
+    trace = check_trace_identities(model.kind, model.n, 20, 1)
+    closed = check_closed_forms(model, 20, 0)
+    assert (trace.failures, trace.cases) == (60, 120)
+    assert (closed.failures, closed.cases) == (40, 60)
 
 
 def test_logdet_suite_stacks_its_derivatives(numpy_calls):
