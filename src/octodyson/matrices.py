@@ -100,14 +100,6 @@ class OctonionicMatrix:
     def zero(cls, n: int) -> "OctonionicMatrix":
         return cls(np.zeros((8, n, n)))
 
-    @classmethod
-    def from_scalar_part(cls, m0) -> "OctonionicMatrix":
-        """Matrix whose only nonzero component is the identity-label one."""
-        m0 = np.asarray(m0, dtype=np.float64)
-        comps = np.zeros((8,) + m0.shape)
-        comps[0] = m0
-        return cls(comps)
-
     def real_form(self) -> np.ndarray:
         return real_form(self.components)
 

@@ -26,18 +26,20 @@ Randomness is counter-based: sample (or path) ``index`` under seed ``s``
 draws from a Philox stream keyed by ``s`` whose 256-bit counter starts at
 ``index * 2**128``, so the stream is a pure function of ``(seed, index)``
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
-:func:`sample_rng` builds that generator for one index.  The sampler builds
-one Philox per chunk of indices instead and, before each index, seeks it:
-it writes the counter ``index * 2**128`` and an empty output buffer into
-numpy's ``philox_state`` in place (:func:`_seek_in_place`).  The generator
-is then in the state a fresh :func:`sample_rng` would have, in every field
-that a draw reads, so each index's normals, and hence the output bytes,
-cannot depend on the chunk size.  That struct is private to numpy, so a
-probe (:func:`_in_place_seek_works`), run once per process at the first
+:func:`sample_rng` builds that generator for one index and is the reference.
+The sampler builds one Philox per chunk of paths instead and, before each
+index, seeks it: it writes the counter ``index * 2**128`` and an empty output
+buffer into numpy's ``philox_state`` in place (:func:`_seek_in_place`).  The
+generator is then in the state a fresh :func:`sample_rng` would have, in
+every field that a draw reads, so each index's normals, and hence the output
+bytes, cannot depend on the chunk size.  That struct is private to numpy, so
+a probe (:func:`_in_place_seek_works`), run once per process at the first
 draw, checks its layout against the generator's state dict and the seek
-against :func:`sample_rng`; where it finds a mismatch the sampler assigns
-the state dict instead (:func:`_seek`), which is slower but gives the same
-bytes.  The chunks run one after another on the calling thread.
+against :func:`sample_rng`; where it finds a mismatch the sampler draws each
+index from its own :func:`sample_rng`, which is slower but gives the same
+bytes.  Chunks of whole paths, with at most
+:data:`~octodyson.matrices.FORM_BATCH_BYTES` of normals or one path each, run
+one after another on the calling thread.
 """
 
 from __future__ import annotations
@@ -106,22 +108,6 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 _WORD = 0xFFFF_FFFF_FFFF_FFFF
 
 
-def _seek(rng: np.random.Generator, state: dict, index: int) -> None:
-    """Put a Philox generator into the state of a fresh ``sample_rng(seed,
-    index)``: counter ``index << 128``, buffer empty.  The sampler's seek
-    where :func:`_in_place_seek_works` rejects numpy's layout.
-
-    ``state`` is the state dict of a fresh Philox under the same key.  A call
-    writes the index into its counter array in place and assigns the dict,
-    which the generator validates and copies; every other field keeps its
-    initial value, so no call depends on an earlier one.
-    """
-    counter = state["state"]["counter"]
-    counter[2] = index & _WORD
-    counter[3] = index >> 64
-    rng.bit_generator.state = state
-
-
 class _PhiloxState(ctypes.Structure):
     """numpy's ``philox_state``, which ``Philox.ctypes.state_address`` points
     to: pointers to the 4-word counter and the 2-word key, the output buffer
@@ -138,8 +124,8 @@ class _PhiloxState(ctypes.Structure):
 
 def _seek_in_place(bitgen: np.random.Philox) -> Callable[[int], None]:
     """A seek of ``bitgen`` to the state of a fresh ``sample_rng(seed, index)``
-    that writes numpy's ``philox_state`` in place, without the validation
-    and copies of a state-dict assignment (:func:`_seek`).
+    that writes numpy's ``philox_state`` in place, without building a
+    generator per index.
 
     A call writes the counter (0, 0, index mod 2**64, index >> 64), sets
     ``buffer_pos`` to 4 (the buffer is spent) and ``has_uint32`` to 0.  The
@@ -276,20 +262,21 @@ def _draw_layout(kind: str, n: int) -> _DrawLayout:
 
 def _draw(cfg: SimulationConfig, indices: range, steps: int) -> np.ndarray:
     """Scaled normals of ``steps`` increments over ``cfg.t / steps`` per index,
-    shape (len(indices), steps, size).  One Philox, sought to each index's
-    counter block, fills its rows with one ``standard_normal`` call."""
+    shape (len(indices), steps, size).  One Philox, sought in place to each
+    index's counter block, fills its rows with one ``standard_normal`` call;
+    where :func:`_in_place_seek_works` rejects numpy's layout, each index's
+    own :func:`sample_rng` fills them."""
     layout = _draw_layout(cfg.kind, cfg.n)
-    bitgen = np.random.Philox(key=cfg.seed)
-    rng = np.random.Generator(bitgen)
-    if _in_place_seek_works():
-        seek = _seek_in_place(bitgen)
-    else:
-        seek = functools.partial(_seek, rng, bitgen.state)
-    fill = rng.standard_normal
     normals = np.empty((len(indices), steps, layout.size))
-    for index, path in zip(indices, normals):
-        seek(index)
-        fill(out=path)
+    if _in_place_seek_works():
+        bitgen = np.random.Philox(key=cfg.seed)
+        seek, fill = _seek_in_place(bitgen), np.random.Generator(bitgen).standard_normal
+        for index, path in zip(indices, normals):
+            seek(index)
+            fill(out=path)
+    else:
+        for index, path in zip(indices, normals):
+            sample_rng(cfg.seed, index).standard_normal(out=path)
     normals *= layout.scale(cfg.t / steps)
     return normals
 
@@ -378,8 +365,6 @@ def _cluster_rows(eigs: np.ndarray, cluster_tol: float,
     return distinct, mults, spread
 
 
-#: Most rows (path steps) in one chunk of :func:`sample_spectra`, bar a long path.
-CHUNK_ROWS = 1024
 #: The root of -7 that the seven imaginary units of a model-b draw act as.
 HERMITIAN_ROOT = math.sqrt(7.0)
 #: Rows whose position index * steps + step is a multiple of this are also
@@ -525,12 +510,13 @@ def sample_spectra(cfg: SimulationConfig) -> SampledSpectra:
     with their dense cross-check; at ``steps == 1``, the spectra of
     ``sample_components(cfg, i)`` for each ``i``.
 
-    Work is split into chunks of whole paths, at most :data:`CHUNK_ROWS`
-    rows or one path, each run by :func:`_chunk_spectra` in turn.  Every
-    step acts on each path alone, and the checked rows are fixed by their
-    position, so the result is identical for any chunk size.
+    Work is split into chunks of whole paths, as many as one batch of
+    :data:`~octodyson.matrices.FORM_BATCH_BYTES` holds of their normals, or
+    one path, each run by :func:`_chunk_spectra` in turn.  Every step acts on
+    each path alone, and the checked rows are fixed by their position, so
+    the result is identical for any chunk size.
     """
-    size = max(1, CHUNK_ROWS // cfg.steps)
+    size = entries_per_batch(8 * cfg.steps * _draw_layout(cfg.kind, cfg.n).size)
     parts = [_chunk_spectra(cfg, range(lo, min(lo + size, cfg.samples)))
              for lo in range(0, cfg.samples, size)]
     distinct, mults, spread, checked = map(np.concatenate, zip(*parts))

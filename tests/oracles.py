@@ -2,6 +2,7 @@
 
 Everything here is deliberately built by a different route than the library
 code it checks: quadruple sums from the raw entry-level covariance tensor,
+that tensor again from the real forms of the sampler's single normals,
 moment ratios from quadrature, gap laws from a rejection sampler,
 spectral laws from the tridiagonal beta-Hermite model, radial moments
 without scaling and their standard error from ``np.cov``, 2x2
@@ -70,11 +71,30 @@ from octodyson.simulate import (
     SampledSpectra,
     SimulationConfig,
     SpectralSample,
+    _draw_layout,
     cluster_eigenvalues,
     sample_matrix,
     sample_rng,
 )
 from octodyson.verify import CLOSED_FORM_TOL, ROUNDTRIP_TOL, TRACE_TOL
+
+
+def from_scalar_part(m0) -> OctonionicMatrix:
+    """Matrix whose only nonzero component is the identity-label one."""
+    m0 = np.asarray(m0, dtype=np.float64)
+    comps = np.zeros((8,) + m0.shape)
+    comps[0] = m0
+    return OctonionicMatrix(comps)
+
+
+def layout_gamma_tensor(kind: str, n: int) -> np.ndarray:
+    """The entry covariance tensor of the sampler's own law, per unit time:
+    sum_k v_k E_k (x) E_k over the normals k of one increment, with E_k the
+    real form of normal k alone and v_k its variance over dt = 1.  No sign
+    weights or delta rules enter."""
+    layout = _draw_layout(kind, n)
+    forms = real_form(layout.scatter(np.eye(layout.size)))
+    return np.einsum("k,kij,klm->ijlm", layout.scale(1.0) ** 2, forms, forms)
 
 
 def entry_gamma_tensor(kind: str, n: int) -> np.ndarray:

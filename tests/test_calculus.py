@@ -11,7 +11,6 @@ from octodyson import (
     ExponentProblem,
     InvalidConfig,
     NoAdmissibleRoot,
-    OctonionicMatrix,
     SimulationConfig,
     gamma_closed_form,
     gamma_log_charpoly,
@@ -22,12 +21,19 @@ from octodyson import (
     model_a,
     model_b,
     sample_matrix,
+    simulate,
     solve_multiplicity,
 )
 from octodyson.calculus import STATED_COEFFICIENTS, generator_charpoly_ratio
 from octodyson.matrices import off_spectrum_points
 
-from oracles import entry_gamma_tensor, gamma_sum_bruteforce, generator_sum_bruteforce
+from oracles import (
+    entry_gamma_tensor,
+    from_scalar_part,
+    gamma_sum_bruteforce,
+    generator_sum_bruteforce,
+    layout_gamma_tensor,
+)
 
 
 def draw(kind, n, seed=0, index=0):
@@ -60,6 +66,20 @@ def test_quadruple_sums_match_entry_level_bruteforce(kind, n):
         gen = generator_log_charpoly(m, x, model)
         gen_bf = generator_sum_bruteforce(ux, tensor)
         assert abs(gen - gen_bf) < 1e-10 * (1 + abs(gen_bf))
+
+
+@pytest.mark.parametrize("kind,n", [("a", 2), ("b", 2), ("b", 3)])
+def test_sampler_law_matches_entry_gamma_tensor(kind, n):
+    """The covariance of the real-form entries that the sampler draws is the
+    tensor of the delta rules, so sampler and calculus share one law."""
+    assert np.max(np.abs(layout_gamma_tensor(kind, n) - entry_gamma_tensor(kind, n))) < 1e-15
+
+
+def test_wrong_antisymmetric_rate_breaks_the_law(monkeypatch):
+    """Negative control: model b's shared antisymmetric rate at 1/13 instead
+    of 1/14, in the sampler's layout only, leaves the delta-rule tensor."""
+    monkeypatch.setattr(simulate, "MODEL_B_ANTISYM_RATE", 1.0 / 13.0)
+    assert np.max(np.abs(layout_gamma_tensor("b", 3) - entry_gamma_tensor("b", 3))) > 1e-3
 
 
 @pytest.mark.parametrize("kind,n", [("a", 2), ("b", 2), ("b", 3)])
@@ -104,7 +124,7 @@ def test_gamma_closed_form_invariant_in_dimension_for_shared_model():
 def test_scalar_multiple_closed_form():
     """mu Id on the scalar label: both routes computable by hand."""
     mu = 1.5
-    m = OctonionicMatrix.from_scalar_part(mu * np.eye(2))
+    m = from_scalar_part(mu * np.eye(2))
     model = model_a()
     x, y = 4.0, -3.0
     gam = gamma_log_charpoly(m, x, y, model)

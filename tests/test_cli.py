@@ -239,10 +239,11 @@ NORTH_STAR = {
 }
 
 
-def test_in_place_seek_writes_the_bytes_of_the_state_dict(tmp_path, capsys, monkeypatch):
+def test_in_place_seek_writes_the_bytes_of_sample_rng(tmp_path, capsys, monkeypatch):
     """The sampling commands at the north star's sizes write the same bytes,
     and print the same lines, with the counter sought in place and with the
-    probe forced to reject it, so that every index assigns the state dict."""
+    probe forced to reject it, so that every index draws from its own
+    sample_rng."""
     argvs = {
         "a.csv": ["sample-spectrum", "--model", "a", "--samples", "20000"],
         "b8.csv": ["sample-spectrum", "--model", "b", "--n", "8", "--samples", "2000"],
@@ -260,7 +261,7 @@ def test_in_place_seek_writes_the_bytes_of_the_state_dict(tmp_path, capsys, monk
     assert simulate._in_place_seek_works()
     fast = written("fast")
     monkeypatch.setattr(simulate, "_in_place_seek_works", lambda: False)
-    assert written("dict") == fast
+    assert written("sample_rng") == fast
     assert {name: hashlib.sha256(fast[1][name]).hexdigest() for name in NORTH_STAR} == NORTH_STAR
     assert [code for code, _ in fast[0]] == [0, 0, 0]
 
@@ -377,8 +378,9 @@ def test_simulate_path_bytes_match_step_loop(argv, kind, n, tmp_path, capsys, mo
         "steps_with_broken_clusters": sum(s.multiplicities != (8,) * n for s in samples),
         "min_gap": min(path.min_gap for path in ref),
     }
+    row_bytes = 8 * simulate._draw_layout(kind, n).size
     for chunk in (1024, 7, 3):
-        monkeypatch.setattr(simulate, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", chunk * row_bytes)
         out = tmp_path / f"c{chunk}.csv"
         code, text = run(capsys, "simulate-path", *argv, "--steps", str(steps), "--paths",
                          str(paths), "--seed", str(seed), "--json", "--out", str(out))
@@ -494,8 +496,9 @@ def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples,
             "moment2": stats.moment2, "moment4": stats.moment4, "ratio": stats.ratio,
             "implied_beta": stats.implied_beta, "stderr": stats.stderr, "seed": seed,
         })
+    row_bytes = 8 * simulate._draw_layout(kind, n).size
     for chunk in (1024, 16):
-        monkeypatch.setattr(simulate, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", chunk * row_bytes)
         out = tmp_path / f"c{chunk}.csv"
         code, text = run(capsys, "sample-spectrum", *argv, "--seed", str(seed), "--json",
                          "--out", str(out))

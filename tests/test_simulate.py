@@ -28,7 +28,6 @@ from octodyson.simulate import (
     _cluster_rows,
     _draw,
     _draw_layout,
-    _seek,
     _seek_in_place,
     cluster_eigenvalues,
     sample_components,
@@ -38,6 +37,7 @@ from octodyson.simulate import (
 from oracles import (
     beta_hermite_spectra,
     dense_spectrum,
+    from_scalar_part,
     moment_ratio_by_quadrature,
     planar_distinct_eigenvalues,
     reduced_spectrum,
@@ -201,13 +201,27 @@ def test_sample_spectra_chunk_invariance(chunk, monkeypatch):
     and cross-check; a shorter run gives a prefix."""
     c = cfg(kind="b", n=3, seed=31, samples=400)
     whole = sample_spectra(c)
-    monkeypatch.setattr(simulate, "CHUNK_ROWS", chunk)
+    monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", chunk * 8 * _draw_layout("b", 3).size)
     chunked = sample_spectra(c)
     assert_same_spectra(chunked, whole)
     assert chunked.cross_check == whole.cross_check
     head = sample_spectra(cfg(kind="b", n=3, seed=31, samples=3))
     assert_same_spectra(head, SampledSpectra(whole.distinct[:3], whole.multiplicities[:3],
                                              whole.spread[:3]))
+
+
+def test_chunks_follow_the_batch_bound(monkeypatch):
+    """A bound below one path's normals draws each path alone; the default
+    bound draws the benchmark's spectrum runs, model a at 2000 samples and
+    model b at n = 16 and 512 samples, in one chunk each."""
+    calls = []
+    draw = simulate._draw
+    monkeypatch.setattr(simulate, "_draw", lambda *a: calls.append(len(a[1])) or draw(*a))
+    sample_spectra(cfg(samples=2000))
+    sample_spectra(cfg(kind="b", n=16, samples=512))
+    monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", 8 * 5 * _draw_layout("a", 2).size - 1)
+    sample_spectra(cfg(samples=3, steps=5))
+    assert calls == [2000, 512, 1, 1, 1]
 
 
 def test_find_openblas_matches_numpy_build():
@@ -226,7 +240,7 @@ def test_hermitian_reduction():
             herm = simulate._reduced_spectra("b", m.components)
             assert np.max(np.abs(m.eigenvalues - np.repeat(herm, 8))) < 1e-9
     # zero antisymmetric part: plain symmetric spectrum, eight copies
-    m = OctonionicMatrix.from_scalar_part(np.array([[1.0, 0.2], [0.2, -0.5]]))
+    m = from_scalar_part(np.array([[1.0, 0.2], [0.2, -0.5]]))
     herm = simulate._reduced_spectra("b", m.components)
     assert np.max(np.abs(m.eigenvalues - np.repeat(herm, 8))) < 1e-12
 
@@ -433,10 +447,6 @@ def test_sample_rng_streams_disjoint():
     np.testing.assert_array_equal(a, sample_rng(7, 0).standard_normal(4))
 
 
-def rng_state(rng: np.random.Generator) -> str:
-    return repr(rng.bit_generator.state)
-
-
 @pytest.mark.parametrize("kind,n", [("a", 2), ("b", 2), ("b", 8), ("b", 16)])
 def test_draw_increment_matches_reference(kind, n):
     """Each step row of a path's one normal draw, scattered, reproduces the
@@ -454,22 +464,6 @@ def test_draw_increment_matches_reference(kind, n):
                 want = reference_draw_increment(ref, kind, n, t / steps)
                 np.testing.assert_array_equal(row, want)
                 np.testing.assert_array_equal(np.signbit(row), np.signbit(want))
-
-
-@pytest.mark.parametrize("index", [0, 1, 1023, 1024, 2 ** 64 + 3])
-@pytest.mark.parametrize("seed", [0, 2 ** 63 + 5])
-def test_counter_reset_matches_sample_rng(seed, index):
-    """Resetting a used generator to an index's counter block gives the
-    normals of a fresh sample_rng(seed, index); 2**64 + 3 sets the high
-    counter word."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    state = rng.bit_generator.state
-    rng.standard_normal(3)
-    rng.integers(0, 10, dtype=np.uint32)  # leaves half a 64-bit word buffered
-    _seek(rng, state, index)
-    fresh = sample_rng(seed, index)
-    assert rng_state(rng) == rng_state(fresh)
-    np.testing.assert_array_equal(rng.standard_normal(37), fresh.standard_normal(37))
 
 
 def used_philox(seed: int) -> tuple[np.random.Philox, np.random.Generator]:
@@ -501,10 +495,10 @@ def test_seek_in_place_matches_sample_rng(seed, index):
 
 def test_probe_accepts_installed_numpy():
     """A numpy that moves the fields of philox_state fails here, rather than
-    silently doubling the cost of every draw."""
+    silently slowing every draw."""
     assert simulate._in_place_seek_works(), (
         f"numpy {np.__version__}: philox_state no longer matches simulate._PhiloxState, "
-        "so the sampler assigns the state dict at every index")
+        "so the sampler builds a sample_rng at every index")
 
 
 class _ShiftedPhiloxState(ctypes.Structure):
