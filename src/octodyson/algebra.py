@@ -11,12 +11,18 @@ the symmetric difference of the subsets.  A general element is a vector of 8
 real coordinates on this basis, carrying the Euclidean norm.
 
 There is one product, (xy)_k = sum_a sign(a, a^k) x_a y_{a^k}, summed over
-a = 0..7 from zero in the dtype of its inputs.  It runs coordinate first: both
-factors are copied to shape (8, ...) so that each of the 64 terms is one
-multiply of two contiguous coordinate rows, added to or subtracted from its
-output row.  On integer one-hot basis stacks it is exact, so the basis-level
-suites check it in +-1 integer arithmetic; on real-coefficient elements it
-runs in floating point and gives the dense contraction's bits.
+a = 0..7 from zero in the dtype of its inputs.  It runs coordinate first and
+in tiles: the broadcast rows are taken a block of consecutive rows at a time,
+as many as one batch of :data:`FORM_BATCH_BYTES` holds of a tile's working
+arrays, and only that block of each factor is copied to shape (8, ...), so
+memory beyond the result stays within one batch whatever the input size.
+Per tile the 64 signed terms come from one gather and one multiply, and the
+eight terms of each output coordinate are added in order.  On integer
+one-hot basis stacks it is exact, so the basis-level suites check it in +-1
+integer arithmetic; on real-coefficient elements it runs in floating point
+and gives the dense contraction's bits.  The random-element suites draw
+their elements whole and then evaluate and record them a batch of rows at a
+time.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from .reporting import IdentityReport
 CANONICAL_LABELS = (0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
 #: Tolerance of the floating-point suites.
 FLOAT_TOL = 1e-12
+#: Bytes one stacked batch holds: 8n x 8n forms, as large products, or the
+#: working arrays of octonion product tiles.  It is the package's one limit.
+FORM_BATCH_BYTES = 2 ** 20
 
 # Sign table with rows/columns in canonical label order.
 _TABLE_ROWS = (
@@ -60,40 +69,96 @@ CONJUGATION_SIGNS = np.diagonal(SIGN_TABLE).copy()
 CONJUGATION_SIGNS.setflags(write=False)
 
 
-def _multiplier(table: np.ndarray):
-    """The product of ``table``, a +-1 sign table, in coordinate-first layout.
+def entries_per_batch(entry_bytes: int) -> int:
+    """Entries of ``entry_bytes`` bytes one batch of :data:`FORM_BATCH_BYTES`
+    holds, at least one."""
+    return max(1, FORM_BATCH_BYTES // entry_bytes)
 
-    Each output row ``out[k]`` starts at zero and takes, for a = 0..7 in
-    order, the term x_a y_{a^k}, added where sign(a, a^k) is +1 and
-    subtracted where it is -1.  Products are sign-symmetric and ``o - t`` is
-    ``o + (-t)``, so every partial sum has the bits of sum_a (sign x_a) y_{a^k}
-    taken term by term: exact on integers, the dense contraction's bits on
-    floats, signed zeros included.  The result is C-ordered, of shape
-    broadcast(x, y) and dtype result_type(x, y, table).
+
+def _tile_rows(dtype) -> int:
+    """Broadcast rows one product tile in ``dtype`` takes: a tile row holds x
+    (8 coordinates), y and -y (16) and the 64 signed terms."""
+    return entries_per_batch(88 * np.dtype(dtype).itemsize)
+
+
+def _row_tiles(lead: tuple[int, ...], rows: int):
+    """Index tuples of the tiles of an array with leading axes ``lead``:
+    blocks of consecutive rows in C order, at most ``rows`` rows each (one
+    row at least), that cover every row once.
+
+    Trailing axes are taken whole while their rows fit in a tile, the axis
+    before them is cut into slices of as many indices as fit, and each axis
+    before that goes one index at a time, as a slice of one index so that a
+    tile keeps every axis.  Every tile is a view.
+    """
+    inner, axis = 1, len(lead)
+    while axis and inner * lead[axis - 1] <= rows:
+        axis -= 1
+        inner *= lead[axis]
+    if not axis:
+        yield ()
+        return
+    step = max(1, rows // inner)
+    for outer in np.ndindex(*lead[:axis - 1]):
+        for start in range(0, lead[axis - 1], step):
+            yield (*(slice(i, i + 1) for i in outer), slice(start, start + step))
+
+
+def _multiplier(table: np.ndarray):
+    """The product of ``table``, a +-1 sign table, in coordinate-first tiles.
+
+    The output rows (the broadcast leading axes) are taken in tiles of
+    :func:`_row_tiles`, :func:`_tile_rows` rows each.  Per tile, only that
+    block of each factor, broadcast rows included, is copied to shape
+    (8, ...): x, and y stacked over -y.  One gather of that stack and one
+    multiply by x give the 64 terms x_a (sign(a, a^k) y_{a^k}), and each
+    output row ``out[k]`` starts at zero and adds them for a = 0..7 in
+    order.  Negation is exact and ``o - t`` is ``o + (-t)``, so every
+    partial sum has the bits of sum_a (sign x_a) y_{a^k} taken term by term:
+    exact on integers, the dense contraction's bits on floats, signed zeros
+    included.  Each tile is written into one C-ordered result of shape
+    broadcast(x, y) and dtype result_type(x, y, table); no full-size copy of
+    a factor, broadcast or not, is made.
 
     Raises
     ------
     InvalidArgument
         If the leading axes of ``x`` and ``y`` do not broadcast.
     """
-    plan = [[(a, a ^ k, np.add if table[a, a ^ k] > 0 else np.subtract) for a in range(8)]
-            for k in range(8)]
+    # picks[a, k] indexes the stack (y, -y) at sign(a, a^k) y_{a^k}
+    picks = np.array([[a ^ k if table[a, a ^ k] > 0 else 8 + (a ^ k) for k in range(8)]
+                      for a in range(8)])
 
     def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         shape = _broadcast_shape(x, y)
         dtype = np.result_type(x, y, table)
-        xs, ys = (np.ascontiguousarray(np.moveaxis(np.broadcast_to(v, shape), -1, 0),
-                                       dtype=dtype)
-                  for v in (x, y))
-        out = np.zeros_like(xs)
-        term = np.empty_like(xs[0, ...])
-        for k, terms in enumerate(plan):
-            row = out[k, ...]  # a view also when the inputs are single elements
-            for a, b, accumulate in terms:
-                np.multiply(xs[a], ys[b], out=term)
-                accumulate(row, term, out=row)
-        # a strided view would change the order in which norms of its rows sum
-        return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+        xb, yb = (v if v.shape == shape else np.broadcast_to(v, shape) for v in (x, y))
+        result = np.empty(shape, dtype)
+        rows = _tile_rows(dtype)
+        # flat buffers of the largest tile, reused by every tile
+        room = min(rows, result.size // 8)
+        xbuf, ybuf, tbuf = (np.empty(coords * room, dtype) for coords in (8, 16, 64))
+        # the coordinate axis to the front and back
+        front = (len(shape) - 1, *range(len(shape) - 1))
+        back = (*range(1, len(shape)), 0)
+        for tile in _row_tiles(shape[:-1], rows):
+            out = result[tile]
+            block = out.shape[:-1]
+            size = out.size // 8
+            xs = xbuf[:8 * size].reshape(8, 1, *block)
+            ys = ybuf[:16 * size].reshape(16, *block)
+            terms = tbuf[:64 * size].reshape(8, 8, *block)
+            xs[:, 0] = xb[tile].transpose(front)
+            ys[:8] = yb[tile].transpose(front)
+            np.negative(ys[:8], out=ys[8:])
+            np.take(ys, picks, axis=0, out=terms, mode="clip")
+            np.multiply(xs, terms, out=terms)
+            total = terms[0]
+            total += 0  # the sum starts from zero: a -0.0 first term gives +0.0
+            for term in terms[1:]:
+                total += term
+            out[...] = total.transpose(back)
+        return result
 
     return product
 
@@ -316,15 +381,18 @@ def check_sign_identities(table: np.ndarray | None = None) -> IdentityReport:
 
 def _law_sides(m, x, y, z) -> list[tuple[np.ndarray, np.ndarray]]:
     """Both sides of the four Moufang laws in (x, y, z), then of the two
-    alternative laws in (x, y), under the product ``m``."""
-    zx_yz = m(m(z, x), m(y, z))
+    alternative laws in (x, y), under the product ``m``.  Each sub-product
+    that sides share is formed once: 24 products in all."""
+    zx, zy, xz, xy, yz, xx, yx = (m(z, x), m(z, y), m(x, z), m(x, y), m(y, z), m(x, x),
+                                  m(y, x))
+    zx_yz = m(zx, yz)
     return [
-        (m(z, m(x, m(z, y))), m(m(m(z, x), z), y)),
-        (m(m(m(x, z), y), z), m(x, m(m(z, y), z))),
-        (zx_yz, m(m(z, m(x, y)), z)),
-        (zx_yz, m(z, m(m(x, y), z))),
-        (m(m(x, x), y), m(x, m(x, y))),
-        (m(m(y, x), x), m(y, m(x, x))),
+        (m(z, m(x, zy)), m(m(zx, z), y)),
+        (m(m(xz, y), z), m(x, m(zy, z))),
+        (zx_yz, m(m(z, xy), z)),
+        (zx_yz, m(z, m(xy, z))),
+        (m(xx, y), m(x, xy)),
+        (m(yx, x), m(y, xx)),
     ]
 
 
@@ -336,7 +404,9 @@ def check_moufang(trials: int = 10_000, seed: int = 0,
     basis triple (512 triples x 4) and the two alternative laws on every
     basis pair (64 pairs x 2).  Then all six on ``trials`` standard-normal
     random elements in floating point with absolute tolerance
-    :data:`FLOAT_TOL`.
+    :data:`FLOAT_TOL`, drawn whole and evaluated in batches of as many
+    trials as one batch of :data:`FORM_BATCH_BYTES` holds of the 24 law
+    products.
     """
     m = _multiplier(SIGN_TABLE if table is None else table)
     with IdentityReport("moufang-alternativity", seed=seed).timed() as report:
@@ -350,22 +420,31 @@ def check_moufang(trials: int = 10_000, seed: int = 0,
         x = rng.standard_normal((trials, 8))
         y = rng.standard_normal((trials, 8))
         z = rng.standard_normal((trials, 8))
-        for lhs, rhs in _law_sides(m, x, y, z):
-            report.record(np.max(np.abs(lhs - rhs), axis=-1), FLOAT_TOL)
+        step = entries_per_batch(24 * x[0].nbytes)
+        for lo in range(0, trials, step):
+            rows = slice(lo, lo + step)
+            for lhs, rhs in _law_sides(m, x[rows], y[rows], z[rows]):
+                report.record(np.max(np.abs(lhs - rhs), axis=-1), FLOAT_TOL)
     return report
 
 
 def check_norm_multiplicativity(pairs: int = 100_000, seed: int = 1,
                                 table: np.ndarray | None = None) -> IdentityReport:
-    """|xy| == |x||y| on random pairs, relative tolerance :data:`FLOAT_TOL`."""
+    """|xy| == |x||y| on random pairs, relative tolerance :data:`FLOAT_TOL`.
+
+    The pairs are drawn whole, then evaluated and recorded one product tile
+    (:func:`_tile_rows` pairs) at a time."""
     with IdentityReport("norm-multiplicativity", seed=seed).timed() as report:
         fmul = _multiplier(SIGN_TABLE if table is None else table)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((pairs, 8))
         y = rng.standard_normal((pairs, 8))
-        xy = fmul(x, y)
-        prod = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
-        report.record(np.abs(np.linalg.norm(xy, axis=1) - prod) / prod, FLOAT_TOL)
+        step = _tile_rows(x.dtype)
+        for lo in range(0, pairs, step):
+            xb, yb = x[lo:lo + step], y[lo:lo + step]
+            prod = np.linalg.norm(xb, axis=1) * np.linalg.norm(yb, axis=1)
+            report.record(np.abs(np.linalg.norm(fmul(xb, yb), axis=1) - prod) / prod,
+                          FLOAT_TOL)
     return report
 
 

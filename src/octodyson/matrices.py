@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import CANONICAL_LABELS, CONJUGATION_SIGNS, SIGN_TABLE
+from .algebra import CANONICAL_LABELS, CONJUGATION_SIGNS, SIGN_TABLE, entries_per_batch
 from .errors import (
     Error,
     InvalidArgument,
@@ -51,18 +51,11 @@ _LABEL_PAIRS = np.triu_indices(8, 1)
 FD_STEP = 1e-5
 #: Tolerance of the dimension-2 trace identities.
 DIM2_TOL = 1e-10
-#: Bytes of 8n x 8n forms, or of as large products, one stacked batch holds.
-FORM_BATCH_BYTES = 2 ** 20
-
-
-def entries_per_batch(entry_bytes: int) -> int:
-    """Entries of ``entry_bytes`` bytes one batch of :data:`FORM_BATCH_BYTES`
-    holds, at least one."""
-    return max(1, FORM_BATCH_BYTES // entry_bytes)
 
 
 def forms_per_batch(n: int) -> int:
-    """Entries of dimension ``n`` one batch of :data:`FORM_BATCH_BYTES` holds."""
+    """Entries of dimension ``n`` one batch of
+    :data:`~octodyson.algebra.FORM_BATCH_BYTES` holds."""
     return entries_per_batch(8 * (8 * n) ** 2)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -114,9 +115,21 @@ def write_spectrum_csv(path: str, samples, kind: str, n: int, t: float,
         fh.writelines(map(template.__mod__, rows))
 
 
+def _finite_or_none(value):
+    """``value`` with every non-finite float, at any depth of its dicts,
+    lists and tuples, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_none(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(item) for item in value]
+    return value
+
+
 def json_text(payload: dict) -> str:
     """Indented strict JSON of ``payload``, with null for non-finite floats."""
-    return json.dumps(json.loads(json.dumps(payload), parse_constant=lambda _: None), indent=2)
+    return json.dumps(_finite_or_none(payload), indent=2)
 
 
 def write_stats_json(path: str, payload: dict) -> None:

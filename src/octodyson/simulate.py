@@ -38,7 +38,7 @@ draw, checks its layout against the generator's state dict and the seek
 against :func:`sample_rng`; where it finds a mismatch the sampler draws each
 index from its own :func:`sample_rng`, which is slower but gives the same
 bytes.  Chunks of whole paths, with at most
-:data:`~octodyson.matrices.FORM_BATCH_BYTES` of normals or one path each, run
+:data:`~octodyson.algebra.FORM_BATCH_BYTES` of normals or one path each, run
 one after another on the calling thread.
 """
 
@@ -511,7 +511,7 @@ def sample_spectra(cfg: SimulationConfig) -> SampledSpectra:
     ``sample_components(cfg, i)`` for each ``i``.
 
     Work is split into chunks of whole paths, as many as one batch of
-    :data:`~octodyson.matrices.FORM_BATCH_BYTES` holds of their normals, or
+    :data:`~octodyson.algebra.FORM_BATCH_BYTES` holds of their normals, or
     one path, each run by :func:`_chunk_spectra` in turn.  Every step acts on
     each path alone, and the checked rows are fixed by their position, so
     the result is identical for any chunk size.

@@ -25,10 +25,12 @@ inverse at a time, on the library's draws and random streams, and the
 Gamma and generator sums one label pair at a time; the suites must
 reproduce their reports, the pairing sums their values to rounding.
 Spectrum CSV rows are joined cell by cell from
-:func:`~octodyson.reporting.fmt17` and ``str``.
+:func:`~octodyson.reporting.fmt17` and ``str``, and JSON text is written,
+read back with null for the non-standard constants, and written again.
 """
 
 import itertools
+import json
 import math
 from typing import NamedTuple
 
@@ -404,6 +406,28 @@ def reference_spectrum_csv_row(ids, kind: str, n: int, t: float, sample) -> str:
     return ",".join(cells)
 
 
+def reference_json_text(payload: dict) -> str:
+    """Indented JSON of ``payload`` with null for non-finite floats, by a
+    round trip: dumped, loaded with null for NaN and the infinities, dumped
+    again."""
+    return json.dumps(json.loads(json.dumps(payload), parse_constant=lambda _: None), indent=2)
+
+
+def nested_law_sides(m, x, y, z) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Both sides of the four Moufang and two alternative laws, each side
+    written out in full under the product ``m``: 29 products, none shared
+    but the one side the third and fourth laws have in common."""
+    zx_yz = m(m(z, x), m(y, z))
+    return [
+        (m(z, m(x, m(z, y))), m(m(m(z, x), z), y)),
+        (m(m(m(x, z), y), z), m(x, m(m(z, y), z))),
+        (zx_yz, m(m(z, m(x, y)), z)),
+        (zx_yz, m(z, m(m(x, y), z))),
+        (m(m(x, x), y), m(x, m(x, y))),
+        (m(m(y, x), x), m(y, m(x, x))),
+    ]
+
+
 def einsum_multiplier(table: np.ndarray):
     """The algebra product of ``table`` as the dense contraction with its
     float structure tensor T[a, b, a^b] = sign(a, b)."""
@@ -524,15 +548,7 @@ def reference_moufang(trials: int, seed: int, table: np.ndarray) -> IdentityRepo
     x = rng.standard_normal((trials, 8))
     y = rng.standard_normal((trials, 8))
     z = rng.standard_normal((trials, 8))
-    pairs = [
-        (f(z, f(x, f(z, y))), f(f(f(z, x), z), y)),
-        (f(f(f(x, z), y), z), f(x, f(f(z, y), z))),
-        (f(f(z, x), f(y, z)), f(f(z, f(x, y)), z)),
-        (f(f(z, x), f(y, z)), f(z, f(f(x, y), z))),
-        (f(f(x, x), y), f(x, f(x, y))),
-        (f(f(y, x), x), f(y, f(x, x))),
-    ]
-    for lhs, rhs in pairs:
+    for lhs, rhs in nested_law_sides(f, x, y, z):
         report.record(np.max(np.abs(lhs - rhs), axis=-1), FLOAT_TOL)
     return report
 

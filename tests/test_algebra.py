@@ -1,6 +1,8 @@
 """Basis-level algebra: sign table, products, conjugation, identity suites."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from octodyson.algebra import (
 
 from oracles import (
     einsum_multiplier,
+    nested_law_sides,
     reference_cyclic_sign_sum,
     reference_imaginary_sum_square,
     reference_moufang,
@@ -177,6 +180,43 @@ def test_product_edge_cases_match_references(tamper, case):
     assert np.array_equal(np.signbit(got)[number], np.signbit(want)[number])
 
 
+@pytest.mark.parametrize("lead,rows", [
+    ((), 1), ((0,), 3), ((2, 0, 3), 1), ((5,), 1), ((5,), 2), ((20_000,), 1489),
+    ((1000, 8), 7), ((1000, 8), 1489), ((3, 4, 5), 7), ((3, 4, 5), 20), ((3, 4, 5), 60),
+])
+def test_row_tiles_cover_every_row_once_in_order(lead, rows):
+    index = np.arange(math.prod(lead)).reshape(lead)
+    tiles = [np.ravel(index[tile]) for tile in algebra._row_tiles(lead, rows)]
+    assert all(0 < tile.size <= rows or tile.size == index.size == 0 for tile in tiles)
+    assert np.array_equal(np.concatenate([np.arange(0), *tiles]), np.arange(index.size))
+
+
+@pytest.mark.parametrize("rows", [1, 7, None], ids=lambda r: f"rows{r or '-default'}")
+@pytest.mark.parametrize("case", [*KERNEL_CASES, "normals-20000"])
+def test_product_is_tile_invariant(case, rows, monkeypatch):
+    """With tiles of one row, seven rows and the default, the product equals
+    the references in value, sign bit and NaN position, in the result dtype
+    of its inputs and the table, in a C-ordered array."""
+    if case == "normals-20000":
+        x, y = np.random.default_rng(53).standard_normal((2, 20_000, 8))
+    else:
+        x, y = KERNEL_CASES[case]
+    if rows is not None:
+        # 88 coordinates of 8 bytes per float64 or int64 tile row
+        monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", rows * 88 * 8)
+        assert algebra._tile_rows(np.float64) == algebra._tile_rows(np.int64) == rows
+    oracle = term_multiplier if case == "inf-nan" else einsum_multiplier
+    with np.errstate(all="ignore"):
+        got = mul(x, y)
+        want = oracle(SIGN_TABLE)(x, y)
+    assert got.dtype == np.result_type(x, y, SIGN_TABLE)
+    assert got.flags.c_contiguous
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got, want, equal_nan=True)
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got)[number], np.signbit(want)[number])
+
+
 @pytest.mark.parametrize("x,y", [
     (np.ones(7), np.ones(7)),
     (np.ones((3, 8)), np.ones((3, 7))),
@@ -276,6 +316,49 @@ def test_moufang_suite():
     assert report.passed
     assert report.cases == 512 * 4 + 64 * 2 + 5000 * 6
     assert report.max_residual < 1e-12
+
+
+def test_law_sides_share_sub_products():
+    """The law sides take 24 products, not the 29 of the sides written out,
+    with the same bits on the integer basis and on random elements."""
+    m = algebra._multiplier(SIGN_TABLE)
+    calls = []
+
+    def counted(p, q):
+        calls.append(None)
+        return m(p, q)
+
+    _, basis = algebra._basis_triples()
+    for x, y, z in (basis, np.random.default_rng(59).standard_normal((3, 500, 8))):
+        calls.clear()
+        got = algebra._law_sides(counted, x, y, z)
+        assert len(calls) == 24
+        for sides, want_sides in zip(got, nested_law_sides(m, x, y, z), strict=True):
+            for side, want in zip(sides, want_sides):
+                assert side.dtype == want.dtype
+                assert np.array_equal(side, want)
+                assert np.array_equal(np.signbit(side), np.signbit(want))
+
+
+@pytest.mark.parametrize("suite,size,draws", [
+    (algebra.check_norm_multiplicativity, {"pairs": 100_000}, 2),
+    (algebra.check_moufang, {"trials": 10_000}, 3),
+], ids=["norm-multiplicativity", "moufang"])
+def test_random_suites_hold_their_draws_plus_two_batches(suite, size, draws):
+    """At its peak a random-element suite holds its draws of 8 float64
+    coordinates per element, plus less than two batches of
+    FORM_BATCH_BYTES: the product works in tiles, the suite in batches.  A
+    first call of one element takes what the first call allocates once."""
+    ((name, elements),) = size.items()
+    suite(**{name: 1})
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        suite(**size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < draws * elements * 8 * 8 + 2 * algebra.FORM_BATCH_BYTES
 
 
 def test_moufang_with_identity_reduces_trivially():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from octodyson import OctonionicMatrix, algebra, matrices, simulate, verify
+from octodyson import OctonionicMatrix, algebra, cli, matrices, simulate, verify
 from octodyson.blas import find_openblas
 from octodyson.cli import main
 from octodyson.errors import InsufficientData
@@ -28,6 +28,7 @@ from oracles import (
     reference_fd_logdet_hessian,
     reduced_spectrum,
     reference_cross_check,
+    reference_json_text,
     reference_oct_inverse,
     reference_oct_inverse_masked,
     reference_spectrum_csv_row,
@@ -380,7 +381,7 @@ def test_simulate_path_bytes_match_step_loop(argv, kind, n, tmp_path, capsys, mo
     }
     row_bytes = 8 * simulate._draw_layout(kind, n).size
     for chunk in (1024, 7, 3):
-        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", chunk * row_bytes)
+        monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", chunk * row_bytes)
         out = tmp_path / f"c{chunk}.csv"
         code, text = run(capsys, "simulate-path", *argv, "--steps", str(steps), "--paths",
                          str(paths), "--seed", str(seed), "--json", "--out", str(out))
@@ -416,6 +417,48 @@ def test_json_text_writes_non_finite_floats_as_null(tmp_path):
     write_stats_json(str(tmp_path / "s.json"), payload)
     assert json.loads((tmp_path / "s.json").read_text()) == {
         "stderr": None, "beta": [None, None, 2.5], "deep": {"x": None}}
+
+
+def test_json_text_matches_the_round_trip():
+    """One pass writes the text of dumping, loading with null for NaN and
+    the infinities, and dumping again."""
+    nan, inf = float("nan"), float("inf")
+    payloads = [
+        {"a": nan, "b": inf, "c": -inf, "d": 1.5, "e": -0.0, "f": 5e-324},
+        {"t": (1, nan, (inf, [-inf, 2.5]), ()), "l": [(), [], {}]},
+        {"outer": {"mid": {"inner": {"x": -inf, "y": (nan,)}}, "n": None}, "ok": True},
+        {"np": np.float64("nan"), "np2": [np.float64(0.1), np.float64("-inf")]},
+        {1: "int key", 2.5: "float key", nan: "nan key", False: "bool key", "s": "\u00fc\n"},
+        {"reports": [{"suite": "s", "max_residual": 1e-300, "cases": 10 ** 20}]},
+    ]
+    for payload in payloads:
+        assert json_text(payload) == reference_json_text(payload)
+
+
+#: The commands of the four benchmark workloads, at their sizes.
+BENCHMARK_COMMANDS = [
+    ["sample-spectrum", "--model", "a", "--samples", "2000", "--seed", "0"],
+    ["sample-spectrum", "--model", "b", "--n", "16", "--samples", "512", "--seed", "0"],
+    ["verify-identities", "--model", "a", "--trials", "20", "--seed", "0"],
+    ["verify-identities", "--model", "b", "--n", "4", "--trials", "20", "--seed", "0"],
+    ["check-dim2", "--trials", "200", "--seed", "0"],
+    ["verify-algebra", "--trials", "2000", "--norm-pairs", "20000", "--seed", "0"],
+    ["verify-algebra", "--trials", "2000", "--norm-pairs", "20000", "--seed", "0", "--tamper"],
+    ["verify-identities", "--model", "b", "--n", "48", "--trials", "4", "--seed", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_COMMANDS, ids=" ".join)
+def test_json_files_match_the_round_trip(argv, tmp_path, capsys, monkeypatch):
+    """Every JSON file the benchmark commands write holds the round trip's
+    text of its payload."""
+    written = []
+    monkeypatch.setattr(cli, "write_stats_json", lambda path, payload: written.append(
+        (path, payload)) or write_stats_json(path, payload))
+    run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert len(written) == 2  # the payload and the manifest
+    for path, payload in written:
+        assert Path(path).read_text() == reference_json_text(payload) + "\n"
 
 
 def test_solve_exponents(capsys):
@@ -498,7 +541,7 @@ def test_sample_spectrum_bytes_match_per_sample_pipeline(argv, kind, n, samples,
         })
     row_bytes = 8 * simulate._draw_layout(kind, n).size
     for chunk in (1024, 16):
-        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", chunk * row_bytes)
+        monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", chunk * row_bytes)
         out = tmp_path / f"c{chunk}.csv"
         code, text = run(capsys, "sample-spectrum", *argv, "--seed", str(seed), "--json",
                          "--out", str(out))
@@ -617,8 +660,8 @@ def test_bytes_do_not_depend_on_batch_bytes(argv, n, tmp_path, capsys, monkeypat
     """Reduced batches of one to three rows write the CSV and --json of the
     default batch bytes: the bound caps memory only."""
     written = []
-    for batch_bytes in (matrices.FORM_BATCH_BYTES, 3 * 64 * n * n):
-        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", batch_bytes)
+    for batch_bytes in (algebra.FORM_BATCH_BYTES, 3 * 64 * n * n):
+        monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", batch_bytes)
         out = tmp_path / f"{batch_bytes}.csv"
         code, text = run(capsys, *argv, "--json", "--out", str(out))
         assert code == 0
@@ -661,6 +704,22 @@ def _suite_json(capsys, argv):
     for report in payload["reports"]:
         del report["elapsed_ms"]
     return code, payload
+
+
+@pytest.mark.parametrize("tamper", [False, True], ids=["genuine", "tamper"])
+def test_verify_algebra_is_tile_invariant(tamper, capsys, monkeypatch):
+    """At the identities-small sizes verify-algebra reports the same, bar
+    elapsed_ms, and exits the same (1 under --tamper) with product tiles of
+    one row and of seven rows as with the default."""
+    argv = ["verify-algebra", "--trials", "2000", "--norm-pairs", "20000"]
+    argv += ["--tamper"] if tamper else []
+    default = _suite_json(capsys, argv)
+    assert default[0] == int(tamper)
+    for rows in (1, 7):
+        # 88 coordinates of 8 bytes per float64 tile row
+        monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", rows * 88 * 8)
+        assert algebra._tile_rows(np.float64) == rows
+        assert _suite_json(capsys, argv) == default
 
 
 @pytest.mark.parametrize("argv", [

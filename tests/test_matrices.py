@@ -13,6 +13,7 @@ from octodyson import (
     SimulationConfig,
     SingularBase,
     SingularCore,
+    algebra,
     matrices,
     oct_inverse,
     real_form,
@@ -404,7 +405,7 @@ def test_logdet_derivative_suite():
 @pytest.mark.parametrize("batch", [None, 3], ids=["default-batch", "three-per-batch"])
 def test_logdet_suite_matches_trial_loop(monkeypatch, batch, count, seed):
     if batch:
-        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", batch * 2 * 8 * 5 ** 4)
+        monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", batch * 2 * 8 * 5 ** 4)
     assert (_suite_dict(check_logdet_derivatives(count, seed))
             == _suite_dict(reference_check_logdet_derivatives(count, seed)))
 
@@ -494,7 +495,7 @@ def test_forced_batches_give_the_same_bits(monkeypatch):
     whole = _oct_inverse_stack(stack)
     report = _suite_dict(check_dim2_identities(trials=20, seed=6))
     # three entries per batch: the stack splits into seven batches
-    monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", 3 * 8 * 16 ** 2)
+    monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", 3 * 8 * 16 ** 2)
     assert matrices.forms_per_batch(2) == 3
     assert np.array_equal(_oct_inverse_stack(stack), whole)
     assert _suite_dict(check_dim2_identities(trials=20, seed=6)) == report
@@ -524,7 +525,7 @@ def test_masked_kernel_reports_each_failing_entry(monkeypatch, batch):
     incompatible = _incompatible_stack(np.random.default_rng(5)).components
     stack = np.stack([good[0], incompatible, good[1], singular, good[0]])
     if batch:
-        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", batch * 8 * 24 ** 2)
+        monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", batch * 8 * 24 ** 2)
     out, errors = _oct_inverse_masked(stack)
     assert sorted(errors) == [1, 3]
     for index, error in errors.items():

@@ -13,9 +13,9 @@ from octodyson import (
     InvalidConfig,
     OctonionicMatrix,
     SimulationConfig,
+    algebra,
     gap_statistics,
     implied_beta,
-    matrices,
     real_form,
     sample_matrix,
     sample_rng,
@@ -201,7 +201,7 @@ def test_sample_spectra_chunk_invariance(chunk, monkeypatch):
     and cross-check; a shorter run gives a prefix."""
     c = cfg(kind="b", n=3, seed=31, samples=400)
     whole = sample_spectra(c)
-    monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", chunk * 8 * _draw_layout("b", 3).size)
+    monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", chunk * 8 * _draw_layout("b", 3).size)
     chunked = sample_spectra(c)
     assert_same_spectra(chunked, whole)
     assert chunked.cross_check == whole.cross_check
@@ -219,7 +219,7 @@ def test_chunks_follow_the_batch_bound(monkeypatch):
     monkeypatch.setattr(simulate, "_draw", lambda *a: calls.append(len(a[1])) or draw(*a))
     sample_spectra(cfg(samples=2000))
     sample_spectra(cfg(kind="b", n=16, samples=512))
-    monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", 8 * 5 * _draw_layout("a", 2).size - 1)
+    monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", 8 * 5 * _draw_layout("a", 2).size - 1)
     sample_spectra(cfg(samples=3, steps=5))
     assert calls == [2000, 512, 1, 1, 1]
 
@@ -599,7 +599,7 @@ def test_batched_cross_check_matches_row_by_row(kind, n, samples, monkeypatch):
     comps = sample_stack(c, range(0, samples, 64))
     want = reference_cross_check([dense_spectrum(kind, x, c.cluster_tol) for x in comps],
                                  [reduced_spectrum(kind, x, c.cluster_tol) for x in comps])
-    monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", 3 * 8 * (8 * n) ** 2)
+    monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", 3 * 8 * (8 * n) ** 2)
     forms = []
     real_form = simulate.real_form
     monkeypatch.setattr(simulate, "real_form",

@@ -13,6 +13,7 @@ from octodyson import (
     DiffusionModel,
     IdentityReport,
     SimulationConfig,
+    algebra,
     calculus,
     cli,
     matrices,
@@ -200,7 +201,7 @@ def test_closed_form_trial_inverts_once_per_shift(kernel_calls, monkeypatch, mod
     check_closed_forms(model, trials=5)
     assert kernel_calls == [10]
     kernel_calls.clear()
-    monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", 3 * 8 * (8 * model.n) ** 2)
+    monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", 3 * 8 * (8 * model.n) ** 2)
     check_closed_forms(model, trials=5)
     assert kernel_calls == [6, 4]
 
@@ -218,7 +219,7 @@ def test_closed_form_suite_calls_the_calculus_per_trial(monkeypatch, model):
             calls.append((_name, args))
             return _fn(*args)
         monkeypatch.setattr(verify, name, record)
-    monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", 3 * 8 * (8 * model.n) ** 2)
+    monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", 3 * 8 * (8 * model.n) ** 2)
     check_closed_forms(model, trials=4, seed=2)
     pattern = ("gamma_log_charpoly", "gamma_closed_form", "gamma_log_charpoly",
                "generator_log_charpoly", "generator_closed_form")
@@ -246,7 +247,7 @@ SUITE_SIZES = [(model_a(), 20), (model_b(4), 20), (model_b(48), 2)]
 @pytest.mark.parametrize("batch", [None, 3], ids=["default-batch", "three-per-batch"])
 def test_closed_form_suite_matches_trial_loop(monkeypatch, batch, model, trials, seed):
     if batch:
-        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", batch * 8 * (8 * model.n) ** 2)
+        monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", batch * 8 * (8 * model.n) ** 2)
     assert (_report(check_closed_forms(model, trials, seed))
             == _report(reference_check_closed_forms(model, trials, seed)))
 
@@ -256,7 +257,7 @@ def test_closed_form_suite_matches_trial_loop(monkeypatch, batch, model, trials,
 @pytest.mark.parametrize("batch", [None, 3], ids=["default-batch", "three-per-batch"])
 def test_roundtrip_suite_matches_trial_loop(monkeypatch, batch, model, trials, seed):
     if batch:
-        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", batch * 8 * (8 * model.n) ** 2)
+        monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", batch * 8 * (8 * model.n) ** 2)
     assert (_report(check_inverse_roundtrip(model.kind, model.n, trials, seed))
             == _report(reference_check_inverse_roundtrip(model.kind, model.n, trials, seed)))
 
@@ -281,7 +282,7 @@ def test_roundtrip_redraws_inside_a_batch(monkeypatch, drawn, batch, kind, n, li
     redrawn in later batches and the report is the trial loop's."""
     monkeypatch.setattr(verify, "ROUNDTRIP_COND_LIMIT", limit)
     if batch:
-        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", batch * 8 * (8 * n) ** 2)
+        monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", batch * 8 * (8 * n) ** 2)
     got = check_inverse_roundtrip(kind, n, trials=12, seed=0)
     assert got.cases == 12 and len(drawn) > 18
     assert drawn == list(range(len(drawn)))
@@ -322,7 +323,7 @@ def test_roundtrip_gives_up_below_its_draw_bound(monkeypatch, drawn, batch):
     drawing each index below 20 trials + 100 once, and none beyond."""
     monkeypatch.setattr(verify, "ROUNDTRIP_COND_LIMIT", 0.0)
     if batch:
-        monkeypatch.setattr(matrices, "FORM_BATCH_BYTES", batch * 8 * 16 ** 2)
+        monkeypatch.setattr(algebra, "FORM_BATCH_BYTES", batch * 8 * 16 ** 2)
     with pytest.raises(Error) as want:
         reference_check_inverse_roundtrip("a", 2, 5, 0)
     with pytest.raises(Error) as got:
